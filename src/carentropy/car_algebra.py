@@ -15,8 +15,7 @@ The module provides:
 * the even/odd grading ``Theta`` (conjugation by the full parity unitary),
 * parity unitaries ``v_I = prod_i (a_i* a_i - a_i a_i*)`` for regions,
 * tracially orthogonal monomial bases of region subalgebras, which also
-  realize the isomorphism ``A(I) ~ M(2^|I|)`` used to extract
-  region-intrinsic densities,
+  realize the isomorphism ``A(I) ~ M(2^|I|)`` on operators,
 * trace-compatible conditional expectations onto region subalgebras,
 * a verification routine for the relative-commutant identity
   ``A(I)' n A(I u J) = A(J)_+ + v_I A(J)_-`` that underlies the tensor
@@ -24,7 +23,7 @@ The module provides:
 
 Everything is dense ``complex128``; contexts are immutable after
 construction and all operations are pure functions, so sharing across
-threads is safe.
+threads is safe.  States never build a basis (see :mod:`carentropy.states`).
 """
 
 from __future__ import annotations
@@ -214,11 +213,6 @@ class MonomialBasis:
         c = (self.local_flat.conj() @ y.ravel()) / (self.local_dim * self.local_norms)
         return (c @ self.flat).reshape(self.dim, self.dim)
 
-    def overlap_matrix(self) -> np.ndarray:
-        """Matrix ``T[beta, alpha] = tau(e_alpha e_beta)`` (no conjugation)."""
-        transposed = self.mats.transpose(0, 2, 1).reshape(self.size, -1)
-        return (self.flat @ transposed.T).T / self.dim
-
 
 class AlgebraContext:
     """Matrix realization of the CAR algebra on ``n`` ordered sites.
@@ -241,11 +235,6 @@ class AlgebraContext:
 
     def __repr__(self):
         return f"AlgebraContext(n={self.n})"
-
-    @property
-    def site_order(self) -> tuple[int, ...]:
-        """The fixed total order of sites underlying the realization."""
-        return self.lattice.sites
 
     def check_region(self, region: Region) -> Region:
         if region.sites and region.sites[-1] > self.n:

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,7 +50,6 @@ class RunConfig:
     output_path: str | None
     suite: str | None = None
     even: bool = False
-    workers: int = 1
     regions: dict[str, tuple[int, ...]] | None = None
     rhoJ: str | None = None
 
@@ -146,8 +144,7 @@ def _trial_regions(rng: np.random.Generator, n: int, suite: str, fixed) -> dict[
     return out
 
 
-def _verify_trial(args) -> dict:
-    ctx, config, index, child = args
+def _verify_trial(ctx, config: RunConfig, index: int, child) -> dict:
     rng = np.random.default_rng(child)
     fixed = config.regions and {
         key: Region(val) for key, val in config.regions.items()
@@ -160,7 +157,7 @@ def _verify_trial(args) -> dict:
     report = inequality_report(
         state, regions["I"], regions["J"], regions.get("K"), hold_tol=config.tolerance
     )
-    row = {
+    return {
         "trial": index,
         "seed": config.seed,
         "sites": config.sites,
@@ -175,7 +172,6 @@ def _verify_trial(args) -> dict:
         "triangle_verdict": report.verdicts.get("triangle", ""),
         "mono_ssa_verdict": report.verdicts.get("mono_ssa", ""),
     }
-    return row
 
 
 def _unexpected_violations(config: RunConfig, rows: list[dict]) -> list[str]:
@@ -203,13 +199,7 @@ def _unexpected_violations(config: RunConfig, rows: list[dict]) -> list[str]:
 def _run_suite(config: RunConfig) -> tuple[list[dict], dict]:
     ctx = build_context(config.sites)
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
-    tasks = [(ctx, config, i, children[i]) for i in range(config.trials)]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_verify_trial, tasks))
-    else:
-        rows = [_verify_trial(t) for t in tasks]
-    rows.sort(key=lambda r: r["trial"])
+    rows = [_verify_trial(ctx, config, i, child) for i, child in enumerate(children)]
 
     summary: dict = {"trials": config.trials}
     for kind in ("ssa", "triangle", "mono_ssa"):
@@ -258,10 +248,7 @@ def cmd_counterexample(config: RunConfig) -> int:
     else:
         rho_j = tracial_state(ctx, J)
     report = violation_demo(ctx, K, I, J, rhoJ=rho_j)
-
-    from .counterexamples import build_recipe  # recipe re-built for serialization
-
-    recipe = build_recipe(ctx, K, I, J=J, rhoJ=rho_j)
+    recipe = report.recipe
     payload = {
         "config": _config_payload(config),
         "regions": {k: list(v) for k, v in report.regions.items()},
@@ -314,7 +301,7 @@ def cmd_table1(config: RunConfig) -> int:
             command="verify", sites=config.sites, trials=config.trials,
             seed=int(seed_seq.generate_state(1)[0] % (2 ** 31)),
             tolerance=config.tolerance, output_format="json", output_path=None,
-            suite=suite, even=even, workers=config.workers,
+            suite=suite, even=even,
         )
         return _run_suite(cfg)
 
@@ -322,7 +309,7 @@ def cmd_table1(config: RunConfig) -> int:
     _, tri_even = sub("triangle", even=True, seed_seq=base[1])
     _, mono_even = sub("mono-ssa", even=True, seed_seq=base[2])
 
-    ctx = build_context(max(config.sites, 3))
+    ctx = build_context(config.sites)
     demo = violation_demo(ctx, Region((2,)), Region((1,)), Region((3,)))
 
     suites = {
@@ -409,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "csv", "text"], default="json",
                         dest="output_format")
     common.add_argument("--output", default=None, help="report path ('-' = stdout)")
-    common.add_argument("--workers", type=int, default=1)
 
     verify = sub.add_parser("verify", parents=[common], help="random-state campaigns")
     verify.add_argument("--suite", choices=SUITES, default="all")
@@ -439,6 +425,10 @@ def main(argv=None) -> int:
     fmt = args.output_format
     if args.command in ("verify", "counterexample") and fmt == "text":
         parser.error(f"{args.command} supports json or csv output")
+    if args.command in ("verify", "table1") and args.trials < 1:
+        parser.error("--trials must be at least 1")
+    if args.command == "table1" and args.sites < 3:
+        parser.error("table1 runs the mono-ssa suite, which needs at least 3 sites")
 
     try:
         if args.command == "verify":
@@ -456,8 +446,7 @@ def main(argv=None) -> int:
             config = RunConfig(
                 command="verify", sites=args.sites, trials=args.trials, seed=seed,
                 tolerance=args.tolerance, output_format=fmt, output_path=args.output,
-                suite=args.suite, even=args.even, workers=args.workers,
-                regions=regions or None,
+                suite=args.suite, even=args.even, regions=regions or None,
             )
             return cmd_verify(config)
 
@@ -482,7 +471,6 @@ def main(argv=None) -> int:
         config = RunConfig(
             command="table1", sites=args.sites, trials=args.trials, seed=seed,
             tolerance=args.tolerance, output_format=fmt, output_path=args.output,
-            workers=args.workers,
         )
         return cmd_table1(config)
     except CarError as exc:

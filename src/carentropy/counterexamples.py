@@ -11,7 +11,7 @@ The construction takes three mutually disjoint regions K, I, J:
   its grading-symmetrized average ``rho2 = (rho2_tilde + rho2_tilde o
   Theta) / 2`` is even and has strictly larger entropy.
 * the joint extension ``psi`` of ``rho1`` and ``rho2`` on ``A(K u I)``
-  evaluated monomial-wise as
+  defined monomial-wise as
 
       psi(A1 A2) = rho1(A1) rho2(A2_even)
                    + rho1(A1 u1) rho2_tilde(A2_odd),
@@ -19,11 +19,12 @@ The construction takes three mutually disjoint regions K, I, J:
   with ``u1 = v_K`` the self-adjoint unitary implementing the grading on
   ``A(K)`` (for a pure state of a full matrix algebra the GNS
   representation is the defining one, so the GNS extension of ``rho1`` is
-  just ``<eta, . eta>`` and ``rho1(u1) = <eta, v_K eta> = 0``).  The
-  density is reconstructed from these functional values over the
-  tracially orthogonal monomial basis of ``A(K u I)``, then validated as
-  positive and normalized.  The entropy of ``psi`` equals the entropy of
-  ``rho2_tilde`` (not of ``rho2``), which is what breaks the inequalities.
+  just ``<eta, . eta>`` and ``rho1(u1) = <eta, v_K eta> = 0``).  In K-first
+  mode order an odd ``A2`` acts as the parity of ``K`` times a local odd
+  matrix, and ``v_K`` is ``(-1)^|K|`` times that parity, so the density is
+  the closed form ``D1 (x) (even(D2) + (-1)^|K| odd(D2~))``.  The entropy of
+  ``psi`` equals the entropy of ``rho2_tilde`` (not of ``rho2``), which is
+  what breaks the inequalities.
 
 * ``rhoJ`` on J: an arbitrary even state; the full demo state is the
   product extension ``psi o rhoJ``.
@@ -53,19 +54,20 @@ from .inequalities import (
 )
 from .states import (
     State,
+    _reorder,
     density_distance,
     entropy,
     is_even,
     p_theta,
     product_extension,
     restrict,
-    state_from_tau_form,
     tracial_state,
     vector_state,
 )
 
 __all__ = [
     "ExtensionRecipe",
+    "ViolationReport",
     "odd_eigenvector_state",
     "symmetrize",
     "u1_for",
@@ -93,20 +95,20 @@ def odd_eigenvector_state(
     ctx.check_region(K)
     if not K.sites:
         raise ValueError("K must be nonempty")
-    basis = ctx.basis(K.sites)
     if operator is None:
-        k = K.sites[0]
-        mat = ctx.annihilator(k) + ctx.creator(k)
+        # a_k + a_k* on the first local site
+        local = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2 ** (len(K) - 1)))
     else:
         mat = operator.matrix if isinstance(operator, OperatorElement) else np.asarray(operator)
         if np.abs(mat - mat.conj().T).max() > 1e-10:
             raise ValueError("operator must be self-adjoint")
         if np.abs(mat + ctx.theta_of(mat)).max() > 1e-10:
             raise ValueError("operator must be odd")
+        basis = ctx.basis(K.sites)
         if basis.membership_residual(mat) > 1e-10 * max(1.0, float(np.linalg.norm(mat))):
             raise ValueError(f"operator does not belong to the region {K.sites}")
+        local = basis.to_local(mat)
 
-    local = basis.to_local(mat)
     lam, u = np.linalg.eigh(local)
     top = int(np.argmax(lam))
     if abs(lam[top]) <= 1e-8:
@@ -119,8 +121,8 @@ def odd_eigenvector_state(
 
 def symmetrize(state: State) -> State:
     """Grading-symmetrized average ``(phi + phi o Theta) / 2``; always even."""
-    rep = (state.rep + state.ctx.theta_of(state.rep)) / 2.0
-    return State(state.ctx, state.region, rep)
+    density = (state.density + state.theta_image().density) / 2.0
+    return State(state.ctx, state.region, density)
 
 
 def u1_for(ctx: AlgebraContext, K: Region, rho1: State) -> OperatorElement:
@@ -152,6 +154,13 @@ class ExtensionRecipe:
     rhoJ: State | None = None
 
 
+@dataclass(frozen=True)
+class ViolationReport(InequalityReport):
+    """The gaps of the violation demo together with the recipe they came from."""
+
+    recipe: ExtensionRecipe | None = None
+
+
 def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> None:
     if not recipe.K.isdisjoint(recipe.I):
         raise ValueError("K and I must be disjoint")
@@ -169,11 +178,12 @@ def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> None:
     u1 = recipe.u1.matrix
     if np.abs(u1 - u1.conj().T).max() > 1e-10 or np.abs(u1 @ u1 - np.eye(ctx.dim)).max() > 1e-10:
         raise ValueError("u1 must be a self-adjoint unitary")
-    bK = ctx.basis(recipe.K.sites)
-    conj = np.einsum("ij,njk,kl->nil", u1, bK.mats, u1)
-    flipped = bK.mats * bK.parity[:, None, None]
-    if np.abs(conj - flipped).max() > 1e-10:
-        raise ValueError("u1 does not implement the grading on A(K)")
+    # conjugation by u1 is a *-automorphism, so flipping the generators of
+    # A(K) is the same as implementing the grading on all of A(K)
+    for k in recipe.K.sites:
+        for g in (ctx.annihilator(k), ctx.creator(k)):
+            if np.abs(u1 @ g @ u1 + g).max() > 1e-10:
+                raise ValueError("u1 does not implement the grading on A(K)")
     if recipe.J is not None:
         for other, name in ((recipe.K, "K"), (recipe.I, "I")):
             if not recipe.J.isdisjoint(other):
@@ -220,32 +230,21 @@ def joint_extension(recipe: ExtensionRecipe) -> State:
     Restricts to ``rho1`` on ``A(K)`` and to ``rho2`` on ``A(I)``, but its
     entropy equals that of ``rho2_tilde``.  Swapping ``rho2_tilde`` for its
     parity image yields a *different* extension with the same marginals.
+    In K-first mode order the density is
+    ``D1 (x) (even(D2) + t (-1)^|K| odd(D2~))`` with ``t = tau(v_K u1)``,
+    which is 1 for the ``u1 = v_K`` of :func:`u1_for`.
     """
     ctx = recipe.rho1.ctx
     _validate_recipe(ctx, recipe)
     K, I = recipe.K, recipe.I
-    bK = ctx.basis(K.sites)
-    bI = ctx.basis(I.sites)
-    b = ctx.basis(K.sites + I.sites)
-    u1 = recipe.u1.matrix
-
-    rho1_plain = np.array([recipe.rho1.value(m) for m in bK.mats])
-    rho1_twist = np.array([recipe.rho1.value(m @ u1) for m in bK.mats])
-    rho2_even = np.array([recipe.rho2.value(m) for m in bI.mats])
-    rho2t_odd = np.array([recipe.rho2_tilde.value(m) for m in bI.mats])
-
-    even_mask = bI.parity > 0
-    even_values = np.where(even_mask, rho2_even, 0.0)
-    odd_values = np.where(even_mask, 0.0, rho2t_odd)
-    psi_vec = np.kron(rho1_plain, even_values) + np.kron(rho1_twist, odd_values)
-
-    overlap = b.overlap_matrix()
-    coeffs = np.linalg.solve(overlap, psi_vec)
-    rep = (coeffs @ b.flat).reshape(ctx.dim, ctx.dim)
-    rep = (rep + rep.conj().T) / 2.0
+    # u1 v_K commutes with A(K), so rho1(A1 u1) = tau(v_K u1) rho1(A1 v_K)
+    t = float(ctx.parity_diag(K.sites) @ np.diag(recipe.u1.matrix).real) / ctx.dim
+    odd_part = (recipe.rho2_tilde.density - recipe.rho2_tilde.theta_image().density) / 2.0
+    second = recipe.rho2.density + t * (-1) ** len(K) * odd_part
 
     region = K.union(I)
-    state = state_from_tau_form(ctx, region, rep, validate=False)
+    density = _reorder(np.kron(recipe.rho1.density, second), K.sites + I.sites, region.sites)
+    state = State(ctx, region, density)
     lam_min = float(np.linalg.eigvalsh(state.intrinsic()).min())
     if lam_min < -1e-10:
         raise ExtensionError(f"reconstructed density is not positive (min eig {lam_min:.3e})")
@@ -259,8 +258,8 @@ def violation_demo(
     J: Region,
     rhoJ: State | None = None,
     rho2_tilde: State | None = None,
-) -> InequalityReport:
-    """Build ``psi o rhoJ`` and report its gaps, entropies and residuals.
+) -> ViolationReport:
+    """Build ``psi o rhoJ`` and report its gaps, entropies, residuals and recipe.
 
     Expected pattern: the monotonicity-form gap on (I, J; K) and the
     triangle gap on (I, K) are negative (``-ln 2`` with the defaults) while
@@ -290,7 +289,7 @@ def violation_demo(
         "product_entropy": abs(entropies["KJ"] - entropies["K"] - entropies["J"]),
     }
     verdicts = {kind: classify_gap(kind, gap) for kind, gap in gaps.items()}
-    return InequalityReport(
+    return ViolationReport(
         regions={name: reg.sites for name, reg in regions.items()},
         even_state=is_even(full),
         tolerance=HOLD_TOL,
@@ -300,4 +299,5 @@ def violation_demo(
         verdicts=verdicts,
         entropies=entropies,
         residuals=residuals,
+        recipe=recipe,
     )

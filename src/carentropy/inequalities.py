@@ -152,7 +152,7 @@ def mixing_bounds_check(phi: State, psi: State, lam: float) -> MixingBoundsRepor
         raise ValueError("mixing requires a common region")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
-    mixture = State(phi.ctx, phi.region, lam * phi.rep + (1.0 - lam) * psi.rep)
+    mixture = State(phi.ctx, phi.region, lam * phi.density + (1.0 - lam) * psi.density)
     s_mix = entropy(mixture)
     avg = lam * entropy(phi) + (1.0 - lam) * entropy(psi)
     h = 0.0
@@ -216,7 +216,7 @@ def commuting_square_check(
     s_resid = 0.0
     for mid in (I, J):
         two_step = restrict(restrict(state, mid), inter)
-        s_resid = max(s_resid, float(np.abs(two_step.rep - s_target.rep).max()))
+        s_resid = max(s_resid, float(np.abs(two_step.density - s_target.density).max()))
 
     return CommutingSquareReport(
         I=I, J=J, trials=trials, operator_residual=worst, state_residual=s_resid

@@ -2,11 +2,12 @@
 
 The extension machinery works in the tensor picture provided by the
 relative commutant: for disjoint ``I`` and ``J`` the union subalgebra
-factorizes as ``A(I u J) = A(I) (x) (A(I)' n A(I u J))``.  Numerically this
-is realized by the region isomorphism taken in *I-first* site order, which
-maps ``A(I)`` onto the leading factor ``M(2^|I|) (x) 1`` and the commutant
-onto ``1 (x) M(2^|J|)``.  In that picture both region parity unitaries are
-diagonal, so parity-definite eigenbases are available by construction.
+factorizes as ``A(I u J) = A(I) (x) (A(I)' n A(I u J))``.  Numerically the
+purifying vector is built in *I-first* mode order, where ``A(I)`` is the
+leading factor ``M(2^|I|) (x) 1`` and the commutant is ``1 (x) M(2^|J|)``,
+and its density is then reordered to the sorted sites of ``I u J``.  In
+that picture both region parity unitaries are diagonal, so parity-definite
+eigenbases are available by construction.
 
 ``pure_extension`` pairs the eigenvectors of the input density with an
 arbitrary orthonormal family in the commutant factor.  For an *even* input
@@ -26,7 +27,7 @@ import numpy as np
 
 from .car_algebra import Region
 from .errors import CapacityError
-from .states import EIG_FLOOR, State, _local_parity_diag, is_even, state_from_tau_form
+from .states import EIG_FLOOR, State, _local_parity_diag, _reorder, is_even
 
 __all__ = [
     "SchmidtDecomposition",
@@ -86,10 +87,7 @@ def _eig_descending(density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _assemble(rho1: State, J: Region, pairs) -> State:
     """Build the vector state from (weight, left vector, partner index) pairs."""
-    ctx = rho1.ctx
     I = rho1.region
-    order = I.sites + J.sites
-    basis = ctx.basis(order)
     d1, d2 = 2 ** len(I), 2 ** len(J)
     xi = np.zeros(d1 * d2, dtype=complex)
     for lam, left, partner in pairs:
@@ -97,9 +95,9 @@ def _assemble(rho1: State, J: Region, pairs) -> State:
         e[partner] = 1.0
         xi += np.sqrt(lam) * np.kron(left, e)
     xi = _phase_fixed(xi / np.linalg.norm(xi))
-    rep = basis.from_local(np.outer(xi, xi.conj())) * (d1 * d2)
     region = I.union(J)
-    return state_from_tau_form(ctx, region, rep, validate=False)
+    density = _reorder(np.outer(xi, xi.conj()), I.sites + J.sites, region.sites)
+    return State(rho1.ctx, region, density)
 
 
 def pure_extension(rho1: State, J: Region) -> State:

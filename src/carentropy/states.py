@@ -2,31 +2,28 @@
 
 Normalization convention
 ------------------------
-A state ``phi`` on the region subalgebra ``A(R)`` is stored through its
-*tracial representative*: the unique ``W`` in ``A(R)`` with
+A state ``phi`` on the region subalgebra ``A(R)`` is stored as its
+*region-intrinsic density*: the ordinary trace-one ``2^|R| x 2^|R|``
+density matrix of the state under the isomorphism ``A(R) ~ M(2^|R|)`` that
+maps the generators of the sorted sites of ``R`` onto the Jordan-Wigner
+generators of a fresh ``|R|``-site lattice.  All spectra, entropies and
+fidelities are those of this density.  Logarithms are natural, so entropies
+are in nats and the tracial state on ``|R|`` sites has entropy ``|R| ln 2``.
 
-    phi(A) = tau(W A)   for all A in A(R),
+The *tracial representative* ``W`` of the full lattice (``phi(A) = tau(W A)``
+with ``tau`` the normalized trace, ``W = 1`` for the tracial state) and the
+functional ``phi(x)`` are derived views (:attr:`State.rep`,
+:meth:`State.value`); they build ``2^n x 2^n`` matrices and serve
+operator-level checks only.
 
-where ``tau`` is the normalized trace of the full lattice algebra.  Thus
-``tau(W) = 1`` and the tracial state has ``W = 1`` on every region.  The
-equivalent *region-intrinsic density* is the ordinary trace-one
-``2^|R| x 2^|R|`` density matrix of the state under the isomorphism
-``A(R) ~ M(2^|R|)``; the two are related by
-
-    intrinsic = to_local(W) / 2^|R|,
-
-and :meth:`State.intrinsic` / :func:`state_from_intrinsic` are the only
-converters used anywhere in the package.  All spectra, entropies and
-fidelities are those of the intrinsic density.  Logarithms are natural, so
-entropies are in nats and the tracial state on ``|R|`` sites has entropy
-``|R| ln 2``.
-
-Restriction is the trace-compatible conditional expectation applied to the
-tracial representative; for regions that are a prefix of the site order it
-coincides with the ordinary partial trace.  Densities are re-Hermitized
-after every linear-algebra round trip; eigenvalues below ``1e-12`` are
-clamped to zero before logarithms, while anything below ``-1e-8`` raises
-:class:`NotAStateError`.
+Every change of region goes through one primitive, :func:`_reorder`, which
+re-expresses a local density in another order of its modes: a diagonal
+``+-1`` sign, ``(-1)^(crossed occupied pairs)``, followed by an axis
+transpose (the fermionic swap).  Once ``R`` is moved to the front, the
+restriction to ``A(R)`` is the ordinary partial trace over the trailing
+modes, and a product extension is a Kronecker product.  Eigenvalues below
+``1e-12`` are clamped to zero before logarithms, while anything below
+``-1e-8`` raises :class:`NotAStateError`.
 """
 
 from __future__ import annotations
@@ -82,24 +79,58 @@ def _clamped_spectrum(density: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _reorder(density: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
+    """Re-express a density on the modes ``src`` (in that order) in the order ``dst``.
+
+    A basis state picks up ``-1`` for every pair of occupied modes whose
+    relative order changes; then the tensor axes are permuted.
+    """
+    k = len(src)
+    perm = [src.index(s) for s in dst]
+    idx = np.arange(2 ** k)
+    occupied = [(idx >> (k - 1 - i)) & 1 for i in range(k)]
+    crossed = np.zeros(2 ** k, dtype=int)
+    for a in range(k):
+        for b in range(a + 1, k):
+            if perm[a] > perm[b]:
+                crossed += occupied[perm[a]] & occupied[perm[b]]
+    sign = 1 - 2 * (crossed & 1)
+    signed = sign[:, None] * density * sign[None, :]
+    axes = perm + [k + p for p in perm]
+    return signed.reshape((2,) * (2 * k)).transpose(axes).reshape(2 ** k, 2 ** k)
+
+
+def _trace_out(matrix: np.ndarray, outer: Region, region: Region) -> np.ndarray:
+    """Partial trace of a matrix on the modes of ``outer`` down to ``region``."""
+    rest = tuple(s for s in outer.sites if s not in region)
+    front = _reorder(matrix, outer.sites, region.sites + rest)
+    keep, drop = 2 ** len(region), 2 ** len(rest)
+    return np.trace(front.reshape(keep, drop, keep, drop), axis1=1, axis2=3)
+
+
+def _local_parity_diag(k: int) -> np.ndarray:
+    occupied = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
+    return (-1.0) ** (k - occupied.sum(axis=1))
+
+
 @dataclass(frozen=True)
 class State:
-    """A state of ``A(region)``, stored via its tracial representative."""
+    """A state of ``A(region)``, stored as its region-intrinsic density."""
 
     ctx: AlgebraContext
     region: Region
-    rep: np.ndarray
-
-    @property
-    def local_dim(self) -> int:
-        return 2 ** len(self.region)
+    density: np.ndarray
 
     def intrinsic(self) -> np.ndarray:
         """Region-intrinsic trace-one density matrix (``2^|R| x 2^|R|``)."""
-        if self.region == self.ctx.lattice:
-            return _hermitize(self.rep) / self.ctx.dim
-        local = self.ctx.basis(self.region.sites).to_local(self.rep)
-        return _hermitize(local) / self.local_dim
+        return _hermitize(self.density)
+
+    @property
+    def rep(self) -> np.ndarray:
+        """Tracial representative ``W`` on the full lattice (derived view)."""
+        rest = tuple(s for s in self.ctx.lattice.sites if s not in self.region)
+        front = np.kron(self.density * 2 ** len(self.region), np.eye(2 ** len(rest)))
+        return _reorder(front, self.region.sites + rest, self.ctx.lattice.sites)
 
     def value(self, x) -> complex:
         """The functional ``phi(x) = tau(W x)`` for a global matrix ``x``."""
@@ -108,7 +139,8 @@ class State:
 
     def theta_image(self) -> "State":
         """The state ``phi o Theta``."""
-        return State(self.ctx, self.region, self.ctx.theta_of(self.rep))
+        par = _local_parity_diag(len(self.region))
+        return State(self.ctx, self.region, par[:, None] * self.density * par[None, :])
 
 
 @dataclass(frozen=True)
@@ -127,19 +159,14 @@ def state_from_tau_form(
     ctx.check_region(region)
     rep = _hermitize(np.asarray(rep, dtype=complex))
     trace = np.trace(rep).real / ctx.dim
+    if validate and abs(trace - 1.0) > 1e-8:
+        raise NotAStateError(f"tau(W) = {trace:.12f}, expected 1")
+    state = State(ctx, region, _trace_out(rep, ctx.lattice, region) / (trace * ctx.dim))
     if validate:
-        if abs(trace - 1.0) > 1e-8:
-            raise NotAStateError(f"tau(W) = {trace:.12f}, expected 1")
-        if region != ctx.lattice:
-            resid = ctx.basis(region.sites).membership_residual(rep)
-            if resid > 1e-10 * max(1.0, float(np.linalg.norm(rep))):
-                raise ValueError(
-                    f"matrix not in the region subalgebra (residual {resid:.3e})"
-                )
-    rep = rep / trace
-    state = State(ctx, region, rep)
-    if validate:
-        _clamped_spectrum(state.intrinsic())
+        resid = float(np.linalg.norm(rep - trace * state.rep))
+        if resid > 1e-10 * max(1.0, float(np.linalg.norm(rep))):
+            raise ValueError(f"matrix not in the region subalgebra (residual {resid:.3e})")
+        _clamped_spectrum(state.density)
     return state
 
 
@@ -156,17 +183,14 @@ def state_from_intrinsic(
         if abs(np.trace(density).real - 1.0) > 1e-8:
             raise NotAStateError(f"Tr(density) = {np.trace(density).real:.12f}, expected 1")
         _clamped_spectrum(density)
-    if region == ctx.lattice:
-        rep = density * d
-    else:
-        rep = ctx.basis(region.sites).from_local(density) * d
-    return state_from_tau_form(ctx, region, rep, validate=False)
+    return State(ctx, region, density)
 
 
 def tracial_state(ctx: AlgebraContext, region: Region) -> State:
     """The unique tracial state: ``W = 1``; entropy ``|R| ln 2``."""
     ctx.check_region(region)
-    return State(ctx, region, np.eye(ctx.dim, dtype=complex))
+    d = 2 ** len(region)
+    return State(ctx, region, np.eye(d, dtype=complex) / d)
 
 
 def vector_state(ctx: AlgebraContext, region: Region, vec: np.ndarray) -> State:
@@ -200,7 +224,7 @@ def spectral_data(state: State, cluster_tol: float = 1e-9) -> SpectralData:
 
 
 def restrict(state: State, region: Region) -> State:
-    """Restriction of the state to ``A(region)`` (conditional expectation).
+    """Restriction of the state to ``A(region)``: reorder, then partial trace.
 
     The restriction of an even state is even; restricting to the state's
     own region is the identity, and the empty region carries the unique
@@ -210,15 +234,17 @@ def restrict(state: State, region: Region) -> State:
         raise ValueError(f"region {region.sites} not contained in {state.region.sites}")
     if region == state.region:
         return state
-    rep = state.ctx.basis(region.sites).expect(state.rep)
-    return state_from_tau_form(state.ctx, region, rep, validate=False)
+    if not region.sites:
+        return tracial_state(state.ctx, region)
+    return State(state.ctx, region, _trace_out(state.density, state.region, region))
 
 
 def is_even(state: State, tol: float = EVEN_TOL) -> bool:
-    """Whether the state is invariant under the grading automorphism."""
-    diff = state.ctx.theta_of(state.rep) - state.rep
-    opnorm = float(np.linalg.norm(diff, 2)) / state.local_dim
-    return opnorm <= tol
+    """Whether ``|D - Theta(D)|``, twice the norm of the density's block
+    between opposite parities, is at most ``tol``."""
+    par = _local_parity_diag(len(state.region))
+    odd_block = state.density[np.ix_(par > 0, par < 0)]
+    return 2.0 * float(np.linalg.norm(odd_block, 2)) <= tol
 
 
 def transition_probability(phi: State, psi: State) -> float:
@@ -267,15 +293,6 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(g)
     phases = np.diag(r) / np.abs(np.diag(r))
     return q * phases.conj()
-
-
-def _local_parity_diag(k: int) -> np.ndarray:
-    idx = np.arange(2 ** k)
-    d = np.ones(2 ** k)
-    for i in range(1, k + 1):
-        bit = (idx >> (k - i)) & 1
-        d *= np.where(bit == 1, 1.0, -1.0)
-    return d
 
 
 def random_state(
@@ -331,20 +348,23 @@ def product_extension(state_a: State, state_b: State) -> State:
     """The product state ``phi(AB) = phi_A(A) phi_B(B)`` on the union region.
 
     Exists (and is unique) when the regions are disjoint and at least one
-    factor is even; then the two tracial representatives commute and the
-    extension is their product.
+    factor is even; with the even factor's modes last, it is the Kronecker
+    product of the two densities.
     """
     if state_a.ctx is not state_b.ctx:
         raise ValueError("states live on different lattice contexts")
     if not state_a.region.isdisjoint(state_b.region):
         raise ValueError("product extension requires disjoint regions")
-    if not (is_even(state_a) or is_even(state_b)):
+    b_even = is_even(state_b)
+    if not (b_even or is_even(state_a)):
         raise ExtensionError(
             "product state extension requires at least one even factor"
         )
-    rep = _hermitize(state_a.rep @ state_b.rep)
+    first, last = (state_a, state_b) if b_even else (state_b, state_a)
     region = state_a.region.union(state_b.region)
-    return state_from_tau_form(state_a.ctx, region, rep, validate=False)
+    density = np.kron(first.density, last.density)
+    order = first.region.sites + last.region.sites
+    return State(state_a.ctx, region, _reorder(density, order, region.sites))
 
 
 def density_distance(a: State, b: State) -> float:

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is built from scratch on purpose: plain Kronecker products,
-plain partial traces, and a direct representation-based evaluation of the
-joint-extension functional.  None of it goes through the package's basis
-projection machinery, so agreement is meaningful.
+plain partial traces, expectation values of Jordan-Wigner monomials, and a
+direct representation-based evaluation of the joint-extension functional.
+None of it goes through the package's bases or its mode reordering, so
+agreement is meaningful.
 """
 
 import numpy as np
@@ -53,6 +54,39 @@ def single_site_monomials():
     """Local factors 1, a, a*, v with their parities."""
     v = LOWER.conj().T @ LOWER - LOWER @ LOWER.conj().T
     return [(EYE2, 1), (LOWER, -1), (LOWER.conj().T, -1), (v, 1)]
+
+
+def monomials_on(ann, sites):
+    """The 4^|sites| ordered monomials of the given annihilators' sites.
+
+    Per-site factors 1, a, a*, v, multiplied in the order of ``sites``
+    (0-based indices into ``ann``).
+    """
+    d = ann[0].shape[0] if ann else 1
+    mats = [np.eye(d, dtype=complex)]
+    for s in sites:
+        a = ann[s]
+        ad = a.conj().T
+        v = ad @ a - a @ ad
+        mats = [m @ f for m in mats for f in (np.eye(d, dtype=complex), a, ad, v)]
+    return mats
+
+
+def restriction_oracle(density, n, sites):
+    """Density of the restriction of a global ``2^n`` density to 1-based ``sites``.
+
+    The restricted density ``D_R`` on a fresh ``|R|``-site lattice is the
+    solution of ``Tr(D_R m_alpha) = Tr(D M_alpha)`` over all monomials,
+    where ``M_alpha`` runs over the global monomials on the sorted sites and
+    ``m_alpha`` over the matching local ones.
+    """
+    sites = sorted(sites)
+    glob = monomials_on(jw_annihilators(n), [s - 1 for s in sites])
+    local = monomials_on(jw_annihilators(len(sites)), range(len(sites)))
+    values = np.array([np.trace(density @ m) for m in glob])
+    rows = np.array([m.T.ravel() for m in local])
+    k = 2 ** len(sites)
+    return np.linalg.solve(rows, values).reshape(k, k)
 
 
 def car_monomials(n):
@@ -106,19 +140,8 @@ def solve_density_from_functional(values, p, q):
     """
     n = p + q
     ann = jw_annihilators(n)
-    d = 2 ** n
-
-    def monomials_for(sites):
-        mats = [np.eye(d, dtype=complex)]
-        for s in sites:
-            a = ann[s]
-            ad = a.conj().T
-            v = ad @ a - a @ ad
-            mats = [m @ f for m in mats for f in (np.eye(d, dtype=complex), a, ad, v)]
-        return mats
-
-    mk = monomials_for(range(p))
-    mi = monomials_for(range(p, n))
+    mk = monomials_on(ann, range(p))
+    mi = monomials_on(ann, range(p, n))
     rows = []
     rhs = []
     for al, a1 in enumerate(mk):
@@ -128,5 +151,5 @@ def solve_density_from_functional(values, p, q):
             rhs.append(values[al, be])
     coeff = np.array(rows)
     sol = np.linalg.lstsq(coeff, np.array(rhs), rcond=None)[0]
-    dens = sol.reshape(d, d)
+    dens = sol.reshape(2 ** n, 2 ** n)
     return (dens + dens.conj().T) / 2.0

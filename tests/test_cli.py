@@ -71,24 +71,16 @@ class TestVerify:
         assert lines[0].startswith("trial,seed,sites,I,J,K,parity,ssa_gap")
         assert len(lines) == 6
 
-    def test_workers_same_bytes(self, tmp_path):
-        _, path1 = run(
-            ["verify", "--suite", "all", "--sites", "3", "--trials", "20", "--seed", "5"],
-            tmp_path, name="a.json",
-        )
-        _, path2 = run(
-            ["verify", "--suite", "all", "--sites", "3", "--trials", "20", "--seed", "5",
-             "--workers", "4"],
-            tmp_path, name="b.json",
-        )
-        a = json.loads(path1.read_text())
-        b = json.loads(path2.read_text())
-        assert a["trials"] == b["trials"]
-
     def test_usage_error_exit_two(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "nonsense"])
-        assert exc.value.code == 2
+        for argv in (
+            ["verify", "--suite", "nonsense"],
+            ["verify", "--trials", "-1"],
+            ["table1", "--sites", "2"],
+            ["table1", "--sites", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
 
     def test_bad_region_exit_two(self):
         assert main(["verify", "--I", "1,x", "--J", "2"]) == 2

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from carentropy import (
+    OperatorElement,
     Region,
     build_recipe,
     density_distance,
@@ -185,6 +187,17 @@ class TestJointExtension:
         assert density_distance(restrict(psi2, K), base.rho1) <= 1e-10
         assert density_distance(restrict(psi2, I), base.rho2) <= 1e-10
 
+    def test_negated_u1_twists_with_parity_image(self, ctx3):
+        # -v_K also implements the grading on A(K); it flips the sign of the
+        # twisted term, which is the extension built from theta(rho2_tilde)
+        K, I = Region((1, 3)), Region((2,))
+        rho2_tilde = random_state(ctx3, I, seed=6)
+        base = build_recipe(ctx3, K, I, rho2_tilde=rho2_tilde)
+        negated = replace(base, u1=OperatorElement(-base.u1.matrix, K))
+        flipped = build_recipe(ctx3, K, I, rho2_tilde=rho2_tilde.theta_image())
+        assert density_distance(joint_extension(negated), joint_extension(flipped)) <= 1e-12
+        assert density_distance(joint_extension(negated), joint_extension(base)) > 1e-6
+
     def test_two_site_k_interleaved(self, ctx4):
         # the default odd element on a multi-site K has a degenerate top
         # eigenvalue; the deterministic eigenvector choice still gives a
@@ -203,28 +216,37 @@ class TestJointExtension:
         assert abs(entropy(psi2) - entropy(mixed)) <= 1e-9
         assert density_distance(restrict(psi2, I), recipe2.rho2) <= 1e-10
 
-    def test_against_representation_oracle(self, ctx2):
+    def test_against_representation_oracle(self, ctx2, ctx3):
         # Independent route: evaluate the functional through the explicit
         # twisted tensor representation and solve for the density from the
-        # plain matrix-trace linear system.
-        K, I = Region((2,)), Region((1,))
-        recipe = build_recipe(ctx2, K, I)
-        psi = joint_extension(recipe)
+        # plain matrix-trace linear system.  The defining vectors of the two
+        # pure ingredients are read off their densities.
+        def defining_vector(state):
+            return np.linalg.eigh(state.intrinsic())[1][:, -1]
 
-        eta = np.array([1.0, 1.0]) / math.sqrt(2)
-        values = joint_extension_functional(1, 1, eta, eta)
-        bK = monomial_basis(ctx2, K)
-        bI = monomial_basis(ctx2, I)
-        for al in range(4):
-            for be in range(4):
-                mine = psi.value(bK[al].matrix @ bI[be].matrix)
-                assert abs(mine - values[al, be]) <= 1e-10
+        for ctx, K, I in [
+            (ctx2, Region((2,)), Region((1,))),
+            (ctx3, Region((2,)), Region((1, 3))),
+            (ctx3, Region((1, 3)), Region((2,))),
+        ]:
+            recipe = build_recipe(ctx, K, I)
+            psi = joint_extension(recipe)
+            p, q = len(K), len(I)
+            values = joint_extension_functional(
+                p, q, defining_vector(recipe.rho1), defining_vector(recipe.rho2_tilde)
+            )
+            bK = monomial_basis(ctx, K)
+            bI = monomial_basis(ctx, I)
+            for al in range(4 ** p):
+                for be in range(4 ** q):
+                    mine = psi.value(bK[al].matrix @ bI[be].matrix)
+                    assert abs(mine - values[al, be]) <= 1e-10, (K.sites, I.sites, al, be)
 
-        oracle_density = solve_density_from_functional(values, 1, 1)
-        lam_mine = np.sort(np.linalg.eigvalsh(psi.intrinsic()))
-        lam_oracle = np.sort(np.linalg.eigvalsh(oracle_density))
-        assert np.abs(lam_mine - lam_oracle).max() <= 1e-10
-        assert abs(entropy(psi) - vn_entropy(oracle_density)) <= 1e-10
+            oracle_density = solve_density_from_functional(values, p, q)
+            lam_mine = np.sort(np.linalg.eigvalsh(psi.intrinsic()))
+            lam_oracle = np.sort(np.linalg.eigvalsh(oracle_density))
+            assert np.abs(lam_mine - lam_oracle).max() <= 1e-10
+            assert abs(entropy(psi) - vn_entropy(oracle_density)) <= 1e-10
 
 
 class TestViolationDemo:

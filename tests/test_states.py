@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carentropy import (
     NotAStateError,
     ExtensionError,
     Region,
+    build_context,
     density_distance,
     entropy,
     is_even,
@@ -25,7 +27,7 @@ from carentropy import (
 )
 from carentropy.counterexamples import odd_eigenvector_state
 
-from oracles import partial_trace, vn_entropy
+from oracles import partial_trace, restriction_oracle, vn_entropy
 
 LN2 = math.log(2.0)
 
@@ -127,6 +129,30 @@ class TestRestrict:
             mine = restrict(s, Region(tuple(range(1, k + 1)))).intrinsic()
             oracle = partial_trace(s.intrinsic(), [2] * 3, keep=list(range(k)))
             assert np.abs(mine - oracle).max() <= 1e-10
+
+
+@st.composite
+def restriction_cases(draw):
+    """A lattice, a parent region S, a region R inside S, and a random state."""
+    n = draw(st.integers(1, 5))
+    parent = sorted(draw(st.lists(st.integers(1, n), min_size=1, unique=True)))
+    region = sorted(draw(st.lists(st.sampled_from(parent), unique=True)))
+    even = draw(st.booleans())
+    rank = draw(st.integers(1, 2 ** n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return n, tuple(parent), tuple(region), even, rank, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(restriction_cases())
+def test_restriction_matches_expectation_value_oracle(case):
+    n, parent, region, even, rank, seed = case
+    ctx = build_context(n)
+    state = random_state(ctx, ctx.lattice, even=even, rank=rank, seed=seed)
+    oracle = restriction_oracle(state.intrinsic(), n, region)
+    for source in (state, restrict(state, Region(parent))):
+        mine = restrict(source, Region(region)).intrinsic()
+        assert np.abs(mine - oracle).max() <= 1e-12
 
 
 class TestIsEven:
@@ -289,6 +315,12 @@ class TestProductExtension:
             lhs = ext.value(ea.matrix @ eb.matrix)
             rhs = a.value(ea) * b.value(eb)
             assert abs(lhs - rhs) <= 1e-10
+
+    def test_factor_order_irrelevant(self, ctx3):
+        # noneven factor on an interleaved region, even factor either side
+        a = random_state(ctx3, Region((1, 3)), seed=34)
+        b = random_state(ctx3, Region((2,)), even=True, seed=35)
+        assert density_distance(product_extension(a, b), product_extension(b, a)) <= 1e-12
 
     def test_neither_factor_even_rejected(self, ctx2):
         a = odd_eigenvector_state(ctx2, Region((1,)))
