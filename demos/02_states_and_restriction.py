@@ -1,9 +1,9 @@
 """States, entropy, restriction, fidelity and the oddness quantifier.
 
-A state of a region subalgebra is stored through its tracial
-representative; its region-intrinsic density matrix drives every spectral
-quantity.  Restriction is the trace-compatible conditional expectation and
-reduces to the ordinary partial trace on prefix regions.
+A state of a region subalgebra is stored as its region-intrinsic density
+matrix, which drives every spectral quantity.  Restriction is the
+trace-compatible conditional expectation: a fermionic reorder of the modes
+followed by the ordinary partial trace.
 """
 
 import numpy as np

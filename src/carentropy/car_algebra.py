@@ -14,16 +14,23 @@ The module provides:
 
 * the even/odd grading ``Theta`` (conjugation by the full parity unitary),
 * parity unitaries ``v_I = prod_i (a_i* a_i - a_i a_i*)`` for regions,
-* tracially orthogonal monomial bases of region subalgebras, which also
-  realize the isomorphism ``A(I) ~ M(2^|I|)`` on operators,
+* the isomorphism ``A(I) ~ M(2^|I|)``: a fermionic reorder of the modes
+  (:func:`_reorder`) moves ``I`` to the front, after which ``A(I)`` is the
+  leading tensor factor ``M(2^|I|) (x) 1``; :func:`_trace_out` and
+  :func:`_embed` map between the two sides,
 * trace-compatible conditional expectations onto region subalgebras,
+  computed through that isomorphism,
+* tracially orthogonal monomial bases of region subalgebras,
 * a verification routine for the relative-commutant identity
   ``A(I)' n A(I u J) = A(J)_+ + v_I A(J)_-`` that underlies the tensor
   factorization ``A(I u J) = A(I) (x) (A(I)' n A(I u J))``.
 
 Everything is dense ``complex128``; contexts are immutable after
 construction and all operations are pure functions, so sharing across
-threads is safe.  States never build a basis (see :mod:`carentropy.states`).
+threads is safe.  Only :func:`monomial_basis` and
+:func:`relative_commutant_check` build a basis (``4^|I|`` matrices of size
+``2^n x 2^n``); a request larger than ``MAX_BASIS_BYTES`` raises
+:class:`CapacityError` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import CapacityError
 
 __all__ = [
     "Region",
@@ -49,7 +58,9 @@ __all__ = [
 ]
 
 MAX_SITES = 12
+MAX_BASIS_BYTES = 2 ** 29  # 4^|I| * 4^n complex entries; the build peaks at twice this
 CAR_ATOL = 1e-12
+MEMBERSHIP_TOL = 1e-10
 
 _LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -117,101 +128,79 @@ class OperatorElement:
     note: str | None = None
 
 
-class MonomialBasis:
-    """Tracially orthogonal monomial basis of a region subalgebra.
+def _local_parity_diag(k: int) -> np.ndarray:
+    """Diagonal of the parity ``v`` of a ``k``-site local lattice."""
+    occupied = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
+    return (-1.0) ** (k - occupied.sum(axis=1))
 
-    For an ordered site tuple ``(s_1, ..., s_k)`` the ``4^k`` monomials are
-    the products ``f(g_1, s_1) f(g_2, s_2) ...`` with per-site factors
+
+def _reorder(matrix: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
+    """Re-express a matrix on the modes ``src`` (in that order) in the order ``dst``.
+
+    A basis state picks up ``-1`` for every pair of occupied modes whose
+    relative order changes; then the tensor axes are permuted.
+    """
+    k = len(src)
+    perm = [src.index(s) for s in dst]
+    idx = np.arange(2 ** k)
+    occupied = [(idx >> (k - 1 - i)) & 1 for i in range(k)]
+    crossed = np.zeros(2 ** k, dtype=int)
+    for a in range(k):
+        for b in range(a + 1, k):
+            if perm[a] > perm[b]:
+                crossed += occupied[perm[a]] & occupied[perm[b]]
+    sign = 1 - 2 * (crossed & 1)
+    signed = sign[:, None] * matrix
+    signed *= sign
+    axes = perm + [k + p for p in perm]
+    return signed.reshape((2,) * (2 * k)).transpose(axes).reshape(2 ** k, 2 ** k)
+
+
+def _trace_out(matrix: np.ndarray, outer: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """Partial trace of a matrix on the modes ``outer`` down to the modes ``keep``.
+
+    The result acts on the modes of ``keep`` in the order given there.
+    """
+    rest = tuple(s for s in outer if s not in keep)
+    front = _reorder(matrix, outer, keep + rest)
+    k, r = 2 ** len(keep), 2 ** len(rest)
+    return np.trace(front.reshape(k, r, k, r), axis1=1, axis2=3)
+
+
+def _embed(local: np.ndarray, keep: tuple[int, ...], outer: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_trace_out`: ``local (x) 1`` on ``outer``, back in its order.
+
+    ``_trace_out(_embed(y, keep, outer), outer, keep)`` is ``2^(|outer|-|keep|) y``.
+    """
+    rest = tuple(s for s in outer if s not in keep)
+    return _reorder(np.kron(local, np.eye(2 ** len(rest))), keep + rest, outer)
+
+
+class MonomialBasis:
+    """The ``4^k`` monomials of a region subalgebra.
+
+    For an ordered site tuple ``(s_1, ..., s_k)`` the monomials are the
+    products ``f(g_1, s_1) f(g_2, s_2) ...`` with per-site factors
     ``{1, a, a*, v}`` (``v = a*a - aa*``), multiplied in the given order.
     Each monomial has definite parity and the family is orthogonal for the
     inner product ``<x, y> = tau(x* y)`` with ``tau`` the normalized trace.
-
-    The same products on a fresh ``k``-site lattice give a matching basis of
-    ``M(2^k)``; matching coefficients between the two realizes the
-    *-isomorphism ``A(region) ~ M(2^k)`` (``to_local`` / ``from_local``).
-    Choosing a non-sorted order permutes which generator maps to which local
-    site, e.g. an I-first order over ``I u J`` maps ``A(I)`` onto the leading
-    tensor factor ``M(2^|I|) (x) 1``.
     """
 
     def __init__(self, ctx: "AlgebraContext", order: tuple[int, ...]):
-        self.ctx = ctx
-        self.order = order
-        self.k = len(order)
-        self.size = 4 ** self.k
-        self.dim = ctx.dim
-        self.local_dim = 2 ** self.k
-        self.is_identity = order == tuple(range(1, ctx.n + 1))
-
-        self.labels = list(itertools.product(range(4), repeat=self.k))
+        self.size = 4 ** len(order)
+        self.labels = list(itertools.product(range(4), repeat=len(order)))
         factor_parity = (1, -1, -1, 1)  # 1, a, a*, v
         self.parity = np.array(
             [int(np.prod([factor_parity[g] for g in lab])) if lab else 1 for lab in self.labels],
             dtype=int,
         )
-
-        self.mats = _readonly(self._build(ctx, order))
-        self.flat = _readonly(self.mats.reshape(self.size, -1))
-        self.norms = _readonly(
-            (np.einsum("ij,ij->i", self.flat.conj(), self.flat) / self.dim).real
-        )
-
-        if self.is_identity:
-            self.local_mats = self.mats
-            self.local_flat = self.flat
-            self.local_norms = self.norms
-        else:
-            local_ctx = ctx.local_context(self.k)
-            self.local_mats = _readonly(self._build(local_ctx, tuple(range(1, self.k + 1))))
-            self.local_flat = _readonly(self.local_mats.reshape(self.size, -1))
-            self.local_norms = _readonly(
-                (
-                    np.einsum("ij,ij->i", self.local_flat.conj(), self.local_flat)
-                    / self.local_dim
-                ).real
-            )
-            if not np.allclose(self.norms, self.local_norms, atol=1e-12):
-                raise RuntimeError("global and local monomial norms disagree")
-
-    @staticmethod
-    def _build(ctx: "AlgebraContext", order: tuple[int, ...]) -> np.ndarray:
         mats = [np.eye(ctx.dim, dtype=complex)]
         for site in order:
             a = ctx.annihilator(site)
             ad = ctx.creator(site)
             factors = (np.eye(ctx.dim, dtype=complex), a, ad, ad @ a - a @ ad)
             mats = [m @ f for m in mats for f in factors]
-        return np.stack(mats)
-
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Expansion coefficients of the orthogonal projection of ``x``."""
-        return (self.flat.conj() @ x.ravel()) / (self.dim * self.norms)
-
-    def expect(self, x: np.ndarray) -> np.ndarray:
-        """Trace-compatible conditional expectation of ``x`` onto the region."""
-        if self.is_identity:
-            return x
-        c = self.coefficients(x)
-        return (c @ self.flat).reshape(self.dim, self.dim)
-
-    def membership_residual(self, x: np.ndarray) -> float:
-        if self.is_identity:
-            return 0.0
-        return float(np.linalg.norm(x - self.expect(x)))
-
-    def to_local(self, x: np.ndarray) -> np.ndarray:
-        """Image of ``x`` (assumed in the region subalgebra) in ``M(2^k)``."""
-        if self.is_identity:
-            return x
-        c = self.coefficients(x)
-        return (c @ self.local_flat).reshape(self.local_dim, self.local_dim)
-
-    def from_local(self, y: np.ndarray) -> np.ndarray:
-        """Global matrix whose local image is ``y``."""
-        if self.is_identity:
-            return y
-        c = (self.local_flat.conj() @ y.ravel()) / (self.local_dim * self.local_norms)
-        return (c @ self.flat).reshape(self.dim, self.dim)
+        self.mats = _readonly(np.stack(mats))
 
 
 class AlgebraContext:
@@ -231,7 +220,6 @@ class AlgebraContext:
         self._parity_diag: dict[tuple[int, ...], np.ndarray] = {}
         self._parity_mat: dict[tuple[int, ...], np.ndarray] = {}
         self._bases: dict[tuple[int, ...], MonomialBasis] = {}
-        self._locals: dict[int, "AlgebraContext"] = {}
 
     def __repr__(self):
         return f"AlgebraContext(n={self.n})"
@@ -289,28 +277,14 @@ class AlgebraContext:
             raise ValueError(f"repeated sites in order {order}")
         self.check_region(Region(tuple(sorted(order))))
         if order not in self._bases:
+            need = 4 ** len(order) * self.dim ** 2 * 16
+            if need > MAX_BASIS_BYTES:
+                raise CapacityError(
+                    f"a basis of {len(order)} sites on {self.n} needs {need / 2 ** 20:.0f} MiB, "
+                    f"over the {MAX_BASIS_BYTES / 2 ** 20:.0f} MiB limit"
+                )
             self._bases[order] = MonomialBasis(self, order)
         return self._bases[order]
-
-    def local_context(self, k: int) -> "AlgebraContext":
-        """Fresh k-site lattice used as the target of region isomorphisms."""
-        if k == self.n:
-            return self
-        if k not in self._locals:
-            self._locals[k] = AlgebraContext(k) if k >= 1 else _ScalarContext()
-        return self._locals[k]
-
-
-class _ScalarContext:
-    """Degenerate 0-site lattice: the scalars."""
-
-    n = 0
-    dim = 1
-
-    def annihilator(self, i):  # pragma: no cover - never reached
-        raise ValueError("no sites")
-
-    creator = annihilator
 
 
 def build_context(n: int) -> AlgebraContext:
@@ -363,10 +337,29 @@ def monomial_basis(ctx: AlgebraContext, region: Region) -> list[OperatorElement]
     return [OperatorElement(b.mats[i], region) for i in range(b.size)]
 
 
+def _local_image(ctx: AlgebraContext, x: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
+    """Image in ``M(2^|sites|)`` of an element ``x`` of ``A(sites)``, sites in the given order.
+
+    Raises ``ValueError`` when ``|x - E(x)|`` exceeds ``MEMBERSHIP_TOL``
+    relative to ``max(1, |x|)``, i.e. when ``x`` is not in ``A(sites)``.
+    """
+    local = _trace_out(x, ctx.lattice.sites, sites) / 2 ** (ctx.n - len(sites))
+    resid = float(np.linalg.norm(x - _embed(local, sites, ctx.lattice.sites)))
+    if resid > MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(x))):
+        raise ValueError(f"matrix not in the subalgebra of sites {sites} (residual {resid:.3e})")
+    return local
+
+
 def conditional_expectation(ctx: AlgebraContext, x, region: Region):
-    """Trace-compatible conditional expectation of ``x`` onto ``A(region)``."""
+    """Trace-compatible conditional expectation of ``x`` onto ``A(region)``.
+
+    The normalized partial trace onto the region, embedded back as
+    ``E(x) (x) 1``.
+    """
     ctx.check_region(region)
-    out = ctx.basis(region.sites).expect(_as_matrix(x))
+    lattice = ctx.lattice.sites
+    local = _trace_out(_as_matrix(x), lattice, region.sites) / 2 ** (ctx.n - len(region))
+    out = _embed(local, region.sites, lattice)
     if isinstance(x, OperatorElement):
         return OperatorElement(out, region)
     return out
@@ -480,7 +473,9 @@ def relative_commutant_check(
         constraints = np.hstack(blocks).T  # rows: constraint entries, cols: basis coeffs
         svals = np.linalg.svd(constraints, compute_uv=False)
         nullspace_dim = int(np.sum(svals <= 1e-8)) + max(0, bU.size - len(svals))
-        coeffs = (flat @ bU.flat.conj().T) / (ctx.dim * bU.norms)
+        u_flat = bU.mats.reshape(bU.size, -1)
+        u_norms = np.einsum("ij,ij->i", u_flat.conj(), u_flat).real
+        coeffs = (flat @ u_flat.conj().T) / u_norms
         nullspace_residual = float(np.abs(constraints @ coeffs.T).max())
 
     return CommutantCheck(

@@ -42,7 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import AlgebraContext, OperatorElement, Region, parity_unitary
+from .car_algebra import (
+    AlgebraContext,
+    OperatorElement,
+    Region,
+    _local_image,
+    _local_parity_diag,
+    _reorder,
+    parity_unitary,
+)
 from .errors import ExtensionError
 from .inequalities import (
     HOLD_TOL,
@@ -54,7 +62,6 @@ from .inequalities import (
 )
 from .states import (
     State,
-    _reorder,
     density_distance,
     entropy,
     is_even,
@@ -104,10 +111,7 @@ def odd_eigenvector_state(
             raise ValueError("operator must be self-adjoint")
         if np.abs(mat + ctx.theta_of(mat)).max() > 1e-10:
             raise ValueError("operator must be odd")
-        basis = ctx.basis(K.sites)
-        if basis.membership_residual(mat) > 1e-10 * max(1.0, float(np.linalg.norm(mat))):
-            raise ValueError(f"operator does not belong to the region {K.sites}")
-        local = basis.to_local(mat)
+        local = _local_image(ctx, mat, K.sites)
 
     lam, u = np.linalg.eigh(local)
     top = int(np.argmax(lam))
@@ -161,7 +165,13 @@ class ViolationReport(InequalityReport):
     recipe: ExtensionRecipe | None = None
 
 
-def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> None:
+def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> float:
+    """Check the recipe's ingredients; return ``t = tau(v_K u1)``.
+
+    ``u1`` must lie in ``A(K)`` (for a pure ``rho1`` the GNS algebra
+    ``pi1(A(K))''`` is ``A(K)`` itself), so it is checked on its image in
+    ``M(2^|K|)``.
+    """
     if not recipe.K.isdisjoint(recipe.I):
         raise ValueError("K and I must be disjoint")
     if p_theta(recipe.rho1) > P_THETA_TOL:
@@ -175,13 +185,13 @@ def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> None:
         raise ValueError("rho2 must be even")
     if density_distance(recipe.rho2_tilde, recipe.rho2_tilde.theta_image()) <= 1e-6:
         raise ValueError("rho2_tilde must differ from its parity image")
-    u1 = recipe.u1.matrix
-    if np.abs(u1 - u1.conj().T).max() > 1e-10 or np.abs(u1 @ u1 - np.eye(ctx.dim)).max() > 1e-10:
+    u1 = _local_image(ctx, recipe.u1.matrix, recipe.K.sites)
+    if np.abs(u1 - u1.conj().T).max() > 1e-10 or np.abs(u1 @ u1 - np.eye(len(u1))).max() > 1e-10:
         raise ValueError("u1 must be a self-adjoint unitary")
     # conjugation by u1 is a *-automorphism, so flipping the generators of
     # A(K) is the same as implementing the grading on all of A(K)
-    for k in recipe.K.sites:
-        for g in (ctx.annihilator(k), ctx.creator(k)):
+    for pair in AlgebraContext(len(recipe.K)).generators:
+        for g in pair:
             if np.abs(u1 @ g @ u1 + g).max() > 1e-10:
                 raise ValueError("u1 does not implement the grading on A(K)")
     if recipe.J is not None:
@@ -190,6 +200,7 @@ def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> None:
                 raise ValueError(f"J must be disjoint from {name}")
     if recipe.rhoJ is not None and not is_even(recipe.rhoJ):
         raise ExtensionError("rhoJ must be even for the product extension to exist")
+    return float(_local_parity_diag(len(recipe.K)) @ np.diag(u1).real) / len(u1)
 
 
 def build_recipe(
@@ -235,10 +246,9 @@ def joint_extension(recipe: ExtensionRecipe) -> State:
     which is 1 for the ``u1 = v_K`` of :func:`u1_for`.
     """
     ctx = recipe.rho1.ctx
-    _validate_recipe(ctx, recipe)
-    K, I = recipe.K, recipe.I
     # u1 v_K commutes with A(K), so rho1(A1 u1) = tau(v_K u1) rho1(A1 v_K)
-    t = float(ctx.parity_diag(K.sites) @ np.diag(recipe.u1.matrix).real) / ctx.dim
+    t = _validate_recipe(ctx, recipe)
+    K, I = recipe.K, recipe.I
     odd_part = (recipe.rho2_tilde.density - recipe.rho2_tilde.theta_image().density) / 2.0
     second = recipe.rho2.density + t * (-1) ** len(K) * odd_part
 
@@ -266,8 +276,8 @@ def violation_demo(
     the strong subadditivity gap on the overlapping pair (K u I, K u J)
     stays nonpositive.
     """
-    recipe = build_recipe(ctx, K, I, rho2_tilde=rho2_tilde, J=J, rhoJ=rhoJ)
-    psi = joint_extension(recipe)
+    recipe = build_recipe(ctx, K, I, rho2_tilde=rho2_tilde, J=J, rhoJ=rhoJ, validate=False)
+    psi = joint_extension(recipe)  # validates the recipe
     full = product_extension(psi, recipe.rhoJ)
 
     regions = {

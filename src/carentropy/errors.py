@@ -10,7 +10,8 @@ class NotAStateError(CarError):
 
 
 class CapacityError(CarError):
-    """A purification partner region is too small for the requested rank."""
+    """A request exceeds a fixed capacity: a purification partner region too
+    small for the rank, or a monomial basis larger than ``MAX_BASIS_BYTES``."""
 
 
 class ExtensionError(CarError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .car_algebra import Region
+from .car_algebra import Region, _embed, conditional_expectation
 from .states import State, entropy, is_even, restrict
 
 __all__ = [
@@ -198,19 +198,18 @@ def commuting_square_check(
     ctx = state.ctx
     inter = I.intersection(J)
     union = I.union(J)
-    b_union = ctx.basis(union.sites)
-    e_i = ctx.basis(I.sites).expect
-    e_j = ctx.basis(J.sites).expect
-    e_inter = ctx.basis(inter.sites).expect
 
     rng = np.random.default_rng(seed)
+    d = 2 ** len(union)
     worst = 0.0
     for _ in range(trials):
-        c = rng.normal(size=b_union.size) + 1j * rng.normal(size=b_union.size)
-        x = (c @ b_union.flat).reshape(ctx.dim, ctx.dim)
-        target = e_inter(x)
-        for y in (e_i(e_j(x)), e_j(e_i(x)), e_inter(e_i(x)), e_inter(e_j(x))):
-            worst = max(worst, float(np.abs(y - target).max()))
+        local = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x = _embed(local, union.sites, ctx.lattice.sites)  # random element of A(I u J)
+        target = conditional_expectation(ctx, x, inter)
+        for first, second in ((J, I), (I, J), (I, inter), (J, inter)):
+            mid = conditional_expectation(ctx, x, first)
+            two_step = conditional_expectation(ctx, mid, second)
+            worst = max(worst, float(np.abs(two_step - target).max()))
 
     s_target = restrict(state, inter)
     s_resid = 0.0

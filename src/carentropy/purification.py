@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import Region
+from .car_algebra import Region, _local_parity_diag, _reorder
 from .errors import CapacityError
-from .states import EIG_FLOOR, State, _local_parity_diag, _reorder, is_even
+from .states import EIG_FLOOR, State, is_even
 
 __all__ = [
     "SchmidtDecomposition",

@@ -16,14 +16,15 @@ functional ``phi(x)`` are derived views (:attr:`State.rep`,
 :meth:`State.value`); they build ``2^n x 2^n`` matrices and serve
 operator-level checks only.
 
-Every change of region goes through one primitive, :func:`_reorder`, which
-re-expresses a local density in another order of its modes: a diagonal
-``+-1`` sign, ``(-1)^(crossed occupied pairs)``, followed by an axis
-transpose (the fermionic swap).  Once ``R`` is moved to the front, the
-restriction to ``A(R)`` is the ordinary partial trace over the trailing
-modes, and a product extension is a Kronecker product.  Eigenvalues below
-``1e-12`` are clamped to zero before logarithms, while anything below
-``-1e-8`` raises :class:`NotAStateError`.
+Every change of region goes through one primitive,
+:func:`carentropy.car_algebra._reorder`, which re-expresses a local density
+in another order of its modes: a diagonal ``+-1`` sign,
+``(-1)^(crossed occupied pairs)``, followed by an axis transpose (the
+fermionic swap).  Once ``R`` is moved to the front, the restriction to
+``A(R)`` is the ordinary partial trace over the trailing modes
+(:func:`carentropy.car_algebra._trace_out`), and a product extension is a
+Kronecker product.  Eigenvalues below ``1e-12`` are clamped to zero before
+logarithms, while anything below ``-1e-8`` raises :class:`NotAStateError`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import AlgebraContext, OperatorElement, Region
+from .car_algebra import (
+    MEMBERSHIP_TOL,
+    AlgebraContext,
+    OperatorElement,
+    Region,
+    _embed,
+    _local_parity_diag,
+    _reorder,
+    _trace_out,
+)
 from .errors import ExtensionError, NotAStateError
 
 __all__ = [
@@ -79,40 +89,6 @@ def _clamped_spectrum(density: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _reorder(density: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
-    """Re-express a density on the modes ``src`` (in that order) in the order ``dst``.
-
-    A basis state picks up ``-1`` for every pair of occupied modes whose
-    relative order changes; then the tensor axes are permuted.
-    """
-    k = len(src)
-    perm = [src.index(s) for s in dst]
-    idx = np.arange(2 ** k)
-    occupied = [(idx >> (k - 1 - i)) & 1 for i in range(k)]
-    crossed = np.zeros(2 ** k, dtype=int)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if perm[a] > perm[b]:
-                crossed += occupied[perm[a]] & occupied[perm[b]]
-    sign = 1 - 2 * (crossed & 1)
-    signed = sign[:, None] * density * sign[None, :]
-    axes = perm + [k + p for p in perm]
-    return signed.reshape((2,) * (2 * k)).transpose(axes).reshape(2 ** k, 2 ** k)
-
-
-def _trace_out(matrix: np.ndarray, outer: Region, region: Region) -> np.ndarray:
-    """Partial trace of a matrix on the modes of ``outer`` down to ``region``."""
-    rest = tuple(s for s in outer.sites if s not in region)
-    front = _reorder(matrix, outer.sites, region.sites + rest)
-    keep, drop = 2 ** len(region), 2 ** len(rest)
-    return np.trace(front.reshape(keep, drop, keep, drop), axis1=1, axis2=3)
-
-
-def _local_parity_diag(k: int) -> np.ndarray:
-    occupied = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
-    return (-1.0) ** (k - occupied.sum(axis=1))
-
-
 @dataclass(frozen=True)
 class State:
     """A state of ``A(region)``, stored as its region-intrinsic density."""
@@ -128,9 +104,8 @@ class State:
     @property
     def rep(self) -> np.ndarray:
         """Tracial representative ``W`` on the full lattice (derived view)."""
-        rest = tuple(s for s in self.ctx.lattice.sites if s not in self.region)
-        front = np.kron(self.density * 2 ** len(self.region), np.eye(2 ** len(rest)))
-        return _reorder(front, self.region.sites + rest, self.ctx.lattice.sites)
+        scaled = self.density * 2 ** len(self.region)
+        return _embed(scaled, self.region.sites, self.ctx.lattice.sites)
 
     def value(self, x) -> complex:
         """The functional ``phi(x) = tau(W x)`` for a global matrix ``x``."""
@@ -161,10 +136,11 @@ def state_from_tau_form(
     trace = np.trace(rep).real / ctx.dim
     if validate and abs(trace - 1.0) > 1e-8:
         raise NotAStateError(f"tau(W) = {trace:.12f}, expected 1")
-    state = State(ctx, region, _trace_out(rep, ctx.lattice, region) / (trace * ctx.dim))
+    local = _trace_out(rep, ctx.lattice.sites, region.sites)
+    state = State(ctx, region, local / (trace * ctx.dim))
     if validate:
         resid = float(np.linalg.norm(rep - trace * state.rep))
-        if resid > 1e-10 * max(1.0, float(np.linalg.norm(rep))):
+        if resid > MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(rep))):
             raise ValueError(f"matrix not in the region subalgebra (residual {resid:.3e})")
         _clamped_spectrum(state.density)
     return state
@@ -236,7 +212,8 @@ def restrict(state: State, region: Region) -> State:
         return state
     if not region.sites:
         return tracial_state(state.ctx, region)
-    return State(state.ctx, region, _trace_out(state.density, state.region, region))
+    density = _trace_out(state.density, state.region.sites, region.sites)
+    return State(state.ctx, region, density)
 
 
 def is_even(state: State, tol: float = EVEN_TOL) -> bool:

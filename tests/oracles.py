@@ -89,6 +89,20 @@ def restriction_oracle(density, n, sites):
     return np.linalg.solve(rows, values).reshape(k, k)
 
 
+def conditional_expectation_oracle(x, n, sites):
+    """Trace-compatible conditional expectation of a ``2^n`` matrix onto 1-based ``sites``.
+
+    The orthogonal projection, for ``<A, B> = Tr(A* B)``, onto the span of
+    the global Jordan-Wigner monomials on ``sites``, which are mutually
+    orthogonal.
+    """
+    mats = np.array(monomials_on(jw_annihilators(n), [s - 1 for s in sorted(sites)]))
+    flat = mats.reshape(len(mats), -1)
+    norms = np.einsum("ij,ij->i", flat.conj(), flat).real
+    coeffs = (flat.conj() @ x.ravel()) / norms
+    return (coeffs @ flat).reshape(x.shape)
+
+
 def car_monomials(n):
     """All 4^n ordered monomials of the n-site lattice with parities."""
     ann = jw_annihilators(n)

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carentropy import (
+    CapacityError,
     OperatorElement,
     Region,
     build_context,
@@ -15,7 +17,9 @@ from carentropy import (
     theta,
 )
 
-from oracles import jw_annihilators
+from carentropy.car_algebra import _embed, _local_image
+
+from oracles import conditional_expectation_oracle, jw_annihilators
 
 
 def anticommutator(x, y):
@@ -207,20 +211,37 @@ class TestMonomialBasis:
         b = ctx3.basis((1, 2))
         rng = np.random.default_rng(2)
         coeffs = rng.normal(size=b.size) + 1j * rng.normal(size=b.size)
-        inside = (coeffs @ b.flat).reshape(8, 8)
-        assert b.membership_residual(inside) <= 1e-10
+        inside = np.tensordot(coeffs, b.mats, axes=1)
+        region = Region((1, 2))
+        assert np.linalg.norm(inside - conditional_expectation(ctx3, inside, region)) <= 1e-10
+        _local_image(ctx3, inside, region.sites)
         outside = ctx3.annihilator(3)
-        assert b.membership_residual(outside) > 1e-3
+        assert np.linalg.norm(outside - conditional_expectation(ctx3, outside, region)) > 1e-3
+        with pytest.raises(ValueError):
+            _local_image(ctx3, outside, region.sites)
 
     def test_local_iso_roundtrip_and_products(self, ctx3):
-        b = ctx3.basis((3, 1))  # deliberately non-sorted order
+        order = (3, 1)  # deliberately non-sorted order
+        b = ctx3.basis(order)
+        # the images of the ordered monomials of A(3, 1) are the matching
+        # monomials of a fresh 2-site lattice: site 3 maps to local site 1
+        local = build_context(2).basis((1, 2))
+        for glob, loc in zip(b.mats, local.mats):
+            assert np.abs(_local_image(ctx3, glob, order) - loc).max() <= 1e-12
         rng = np.random.default_rng(3)
         c1 = rng.normal(size=b.size) + 1j * rng.normal(size=b.size)
         c2 = rng.normal(size=b.size) + 1j * rng.normal(size=b.size)
-        x = (c1 @ b.flat).reshape(8, 8)
-        y = (c2 @ b.flat).reshape(8, 8)
-        assert np.abs(b.from_local(b.to_local(x)) - x).max() <= 1e-10
-        assert np.abs(b.to_local(x @ y) - b.to_local(x) @ b.to_local(y)).max() <= 1e-10
+        x = np.tensordot(c1, b.mats, axes=1)
+        y = np.tensordot(c2, b.mats, axes=1)
+        lx, ly = _local_image(ctx3, x, order), _local_image(ctx3, y, order)
+        assert np.abs(_embed(lx, order, ctx3.lattice.sites) - x).max() <= 1e-10
+        assert np.abs(_local_image(ctx3, x @ y, order) - lx @ ly).max() <= 1e-10
+
+    def test_oversized_basis_rejected_before_allocating(self):
+        ctx = build_context(12)
+        with pytest.raises(CapacityError):
+            monomial_basis(ctx, ctx.lattice)
+        assert not ctx._bases
 
 
 class TestConditionalExpectation:
@@ -233,6 +254,25 @@ class TestConditionalExpectation:
     def test_kills_orthogonal_odd_outsider(self, ctx3):
         out = conditional_expectation(ctx3, ctx3.annihilator(1), Region((2,)))
         assert np.abs(out).max() <= 1e-12
+
+
+@st.composite
+def expectation_cases(draw):
+    n = draw(st.integers(1, 5))
+    sites = sorted(draw(st.lists(st.integers(1, n), unique=True)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return n, sites, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(expectation_cases())
+def test_conditional_expectation_matches_projection_oracle(case):
+    n, sites, seed = case
+    ctx = build_context(n)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(ctx.dim, ctx.dim)) + 1j * rng.normal(size=(ctx.dim, ctx.dim))
+    got = conditional_expectation(ctx, x, Region(tuple(sites)))
+    assert np.abs(got - conditional_expectation_oracle(x, n, sites)).max() <= 1e-12
 
 
 class TestRelativeCommutant:

@@ -150,6 +150,16 @@ class TestRecipeValidation:
         with pytest.raises(ValueError):
             joint_extension(forged)
 
+    def test_u1_outside_region_rejected(self, ctx3):
+        # v_K v_L flips the generators of K and is a self-adjoint unitary,
+        # but it does not lie in A(K); accepting it would give t = 0 and
+        # silently drop the twisted term
+        K, L = Region((2,)), Region((3,))
+        recipe = build_recipe(ctx3, K, Region((1,)))
+        outside = recipe.u1.matrix @ ctx3.parity_matrix(L.sites)
+        with pytest.raises(ValueError):
+            joint_extension(replace(recipe, u1=OperatorElement(outside, K)))
+
 
 class TestJointExtension:
     def test_marginals(self, ctx2):
@@ -264,6 +274,20 @@ class TestViolationDemo:
             "mono_ssa": "violated", "triangle": "violated", "ssa": "holds",
         }
         assert max(report.residuals.values()) <= 1e-9
+
+    def test_recipe_validated_once(self, ctx3, monkeypatch):
+        import carentropy.counterexamples as module
+
+        calls = []
+        original = module._validate_recipe
+
+        def counting(ctx, recipe):
+            calls.append(recipe)
+            return original(ctx, recipe)
+
+        monkeypatch.setattr(module, "_validate_recipe", counting)
+        violation_demo(ctx3, Region((2,)), Region((1,)), Region((3,)))
+        assert len(calls) == 1
 
     def test_two_site_partner_region(self, ctx4):
         report = violation_demo(ctx4, Region((2,)), Region((1,)), Region((3, 4)))

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carentropy import (
     Region,
+    build_context,
     classify_gap,
     commuting_square_check,
+    conditional_expectation,
     inequality_report,
     mixing_bounds_check,
     mono_ssa_gap,
@@ -178,15 +181,15 @@ class TestCommutingSquare:
         # an odd element of the union is traceless, so the expectation onto
         # the trivial intersection sends it to zero
         x = ctx3.annihilator(1)
-        e = ctx3.basis(()).expect(x)
+        e = conditional_expectation(ctx3, x, Region(()))
         assert np.abs(e).max() <= 1e-12
 
     def test_elements_of_intersection_fixed(self, ctx3):
         inter = Region((2,))
         b = ctx3.basis(inter.sites)
         for mat in b.mats:
-            assert np.abs(ctx3.basis((1, 2)).expect(mat) - mat).max() <= 1e-12
-            assert np.abs(ctx3.basis((2, 3)).expect(mat) - mat).max() <= 1e-12
+            for outer in (Region((1, 2)), Region((2, 3))):
+                assert np.abs(conditional_expectation(ctx3, mat, outer) - mat).max() <= 1e-12
 
 
 class TestVerdicts:
@@ -226,3 +229,39 @@ class TestBoundOnTriangleViolation:
             for I, K in regions:
                 gap = triangle_gap(s, I, K)
                 assert -gap <= 3 * LN2 + 1e-9
+
+
+@st.composite
+def gap_cases(draw, even):
+    """A random-rank state on a random (often non-contiguous) region of n <= 4
+    sites, overlapping I, J for SSA and a disjoint labelling for the rest."""
+    n = draw(st.integers(1, 4))
+    parent = sorted(draw(st.lists(st.integers(1, n), min_size=1, unique=True)))
+    rank = draw(st.integers(1, 2 ** len(parent)))
+    parity = even if even is not None else draw(st.booleans())
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    state = random_state(
+        build_context(n), Region(tuple(parent)), even=parity, rank=rank, seed=seed
+    )
+    subset = st.lists(st.sampled_from(parent), unique=True).map(lambda s: Region.of(*s))
+    overlapping = (draw(subset), draw(subset))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(parent), max_size=len(parent)))
+    disjoint = tuple(
+        Region(tuple(s for s, lab in zip(parent, labels) if lab == k)) for k in range(3)
+    )
+    return state, overlapping, disjoint
+
+
+@settings(max_examples=60, deadline=None)
+@given(gap_cases(even=None))
+def test_ssa_holds_on_every_state(case):
+    state, (I, J), _ = case
+    assert ssa_gap(state, I, J) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(gap_cases(even=True))
+def test_triangle_and_mono_ssa_hold_on_even_states(case):
+    state, _, (I, J, K) = case
+    assert triangle_gap(state, I, J) >= -1e-9
+    assert mono_ssa_gap(state, I, J, K) >= -1e-9

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carentropy import (
     CapacityError,
     Region,
+    build_context,
     density_distance,
     entropy,
     is_even,
@@ -168,6 +170,33 @@ class TestSymmetricPurification:
         lam_j = sorted_nonzero_spectrum(restrict(ext, J))
         assert lam_i.shape == lam_j.shape
         assert np.abs(lam_i - lam_j).max() <= 1e-9
+
+
+@st.composite
+def purification_cases(draw):
+    """An even state of random rank on I and a disjoint partner J with
+    |J| >= |I|, both random (often non-contiguous) regions of n <= 4 sites."""
+    n = draw(st.integers(2, 4))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    I = Region(tuple(s for s, lab in enumerate(labels, 1) if lab == 0))
+    J = Region(tuple(s for s, lab in enumerate(labels, 1) if lab == 1))
+    if len(I) > len(J):
+        I, J = J, I
+    rank = draw(st.integers(1, 2 ** len(I)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return random_state(build_context(n), I, even=True, rank=rank, seed=seed), J
+
+
+@settings(max_examples=60, deadline=None)
+@given(purification_cases())
+def test_symmetric_purification_marginal_spectra_match(case):
+    rho, J = case
+    ext = symmetric_purification(rho, J)
+    lam_i = sorted_nonzero_spectrum(restrict(ext, rho.region))
+    lam_j = sorted_nonzero_spectrum(restrict(ext, J))
+    assert lam_i.shape == lam_j.shape
+    assert np.abs(lam_i - lam_j).max() <= 1e-9
+    assert density_distance(restrict(ext, rho.region), rho) <= 1e-10
 
 
 class TestVectorStateHelpers:
