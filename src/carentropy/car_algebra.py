@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
+from .tolerances import CAR_ATOL, MEMBERSHIP_TOL, NULLSPACE_RESIDUAL_TOL, ODD_WITNESS_MIN, RANK_TOL
 
 __all__ = [
     "Region",
@@ -59,8 +60,6 @@ __all__ = [
 
 MAX_SITES = 12
 MAX_BASIS_BYTES = 2 ** 29  # 4^|I| * 4^n complex entries; the build peaks at twice this
-CAR_ATOL = 1e-12
-MEMBERSHIP_TOL = 1e-10
 
 _LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -218,7 +217,6 @@ class AlgebraContext:
         self.lattice = Region(tuple(range(1, self.n + 1)))
         self._ann: dict[int, np.ndarray] = {}
         self._parity_diag: dict[tuple[int, ...], np.ndarray] = {}
-        self._parity_mat: dict[tuple[int, ...], np.ndarray] = {}
         self._bases: dict[tuple[int, ...], MonomialBasis] = {}
 
     def __repr__(self):
@@ -261,10 +259,7 @@ class AlgebraContext:
         return self._parity_diag[key]
 
     def parity_matrix(self, sites: tuple[int, ...]) -> np.ndarray:
-        key = tuple(sorted(sites))
-        if key not in self._parity_mat:
-            self._parity_mat[key] = _readonly(np.diag(self.parity_diag(key)).astype(complex))
-        return self._parity_mat[key]
+        return _readonly(np.diag(self.parity_diag(sites)).astype(complex))
 
     def theta_of(self, x: np.ndarray) -> np.ndarray:
         """Grading automorphism: conjugation by the full-lattice parity unitary."""
@@ -391,20 +386,19 @@ class CommutantCheck:
     odd_witness: float
     nullspace_dim: int | None = None
     nullspace_residual: float | None = None
-    tolerance: float = CAR_ATOL
 
     @property
     def ok(self) -> bool:
         checks = [
             self.candidate_dim == self.expected_dim,
-            self.generator_residual <= self.tolerance,
-            self.gram_offdiagonal <= self.tolerance,
-            self.even_residual <= self.tolerance,
-            self.odd_witness > 1e-6 or not self.J.sites,
+            self.generator_residual <= CAR_ATOL,
+            self.gram_offdiagonal <= CAR_ATOL,
+            self.even_residual <= CAR_ATOL,
+            self.odd_witness > ODD_WITNESS_MIN or not self.J.sites,
         ]
         if self.nullspace_dim is not None:
             checks.append(self.nullspace_dim == self.expected_dim)
-            checks.append((self.nullspace_residual or 0.0) <= 1e-8)
+            checks.append((self.nullspace_residual or 0.0) <= NULLSPACE_RESIDUAL_TOL)
         return all(checks)
 
 
@@ -417,18 +411,13 @@ def _stack_commutators(stack: np.ndarray, g: np.ndarray) -> np.ndarray:
     return right - left.transpose(0, 2, 1)
 
 
-def relative_commutant_check(
-    ctx: AlgebraContext,
-    I: Region,
-    J: Region,
-    deep: bool | None = None,
-) -> CommutantCheck:
+def relative_commutant_check(ctx: AlgebraContext, I: Region, J: Region) -> CommutantCheck:
     """Verify ``A(I)' n A(I u J) = A(J)_+ + v_I A(J)_-`` and ``A(I)' n A(J) = A(J)_+``.
 
-    ``deep=None`` enables the from-scratch nullspace recomputation whenever
-    ``|I| + |J| <= 3``; it is quartic in ``4^(|I|+|J|)`` and not needed for
-    the identity itself, whose dimension count is forced once the candidate
-    commutes and is independent.
+    The from-scratch nullspace recomputation runs when ``|I| + |J| <= 3``;
+    it is quartic in ``4^(|I|+|J|)`` and not needed for the identity itself,
+    whose dimension count is forced once the candidate commutes and is
+    independent.
     """
     ctx.check_region(I)
     ctx.check_region(J)
@@ -458,21 +447,19 @@ def relative_commutant_check(
     flat = candidate.reshape(bJ.size, -1)
     gram = flat.conj() @ flat.T / ctx.dim
     gram_offdiagonal = float(np.abs(gram - np.diag(np.diag(gram))).max())
-    candidate_dim = int(np.sum(np.linalg.eigvalsh(gram) > 1e-8))
+    candidate_dim = int(np.sum(np.linalg.eigvalsh(gram) > RANK_TOL))
 
     nullspace_dim = None
     nullspace_residual = None
     union = I.union(J)
-    if deep is None:
-        deep = len(union) <= 3
-    if deep:
+    if len(union) <= 3:
         bU = ctx.basis(union.sites)
         blocks = [
             _stack_commutators(bU.mats, g).reshape(bU.size, -1) for g in gens
         ]
         constraints = np.hstack(blocks).T  # rows: constraint entries, cols: basis coeffs
         svals = np.linalg.svd(constraints, compute_uv=False)
-        nullspace_dim = int(np.sum(svals <= 1e-8)) + max(0, bU.size - len(svals))
+        nullspace_dim = int(np.sum(svals <= RANK_TOL)) + max(0, bU.size - len(svals))
         u_flat = bU.mats.reshape(bU.size, -1)
         u_norms = np.einsum("ij,ij->i", u_flat.conj(), u_flat).real
         coeffs = (flat @ u_flat.conj().T) / u_norms

@@ -30,8 +30,9 @@ import numpy as np
 from .car_algebra import Region, build_context
 from .counterexamples import violation_demo
 from .errors import CarError
-from .inequalities import HOLD_TOL, inequality_report
+from .inequalities import inequality_report
 from .states import random_state, tracial_state
+from .tolerances import HOLD_TOL
 
 __all__ = ["main", "RunConfig", "cmd_verify", "cmd_counterexample", "cmd_table1"]
 
@@ -45,7 +46,6 @@ class RunConfig:
     sites: int
     trials: int
     seed: int
-    tolerance: float
     output_format: str
     output_path: str | None
     suite: str | None = None
@@ -154,9 +154,7 @@ def _verify_trial(ctx, config: RunConfig, index: int, child) -> dict:
     state = random_state(
         ctx, ctx.lattice, even=config.even, rank=rank, seed=rng.integers(0, 2 ** 63)
     )
-    report = inequality_report(
-        state, regions["I"], regions["J"], regions.get("K"), hold_tol=config.tolerance
-    )
+    report = inequality_report(state, regions["I"], regions["J"], regions.get("K"))
     return {
         "trial": index,
         "seed": config.seed,
@@ -189,7 +187,7 @@ def _unexpected_violations(config: RunConfig, rows: list[dict]) -> list[str]:
                         f"({row[f'{kind}_gap']:.3e})"
                     )
         gap = row["triangle_gap"]
-        if gap is not None and -gap > MAX_TRIANGLE_MAGNITUDE + config.tolerance:
+        if gap is not None and -gap > MAX_TRIANGLE_MAGNITUDE + HOLD_TOL:
             problems.append(
                 f"trial {row['trial']}: triangle violation exceeds 3 ln 2 ({gap:.3e})"
             )
@@ -300,8 +298,7 @@ def cmd_table1(config: RunConfig) -> int:
         cfg = RunConfig(
             command="verify", sites=config.sites, trials=config.trials,
             seed=int(seed_seq.generate_state(1)[0] % (2 ** 31)),
-            tolerance=config.tolerance, output_format="json", output_path=None,
-            suite=suite, even=even,
+            output_format="json", output_path=None, suite=suite, even=even,
         )
         return _run_suite(cfg)
 
@@ -372,14 +369,14 @@ def cmd_table1(config: RunConfig) -> int:
     return 0 if all_ok else 1
 
 
-def _env_seed(default: int) -> int:
+def _env_seed(parser: argparse.ArgumentParser, default: int) -> int:
     raw = os.environ.get("CARENTROPY_SEED")
     if raw is None:
         return default
     try:
         return int(raw)
     except ValueError:
-        return default
+        parser.error(f"CARENTROPY_SEED must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--sites", type=int, default=3, help="lattice size n")
     common.add_argument("--seed", type=int, default=None, help="master seed (default 7)")
-    common.add_argument("--tolerance", type=float, default=HOLD_TOL)
     common.add_argument("--format", choices=["json", "csv", "text"], default="json",
                         dest="output_format")
     common.add_argument("--output", default=None, help="report path ('-' = stdout)")
@@ -421,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = _env_seed(7) if args.seed is None else args.seed
+    seed = _env_seed(parser, 7) if args.seed is None else args.seed
     fmt = args.output_format
     if args.command in ("verify", "counterexample") and fmt == "text":
         parser.error(f"{args.command} supports json or csv output")
@@ -443,9 +439,16 @@ def main(argv=None) -> int:
                     regions[name] = _parse_region(raw).sites
             if regions and not {"I", "J"} <= set(regions):
                 parser.error("fixed regions require at least --I and --J")
+            # fixed regions must leave the chosen suite its own gap to evaluate
+            if regions and args.suite in ("triangle", "mono-ssa"):
+                I, J = set(regions["I"]), set(regions["J"])
+                if I & J:
+                    parser.error(f"the {args.suite} suite needs disjoint --I and --J")
+                if args.suite == "mono-ssa" and ("K" not in regions or set(regions["K"]) & (I | J)):
+                    parser.error("the mono-ssa suite needs a --K disjoint from --I and --J")
             config = RunConfig(
                 command="verify", sites=args.sites, trials=args.trials, seed=seed,
-                tolerance=args.tolerance, output_format=fmt, output_path=args.output,
+                output_format=fmt, output_path=args.output,
                 suite=args.suite, even=args.even, regions=regions or None,
             )
             return cmd_verify(config)
@@ -454,6 +457,8 @@ def main(argv=None) -> int:
             K = _parse_region(args.K)
             I = _parse_region(args.I)
             if args.j_sites is not None:
+                if args.j_sites < 0:
+                    parser.error("--J-sites must be at least 0")
                 start = max(K.sites + I.sites) + 1
                 J = Region(tuple(range(start, start + args.j_sites)))
             else:
@@ -463,14 +468,14 @@ def main(argv=None) -> int:
             sites = max(args.sites, max(K.sites + I.sites + J.sites))
             config = RunConfig(
                 command="counterexample", sites=sites, trials=1, seed=seed,
-                tolerance=args.tolerance, output_format=fmt, output_path=args.output,
+                output_format=fmt, output_path=args.output,
                 regions={"K": K.sites, "I": I.sites, "J": J.sites}, rhoJ=args.rhoJ,
             )
             return cmd_counterexample(config)
 
         config = RunConfig(
             command="table1", sites=args.sites, trials=args.trials, seed=seed,
-            tolerance=args.tolerance, output_format=fmt, output_path=args.output,
+            output_format=fmt, output_path=args.output,
         )
         return cmd_table1(config)
     except CarError as exc:

@@ -49,11 +49,9 @@ from .car_algebra import (
     _local_image,
     _local_parity_diag,
     _reorder,
-    parity_unitary,
 )
 from .errors import ExtensionError
 from .inequalities import (
-    HOLD_TOL,
     InequalityReport,
     classify_gap,
     mono_ssa_gap,
@@ -71,6 +69,14 @@ from .states import (
     tracial_state,
     vector_state,
 )
+from .tolerances import (
+    EXTENSION_NEGATIVE_TOL,
+    NONZERO_EIG_TOL,
+    ODDNESS_MIN,
+    OPERATOR_TOL,
+    P_THETA_TOL,
+    PURITY_TOL,
+)
 
 __all__ = [
     "ExtensionRecipe",
@@ -82,9 +88,6 @@ __all__ = [
     "joint_extension",
     "violation_demo",
 ]
-
-P_THETA_TOL = 1e-8
-PURITY_TOL = 1e-10
 
 
 def odd_eigenvector_state(
@@ -107,15 +110,15 @@ def odd_eigenvector_state(
         local = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2 ** (len(K) - 1)))
     else:
         mat = operator.matrix if isinstance(operator, OperatorElement) else np.asarray(operator)
-        if np.abs(mat - mat.conj().T).max() > 1e-10:
+        if np.abs(mat - mat.conj().T).max() > OPERATOR_TOL:
             raise ValueError("operator must be self-adjoint")
-        if np.abs(mat + ctx.theta_of(mat)).max() > 1e-10:
+        if np.abs(mat + ctx.theta_of(mat)).max() > OPERATOR_TOL:
             raise ValueError("operator must be odd")
         local = _local_image(ctx, mat, K.sites)
 
     lam, u = np.linalg.eigh(local)
     top = int(np.argmax(lam))
-    if abs(lam[top]) <= 1e-8:
+    if abs(lam[top]) <= NONZERO_EIG_TOL:
         raise ValueError("chosen eigenvalue is zero; the parity image would not be orthogonal")
     vec = u[:, top]
     k_big = int(np.argmax(np.abs(vec)))
@@ -129,19 +132,18 @@ def symmetrize(state: State) -> State:
     return State(state.ctx, state.region, density)
 
 
-def u1_for(ctx: AlgebraContext, K: Region, rho1: State) -> OperatorElement:
-    """Self-adjoint unitary implementing the grading on ``A(K)``.
+def u1_for(rho1: State) -> np.ndarray:
+    """Self-adjoint unitary implementing the grading on ``A(K)``, ``K = rho1.region``.
 
     For a pure state of the full matrix algebra ``A(K)`` the defining
     representation is the GNS one, and the region parity unitary ``v_K``
     (an even element of ``A(K)``) does the job; the phase freedom is fixed
-    by this canonical choice.
+    by this canonical choice.  Returned as its ``2^|K|`` image in
+    ``M(2^|K|)``, the local parity.
     """
-    if rho1.region != K:
-        raise ValueError("rho1 must live on K")
     if entropy(rho1) > PURITY_TOL:
         raise ValueError("u1 is defined here for pure states only")
-    return parity_unitary(ctx, K)
+    return np.diag(_local_parity_diag(len(rho1.region)))
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ class ExtensionRecipe:
     rho1: State
     rho2_tilde: State
     rho2: State
-    u1: OperatorElement
+    u1: np.ndarray  # image in M(2^|K|) of an element of A(K), sites of K sorted
     J: Region | None = None
     rhoJ: State | None = None
 
@@ -169,8 +171,8 @@ def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> float:
     """Check the recipe's ingredients; return ``t = tau(v_K u1)``.
 
     ``u1`` must lie in ``A(K)`` (for a pure ``rho1`` the GNS algebra
-    ``pi1(A(K))''`` is ``A(K)`` itself), so it is checked on its image in
-    ``M(2^|K|)``.
+    ``pi1(A(K))''`` is ``A(K)`` itself); the recipe holds its image in
+    ``M(2^|K|)``, so only its shape is checked for membership.
     """
     if not recipe.K.isdisjoint(recipe.I):
         raise ValueError("K and I must be disjoint")
@@ -183,16 +185,20 @@ def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> float:
         raise ValueError("rho1 must be pure")
     if not is_even(recipe.rho2):
         raise ValueError("rho2 must be even")
-    if density_distance(recipe.rho2_tilde, recipe.rho2_tilde.theta_image()) <= 1e-6:
+    if density_distance(recipe.rho2_tilde, recipe.rho2_tilde.theta_image()) <= ODDNESS_MIN:
         raise ValueError("rho2_tilde must differ from its parity image")
-    u1 = _local_image(ctx, recipe.u1.matrix, recipe.K.sites)
-    if np.abs(u1 - u1.conj().T).max() > 1e-10 or np.abs(u1 @ u1 - np.eye(len(u1))).max() > 1e-10:
-        raise ValueError("u1 must be a self-adjoint unitary")
+    u1, d = recipe.u1, 2 ** len(recipe.K)
+    if u1.shape != (d, d):
+        raise ValueError(f"u1 must be the {d}x{d} image of an element of A(K), got {u1.shape}")
+    if np.abs(u1 - u1.conj().T).max() > OPERATOR_TOL:
+        raise ValueError("u1 must be self-adjoint")
+    if np.abs(u1 @ u1 - np.eye(d)).max() > OPERATOR_TOL:
+        raise ValueError("u1 must be unitary")
     # conjugation by u1 is a *-automorphism, so flipping the generators of
     # A(K) is the same as implementing the grading on all of A(K)
     for pair in AlgebraContext(len(recipe.K)).generators:
         for g in pair:
-            if np.abs(u1 @ g @ u1 + g).max() > 1e-10:
+            if np.abs(u1 @ g @ u1 + g).max() > OPERATOR_TOL:
                 raise ValueError("u1 does not implement the grading on A(K)")
     if recipe.J is not None:
         for other, name in ((recipe.K, "K"), (recipe.I, "I")):
@@ -200,20 +206,17 @@ def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> float:
                 raise ValueError(f"J must be disjoint from {name}")
     if recipe.rhoJ is not None and not is_even(recipe.rhoJ):
         raise ExtensionError("rhoJ must be even for the product extension to exist")
-    return float(_local_parity_diag(len(recipe.K)) @ np.diag(u1).real) / len(u1)
+    return float(_local_parity_diag(len(recipe.K)) @ np.diag(u1).real) / d
 
 
-def build_recipe(
+def _assemble_recipe(
     ctx: AlgebraContext,
     K: Region,
     I: Region,
-    *,
-    rho2_tilde: State | None = None,
-    J: Region | None = None,
-    rhoJ: State | None = None,
-    validate: bool = True,
+    rho2_tilde: State | None,
+    J: Region | None,
+    rhoJ: State | None,
 ) -> ExtensionRecipe:
-    """Assemble (and validate) the default or a customized recipe."""
     ctx.check_region(K)
     ctx.check_region(I)
     rho1 = odd_eigenvector_state(ctx, K)
@@ -226,12 +229,24 @@ def build_recipe(
         rhoJ = tracial_state(ctx, J)
     if rhoJ is not None and J is not None and rhoJ.region != J:
         raise ValueError(f"rhoJ lives on {rhoJ.region.sites}, expected {J.sites}")
-    recipe = ExtensionRecipe(
+    return ExtensionRecipe(
         K=K, I=I, rho1=rho1, rho2_tilde=rho2_tilde, rho2=rho2,
-        u1=u1_for(ctx, K, rho1), J=J, rhoJ=rhoJ,
+        u1=u1_for(rho1), J=J, rhoJ=rhoJ,
     )
-    if validate:
-        _validate_recipe(ctx, recipe)
+
+
+def build_recipe(
+    ctx: AlgebraContext,
+    K: Region,
+    I: Region,
+    *,
+    rho2_tilde: State | None = None,
+    J: Region | None = None,
+    rhoJ: State | None = None,
+) -> ExtensionRecipe:
+    """Assemble and validate the default or a customized recipe."""
+    recipe = _assemble_recipe(ctx, K, I, rho2_tilde, J, rhoJ)
+    _validate_recipe(ctx, recipe)
     return recipe
 
 
@@ -256,7 +271,7 @@ def joint_extension(recipe: ExtensionRecipe) -> State:
     density = _reorder(np.kron(recipe.rho1.density, second), K.sites + I.sites, region.sites)
     state = State(ctx, region, density)
     lam_min = float(np.linalg.eigvalsh(state.intrinsic()).min())
-    if lam_min < -1e-10:
+    if lam_min < -EXTENSION_NEGATIVE_TOL:
         raise ExtensionError(f"reconstructed density is not positive (min eig {lam_min:.3e})")
     return state
 
@@ -276,7 +291,7 @@ def violation_demo(
     the strong subadditivity gap on the overlapping pair (K u I, K u J)
     stays nonpositive.
     """
-    recipe = build_recipe(ctx, K, I, rho2_tilde=rho2_tilde, J=J, rhoJ=rhoJ, validate=False)
+    recipe = _assemble_recipe(ctx, K, I, rho2_tilde, J, rhoJ)
     psi = joint_extension(recipe)  # validates the recipe
     full = product_extension(psi, recipe.rhoJ)
 
@@ -302,7 +317,6 @@ def violation_demo(
     return ViolationReport(
         regions={name: reg.sites for name, reg in regions.items()},
         even_state=is_even(full),
-        tolerance=HOLD_TOL,
         ssa_gap=gaps["ssa"],
         triangle_gap=gaps["triangle"],
         mono_ssa_gap=gaps["mono_ssa"],

@@ -19,7 +19,7 @@ unique state).
 Verdicts separate float noise from genuine violations: a gap on the good
 side of ``-1e-9`` "holds", one below ``-1e-6`` is "violated", the band in
 between is "indeterminate" (constructed violations are O(ln 2), far from
-the band).
+the band); the band lives in :mod:`carentropy.tolerances`.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ import numpy as np
 
 from .car_algebra import Region, _embed, conditional_expectation
 from .states import State, entropy, is_even, restrict
+from .tolerances import COMMUTING_SQUARE_TOL, HOLD_TOL, VIOLATION_TOL
 
 __all__ = [
-    "HOLD_TOL",
-    "VIOLATION_TOL",
     "InequalityReport",
     "MixingBoundsReport",
     "CommutingSquareReport",
@@ -47,22 +46,17 @@ __all__ = [
     "inequality_report",
 ]
 
-HOLD_TOL = 1e-9
-VIOLATION_TOL = 1e-6
 
-
-def classify_gap(
-    kind: str, gap: float, hold_tol: float = HOLD_TOL, violation_tol: float = VIOLATION_TOL
-) -> str:
+def classify_gap(kind: str, gap: float) -> str:
     """Map a gap value to ``holds`` / ``violated`` / ``indeterminate``.
 
     ``ssa`` holds on the nonpositive side; ``triangle`` and ``mono_ssa``
     hold on the nonnegative side.
     """
     signed = -gap if kind == "ssa" else gap
-    if signed >= -hold_tol:
+    if signed >= -HOLD_TOL:
         return "holds"
-    if signed < -violation_tol:
+    if signed < -VIOLATION_TOL:
         return "violated"
     return "indeterminate"
 
@@ -139,11 +133,10 @@ class MixingBoundsReport:
     mixture_entropy: float
     concavity_slack: float
     convexity_slack: float
-    tolerance: float = HOLD_TOL
 
     @property
     def ok(self) -> bool:
-        return self.concavity_slack >= -self.tolerance and self.convexity_slack >= -self.tolerance
+        return self.concavity_slack >= -HOLD_TOL and self.convexity_slack >= -HOLD_TOL
 
 
 def mixing_bounds_check(phi: State, psi: State, lam: float) -> MixingBoundsReport:
@@ -182,11 +175,13 @@ class CommutingSquareReport:
     trials: int
     operator_residual: float
     state_residual: float
-    tolerance: float = 1e-10
 
     @property
     def ok(self) -> bool:
-        return self.operator_residual <= self.tolerance and self.state_residual <= self.tolerance
+        return (
+            self.operator_residual <= COMMUTING_SQUARE_TOL
+            and self.state_residual <= COMMUTING_SQUARE_TOL
+        )
 
 
 def commuting_square_check(
@@ -228,8 +223,6 @@ class InequalityReport:
 
     regions: dict[str, tuple[int, ...]]
     even_state: bool
-    tolerance: float = HOLD_TOL
-    violation_tolerance: float = VIOLATION_TOL
     ssa_gap: float | None = None
     triangle_gap: float | None = None
     mono_ssa_gap: float | None = None
@@ -243,9 +236,6 @@ def inequality_report(
     I: Region,
     J: Region,
     K: Region | None = None,
-    *,
-    hold_tol: float = HOLD_TOL,
-    violation_tol: float = VIOLATION_TOL,
 ) -> InequalityReport:
     """Evaluate all applicable gaps of one state for the given regions.
 
@@ -260,7 +250,7 @@ def inequality_report(
     else:
         gaps["mono_ssa"] = None
     verdicts = {
-        kind: classify_gap(kind, gap, hold_tol, violation_tol)
+        kind: classify_gap(kind, gap)
         for kind, gap in gaps.items()
         if gap is not None
     }
@@ -270,8 +260,6 @@ def inequality_report(
     return InequalityReport(
         regions=regions,
         even_state=is_even(state),
-        tolerance=hold_tol,
-        violation_tolerance=violation_tol,
         ssa_gap=gaps["ssa"],
         triangle_gap=gaps["triangle"],
         mono_ssa_gap=gaps["mono_ssa"],

@@ -27,7 +27,8 @@ import numpy as np
 
 from .car_algebra import Region, _local_parity_diag, _reorder
 from .errors import CapacityError
-from .states import EIG_FLOOR, State, is_even
+from .states import State, is_even
+from .tolerances import EIG_FLOOR, NORM_TOL, SCHMIDT_TOL
 
 __all__ = [
     "SchmidtDecomposition",
@@ -58,17 +59,17 @@ class SchmidtDecomposition:
         return out
 
 
-def schmidt(vector: np.ndarray, dims: tuple[int, int], *, tol: float = 1e-10) -> SchmidtDecomposition:
+def schmidt(vector: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     """Schmidt decomposition of a unit vector across a ``d1 x d2`` split."""
     d1, d2 = dims
     vector = np.asarray(vector, dtype=complex).ravel()
     if vector.size != d1 * d2:
         raise ValueError(f"vector length {vector.size} != {d1} * {d2}")
     norm = float(np.linalg.norm(vector))
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"vector norm {norm:.12f} is not 1")
     u, s, vh = np.linalg.svd(vector.reshape(d1, d2), full_matrices=False)
-    keep = s > tol
+    keep = s > SCHMIDT_TOL
     return SchmidtDecomposition(s[keep], u[:, keep], vh[keep, :].T)
 
 

@@ -35,16 +35,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .car_algebra import (
-    MEMBERSHIP_TOL,
     AlgebraContext,
     OperatorElement,
     Region,
     _embed,
+    _local_image,
     _local_parity_diag,
     _reorder,
     _trace_out,
 )
 from .errors import ExtensionError, NotAStateError
+from .tolerances import (
+    CLUSTER_TOL,
+    EIG_FLOOR,
+    EVEN_TOL,
+    NEGATIVE_EIG_TOL,
+    NORM_TOL,
+    SUPPORT_TOL,
+    TRACE_TOL,
+)
 
 __all__ = [
     "State",
@@ -64,10 +73,6 @@ __all__ = [
     "product_extension",
     "density_distance",
 ]
-
-EIG_FLOOR = 1e-12
-NEGATIVE_EIG_TOL = 1e-8
-EVEN_TOL = 1e-10
 
 
 def _hermitize(x: np.ndarray) -> np.ndarray:
@@ -127,38 +132,29 @@ class SpectralData:
     eigenvectors: np.ndarray  # columns, matching eigenvalue order
 
 
-def state_from_tau_form(
-    ctx: AlgebraContext, region: Region, rep: np.ndarray, *, validate: bool = True
-) -> State:
+def state_from_tau_form(ctx: AlgebraContext, region: Region, rep: np.ndarray) -> State:
     """Build a state from its tracial representative ``W`` (``phi = tau(W .)``)."""
     ctx.check_region(region)
     rep = _hermitize(np.asarray(rep, dtype=complex))
     trace = np.trace(rep).real / ctx.dim
-    if validate and abs(trace - 1.0) > 1e-8:
+    if abs(trace - 1.0) > TRACE_TOL:
         raise NotAStateError(f"tau(W) = {trace:.12f}, expected 1")
-    local = _trace_out(rep, ctx.lattice.sites, region.sites)
-    state = State(ctx, region, local / (trace * ctx.dim))
-    if validate:
-        resid = float(np.linalg.norm(rep - trace * state.rep))
-        if resid > MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(rep))):
-            raise ValueError(f"matrix not in the region subalgebra (residual {resid:.3e})")
-        _clamped_spectrum(state.density)
-    return state
+    # _local_image raises ValueError when W is not in A(region)
+    density = _local_image(ctx, rep, region.sites) / (trace * 2 ** len(region))
+    _clamped_spectrum(density)
+    return State(ctx, region, density)
 
 
-def state_from_intrinsic(
-    ctx: AlgebraContext, region: Region, density: np.ndarray, *, validate: bool = True
-) -> State:
+def state_from_intrinsic(ctx: AlgebraContext, region: Region, density: np.ndarray) -> State:
     """Build a state from its region-intrinsic trace-one density matrix."""
     ctx.check_region(region)
     density = _hermitize(np.asarray(density, dtype=complex))
     d = 2 ** len(region)
     if density.shape != (d, d):
         raise ValueError(f"density must be {d}x{d} for region {region.sites}")
-    if validate:
-        if abs(np.trace(density).real - 1.0) > 1e-8:
-            raise NotAStateError(f"Tr(density) = {np.trace(density).real:.12f}, expected 1")
-        _clamped_spectrum(density)
+    if abs(np.trace(density).real - 1.0) > TRACE_TOL:
+        raise NotAStateError(f"Tr(density) = {np.trace(density).real:.12f}, expected 1")
+    _clamped_spectrum(density)
     return State(ctx, region, density)
 
 
@@ -171,11 +167,14 @@ def tracial_state(ctx: AlgebraContext, region: Region) -> State:
 
 def vector_state(ctx: AlgebraContext, region: Region, vec: np.ndarray) -> State:
     """Pure state of ``A(region)`` given by an intrinsic unit vector."""
+    ctx.check_region(region)
     vec = np.asarray(vec, dtype=complex).ravel()
+    if vec.size != 2 ** len(region):
+        raise ValueError(f"vector must have length {2 ** len(region)} for region {region.sites}")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"vector norm {norm:.12f} is not 1")
-    return state_from_intrinsic(ctx, region, np.outer(vec, vec.conj()), validate=False)
+    return State(ctx, region, np.outer(vec, vec.conj()))
 
 
 def entropy(state: State) -> float:
@@ -185,14 +184,14 @@ def entropy(state: State) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def spectral_data(state: State, cluster_tol: float = 1e-9) -> SpectralData:
-    """Descending intrinsic spectrum with multiplicities grouped at ``cluster_tol``."""
+def spectral_data(state: State) -> SpectralData:
+    """Descending intrinsic spectrum with multiplicities grouped at ``CLUSTER_TOL``."""
     lam, u = np.linalg.eigh(state.intrinsic())
     order = np.argsort(-lam)
     lam, u = lam[order], u[:, order]
     mult: list[int] = []
     for i, x in enumerate(lam):
-        if mult and abs(x - lam[i - 1]) <= cluster_tol:
+        if mult and abs(x - lam[i - 1]) <= CLUSTER_TOL:
             mult[-1] += 1
         else:
             mult.append(1)
@@ -216,12 +215,12 @@ def restrict(state: State, region: Region) -> State:
     return State(state.ctx, region, density)
 
 
-def is_even(state: State, tol: float = EVEN_TOL) -> bool:
+def is_even(state: State) -> bool:
     """Whether ``|D - Theta(D)|``, twice the norm of the density's block
-    between opposite parities, is at most ``tol``."""
+    between opposite parities, is at most ``EVEN_TOL``."""
     par = _local_parity_diag(len(state.region))
     odd_block = state.density[np.ix_(par > 0, par < 0)]
-    return 2.0 * float(np.linalg.norm(odd_block, 2)) <= tol
+    return 2.0 * float(np.linalg.norm(odd_block, 2)) <= EVEN_TOL
 
 
 def transition_probability(phi: State, psi: State) -> float:
@@ -257,7 +256,7 @@ def relative_entropy(omega: State, sigma: State) -> float:
     support = lam_s > EIG_FLOOR
     weights = np.einsum("ij,jk,ki->i", u_s.conj().T, dw, u_s).real
     outside = float(weights[~support].sum())
-    if outside > 1e-10:
+    if outside > SUPPORT_TOL:
         return math.inf
     nz = lam_w[lam_w > 0.0]
     term_w = float((nz * np.log(nz)).sum())
@@ -318,7 +317,7 @@ def random_state(
         v = _haar_unitary(d, rng)[:, :rank]
 
     density = _hermitize((v * weights) @ v.conj().T)
-    return state_from_intrinsic(ctx, region, density, validate=False)
+    return State(ctx, region, density)
 
 
 def product_extension(state_a: State, state_b: State) -> State:

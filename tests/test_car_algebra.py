@@ -311,6 +311,6 @@ class TestRelativeCommutant:
         [((1,), (2,)), ((2,), (1, 3)), ((1, 3), (2,)), ((2, 3), (1,)), ((1,), (2, 3))],
     )
     def test_small_cases_with_nullspace_oracle(self, ctx3, I, J):
-        check = relative_commutant_check(ctx3, Region(I), Region(J), deep=True)
+        check = relative_commutant_check(ctx3, Region(I), Region(J))
         assert check.nullspace_dim == 4 ** len(J)
         assert check.ok

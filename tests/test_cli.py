@@ -77,6 +77,11 @@ class TestVerify:
             ["verify", "--trials", "-1"],
             ["table1", "--sites", "2"],
             ["table1", "--sites", "1"],
+            ["verify", "--tolerance", "1e-3"],
+            ["counterexample", "--J-sites", "-1"],
+            ["verify", "--suite", "mono-ssa", "--I", "1", "--J", "2"],
+            ["verify", "--suite", "mono-ssa", "--I", "1", "--J", "2", "--K", "2,3"],
+            ["verify", "--suite", "triangle", "--I", "1,2", "--J", "2"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -164,6 +169,13 @@ class TestEnvironmentOverrides:
         )
         payload = json.loads(path.read_text())
         assert payload["config"]["seed"] == 99
+
+    def test_non_integer_seed_env_exit_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("CARENTROPY_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "ssa", "--sites", "3", "--trials", "3"])
+        assert exc.value.code == 2
+        assert "CARENTROPY_SEED" in capsys.readouterr().err
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CARENTROPY_OUTDIR", str(tmp_path))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from carentropy import (
-    OperatorElement,
     Region,
     build_recipe,
     density_distance,
@@ -25,6 +24,7 @@ from carentropy import (
     vector_state,
     violation_demo,
 )
+from carentropy.car_algebra import _embed
 
 from oracles import (
     joint_extension_functional,
@@ -94,29 +94,35 @@ class TestSymmetrize:
 
 
 class TestU1:
+    # u1 is held as its image in M(2^|K|); _embed maps it back onto the lattice
     def test_selfadjoint_unitary(self, ctx2):
         K = Region((1,))
         rho1 = odd_eigenvector_state(ctx2, K)
-        u1 = u1_for(ctx2, K, rho1).matrix
-        assert np.abs(u1 @ u1 - np.eye(4)).max() <= 1e-12
+        u1 = u1_for(rho1)
+        assert u1.shape == (2, 2)
+        assert np.abs(u1 @ u1 - np.eye(2)).max() <= 1e-12
         assert np.abs(u1 - u1.conj().T).max() <= 1e-12
 
-    def test_flips_region_generators(self, ctx2):
-        K = Region((1,))
-        u1 = u1_for(ctx2, K, odd_eigenvector_state(ctx2, K)).matrix
-        a = ctx2.annihilator(1)
-        assert np.abs(u1 @ a @ u1 + a).max() <= 1e-12
+    def test_flips_region_generators(self, ctx3):
+        K = Region((1, 3))
+        u1 = _embed(u1_for(odd_eigenvector_state(ctx3, K)), K.sites, ctx3.lattice.sites)
+        assert np.abs(u1 - ctx3.parity_matrix(K.sites)).max() <= 1e-12
+        for k in K.sites:
+            a = ctx3.annihilator(k)
+            assert np.abs(u1 @ a @ u1 + a).max() <= 1e-12
+        b = ctx3.annihilator(2)
+        assert np.abs(u1 @ b - b @ u1).max() <= 1e-12
 
     def test_expectation_vanishes_on_default_state(self, ctx2):
         K = Region((1,))
         rho1 = odd_eigenvector_state(ctx2, K)
-        u1 = u1_for(ctx2, K, rho1)
-        assert abs(rho1.value(u1)) <= 1e-12
+        u1 = u1_for(rho1)
+        assert abs(np.trace(rho1.intrinsic() @ u1)) <= 1e-12
 
     def test_mixed_state_rejected(self, ctx2):
         K = Region((1,))
         with pytest.raises(ValueError):
-            u1_for(ctx2, K, tracial_state(ctx2, K))
+            u1_for(tracial_state(ctx2, K))
 
 
 class TestRecipeValidation:
@@ -151,14 +157,13 @@ class TestRecipeValidation:
             joint_extension(forged)
 
     def test_u1_outside_region_rejected(self, ctx3):
-        # v_K v_L flips the generators of K and is a self-adjoint unitary,
-        # but it does not lie in A(K); accepting it would give t = 0 and
-        # silently drop the twisted term
-        K, L = Region((2,)), Region((3,))
+        # u1 is held as a 2^|K| matrix, so an element outside A(K) can only
+        # arrive with the wrong shape: here v_K v_L as a matrix on K u L
+        K = Region((2,))
         recipe = build_recipe(ctx3, K, Region((1,)))
-        outside = recipe.u1.matrix @ ctx3.parity_matrix(L.sites)
-        with pytest.raises(ValueError):
-            joint_extension(replace(recipe, u1=OperatorElement(outside, K)))
+        outside = np.kron(recipe.u1, np.diag([-1.0, 1.0]))
+        with pytest.raises(ValueError, match="image of an element of A"):
+            joint_extension(replace(recipe, u1=outside))
 
 
 class TestJointExtension:
@@ -203,7 +208,7 @@ class TestJointExtension:
         K, I = Region((1, 3)), Region((2,))
         rho2_tilde = random_state(ctx3, I, seed=6)
         base = build_recipe(ctx3, K, I, rho2_tilde=rho2_tilde)
-        negated = replace(base, u1=OperatorElement(-base.u1.matrix, K))
+        negated = replace(base, u1=-base.u1)
         flipped = build_recipe(ctx3, K, I, rho2_tilde=rho2_tilde.theta_image())
         assert density_distance(joint_extension(negated), joint_extension(flipped)) <= 1e-12
         assert density_distance(joint_extension(negated), joint_extension(base)) > 1e-6

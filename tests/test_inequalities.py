@@ -43,7 +43,6 @@ class TestSsaGap:
         ext = state_from_tau_form(
             ctx2, Region((1, 2)),
             (a.rep @ random_state(ctx2, Region((2,)), even=True, rank=1, seed=2).rep),
-            validate=False,
         )
         assert abs(ssa_gap(ext, Region((1,)), Region((2,)))) <= 1e-9
 
@@ -67,9 +66,7 @@ class TestTriangleGap:
     def test_product_of_pure_states_zero(self, ctx2):
         up = vector_state(ctx2, Region((1,)), np.array([1.0, 0.0]))
         even_pure = random_state(ctx2, Region((2,)), even=True, rank=1, seed=3)
-        ext = state_from_tau_form(
-            ctx2, Region((1, 2)), up.rep @ even_pure.rep, validate=False
-        )
+        ext = state_from_tau_form(ctx2, Region((1, 2)), up.rep @ even_pure.rep)
         assert abs(triangle_gap(ext, Region((1,)), Region((2,)))) <= 1e-9
 
 
@@ -200,6 +197,14 @@ class TestVerdicts:
         assert classify_gap("triangle", -0.1) == "violated"
         assert classify_gap("ssa", -0.5) == "holds"
         assert classify_gap("ssa", 0.1) == "violated"
+        # the exact band edges: a gap of -1e-9 holds and -1e-6 is indeterminate,
+        # one step further each verdict changes; ssa mirrors the sign
+        for kind, sign in (("triangle", -1.0), ("ssa", 1.0)):
+            hold, violation = sign * 1e-9, sign * 1e-6
+            assert classify_gap(kind, hold) == "holds"
+            assert classify_gap(kind, np.nextafter(hold, sign * np.inf)) == "indeterminate"
+            assert classify_gap(kind, violation) == "indeterminate"
+            assert classify_gap(kind, np.nextafter(violation, sign * np.inf)) == "violated"
 
     def test_report_consistency(self, ctx3):
         s = random_state(ctx3, Region((1, 2, 3)), even=True, seed=13)

@@ -8,6 +8,7 @@ from carentropy import (
     NotAStateError,
     ExtensionError,
     Region,
+    State,
     build_context,
     density_distance,
     entropy,
@@ -51,7 +52,7 @@ class TestEntropy:
     def test_negative_eigenvalue_raises(self, ctx1):
         bad = np.diag([1.1, -0.1])
         with pytest.raises(NotAStateError):
-            entropy(state_from_intrinsic(ctx1, Region((1,)), bad, validate=False))
+            entropy(State(ctx1, Region((1,)), bad))
 
     def test_unitary_invariance(self, ctx2):
         rng = np.random.default_rng(0)
