@@ -35,6 +35,7 @@ threads is safe.  Only :func:`monomial_basis` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -127,17 +128,21 @@ class OperatorElement:
     note: str | None = None
 
 
+@functools.lru_cache(maxsize=None)
 def _local_parity_diag(k: int) -> np.ndarray:
-    """Diagonal of the parity ``v`` of a ``k``-site local lattice."""
+    """Diagonal of the parity ``v`` of a ``k``-site local lattice (cached, read-only)."""
     occupied = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
-    return (-1.0) ** (k - occupied.sum(axis=1))
+    return _readonly((-1.0) ** (k - occupied.sum(axis=1)))
 
 
-def _reorder(matrix: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
-    """Re-express a matrix on the modes ``src`` (in that order) in the order ``dst``.
+@functools.lru_cache(maxsize=1024)  # a plan holds 2^k int8 signs: at most 4 MiB at k = 12
+def _reorder_plan(
+    src: tuple[int, ...], dst: tuple[int, ...]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The read-only ``+-1`` sign per basis state and the tensor axes of a reorder.
 
     A basis state picks up ``-1`` for every pair of occupied modes whose
-    relative order changes; then the tensor axes are permuted.
+    relative order changes.
     """
     k = len(src)
     perm = [src.index(s) for s in dst]
@@ -148,10 +153,20 @@ def _reorder(matrix: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> 
         for b in range(a + 1, k):
             if perm[a] > perm[b]:
                 crossed += occupied[perm[a]] & occupied[perm[b]]
-    sign = 1 - 2 * (crossed & 1)
+    sign = (1 - 2 * (crossed & 1)).astype(np.int8)
+    return _readonly(sign), tuple(perm + [k + p for p in perm])
+
+
+def _reorder(matrix: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
+    """Re-express a matrix on the modes ``src`` (in that order) in the order ``dst``.
+
+    The fermionic sign of :func:`_reorder_plan`, then a permutation of the
+    tensor axes.
+    """
+    sign, axes = _reorder_plan(src, dst)
+    k = len(src)
     signed = sign[:, None] * matrix
     signed *= sign
-    axes = perm + [k + p for p in perm]
     return signed.reshape((2,) * (2 * k)).transpose(axes).reshape(2 ** k, 2 ** k)
 
 

@@ -24,6 +24,7 @@ the band); the band lives in :mod:`carentropy.tolerances`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,15 +67,40 @@ def _contained(state: State, region: Region, name: str) -> None:
         raise ValueError(f"region {name}={region.sites} not contained in {state.region.sites}")
 
 
+def _entropies(state: State) -> Callable[[Region], float]:
+    """``S(R)`` of one state, each region restricted and diagonalized once.
+
+    The empty region carries the unique state of the scalars: ``S = 0.0``.
+    """
+    cache: dict[Region, float] = {}
+
+    def S(region: Region) -> float:
+        if not region.sites:
+            return 0.0
+        if region not in cache:
+            cache[region] = entropy(restrict(state, region))
+        return cache[region]
+
+    return S
+
+
+def _ssa(S: Callable[[Region], float], I: Region, J: Region) -> float:
+    return S(I.union(J)) - S(I) - S(J) + S(I.intersection(J))
+
+
+def _triangle(S: Callable[[Region], float], I: Region, J: Region) -> float:
+    return S(I.union(J)) - abs(S(I) - S(J))
+
+
+def _mono_ssa(S: Callable[[Region], float], I: Region, J: Region, K: Region) -> float:
+    return S(K.union(I)) + S(K.union(J)) - S(I) - S(J)
+
+
 def ssa_gap(state: State, I: Region, J: Region) -> float:
     """Strong subadditivity gap; overlap between ``I`` and ``J`` is allowed."""
     _contained(state, I, "I")
     _contained(state, J, "J")
-    union, inter = I.union(J), I.intersection(J)
-    s_inter = entropy(restrict(state, inter)) if inter.sites else 0.0
-    return entropy(restrict(state, union)) - entropy(restrict(state, I)) - entropy(
-        restrict(state, J)
-    ) + s_inter
+    return _ssa(_entropies(state), I, J)
 
 
 def triangle_gap(state: State, I: Region, J: Region) -> float:
@@ -83,9 +109,7 @@ def triangle_gap(state: State, I: Region, J: Region) -> float:
     _contained(state, J, "J")
     if not I.isdisjoint(J):
         raise ValueError(f"triangle inequality needs disjoint regions, got {I.sites}, {J.sites}")
-    return entropy(restrict(state, I.union(J))) - abs(
-        entropy(restrict(state, I)) - entropy(restrict(state, J))
-    )
+    return _triangle(_entropies(state), I, J)
 
 
 def mono_ssa_gap(state: State, I: Region, J: Region, K: Region) -> float:
@@ -94,12 +118,7 @@ def mono_ssa_gap(state: State, I: Region, J: Region, K: Region) -> float:
         _contained(state, region, name)
     if not (I.isdisjoint(J) and I.isdisjoint(K) and J.isdisjoint(K)):
         raise ValueError("regions I, J, K must be mutually disjoint")
-    return (
-        entropy(restrict(state, K.union(I)))
-        + entropy(restrict(state, K.union(J)))
-        - entropy(restrict(state, I))
-        - entropy(restrict(state, J))
-    )
+    return _mono_ssa(_entropies(state), I, J, K)
 
 
 def monotonicity_curve(
@@ -243,10 +262,15 @@ def inequality_report(
     J and is skipped otherwise.  The monotonicity-form gap needs a third
     mutually disjoint region K.
     """
-    gaps: dict[str, float | None] = {"ssa": ssa_gap(state, I, J)}
-    gaps["triangle"] = triangle_gap(state, I, J) if I.isdisjoint(J) else None
-    if K is not None and I.isdisjoint(J) and K.isdisjoint(I) and K.isdisjoint(J):
-        gaps["mono_ssa"] = mono_ssa_gap(state, I, J, K)
+    _contained(state, I, "I")
+    _contained(state, J, "J")
+    S = _entropies(state)  # shared by the three gaps: each region costs one entropy
+    disjoint = I.isdisjoint(J)
+    gaps: dict[str, float | None] = {"ssa": _ssa(S, I, J)}
+    gaps["triangle"] = _triangle(S, I, J) if disjoint else None
+    if K is not None and disjoint and K.isdisjoint(I) and K.isdisjoint(J):
+        _contained(state, K, "K")
+        gaps["mono_ssa"] = _mono_ssa(S, I, J, K)
     else:
         gaps["mono_ssa"] = None
     verdicts = {

@@ -86,7 +86,8 @@ def _sqrt_psd(x: np.ndarray) -> np.ndarray:
 
 
 def _clamped_spectrum(density: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(_hermitize(density))
+    """Eigenvalues of a density the caller has already hermitized, round-off zeros clamped."""
+    lam = np.linalg.eigvalsh(density)
     if lam.min() < -NEGATIVE_EIG_TOL:
         raise NotAStateError(f"density has negative eigenvalue {lam.min():.3e}")
     lam = lam.copy()
@@ -217,9 +218,18 @@ def restrict(state: State, region: Region) -> State:
 
 def is_even(state: State) -> bool:
     """Whether ``|D - Theta(D)|``, twice the norm of the density's block
-    between opposite parities, is at most ``EVEN_TOL``."""
+    between opposite parities, is at most ``EVEN_TOL``.
+
+    Since ``max|B_ij| <= |B| <= |B|_F``, the Frobenius norm and the largest
+    entry of the block decide almost every state; the spectral norm is
+    computed only when ``EVEN_TOL`` lies between them.
+    """
     par = _local_parity_diag(len(state.region))
     odd_block = state.density[np.ix_(par > 0, par < 0)]
+    if 2.0 * float(np.linalg.norm(odd_block)) <= EVEN_TOL:
+        return True
+    if 2.0 * float(np.abs(odd_block).max()) > EVEN_TOL:
+        return False
     return 2.0 * float(np.linalg.norm(odd_block, 2)) <= EVEN_TOL
 
 
@@ -264,9 +274,14 @@ def relative_entropy(omega: State, sigma: State) -> float:
     return term_w - term_s
 
 
-def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_unitary(d: int, rng: np.random.Generator, cols: int) -> np.ndarray:
+    """The first ``cols`` columns of a Haar unitary of size ``d``.
+
+    All ``d x d`` normals are drawn whatever ``cols`` is, so the random
+    stream does not depend on it; only the needed columns are factored.
+    """
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(g[:, :cols])
     phases = np.diag(r) / np.abs(np.diag(r))
     return q * phases.conj()
 
@@ -308,13 +323,13 @@ def random_state(
         for idx, r in ((plus, r_plus), (minus, rank - r_plus)):
             if r == 0:
                 continue
-            u = _haar_unitary(len(idx), rng)[:, :r]
+            u = _haar_unitary(len(idx), rng, r)
             embedded = np.zeros((d, r), dtype=complex)
             embedded[idx, :] = u
             cols.append(embedded)
         v = np.hstack(cols)
     else:
-        v = _haar_unitary(d, rng)[:, :rank]
+        v = _haar_unitary(d, rng, rank)
 
     density = _hermitize((v * weights) @ v.conj().T)
     return State(ctx, region, density)

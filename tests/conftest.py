@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, set before numpy loads: a second thread slowed the timed
+# acceptance criteria when another process held the other core, and it makes
+# LAPACK block some factorizations differently.  An explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 
 from carentropy import build_context

@@ -17,7 +17,13 @@ from carentropy import (
     theta,
 )
 
-from carentropy.car_algebra import _embed, _local_image
+from carentropy.car_algebra import (
+    _embed,
+    _local_image,
+    _local_parity_diag,
+    _reorder,
+    _reorder_plan,
+)
 
 from oracles import conditional_expectation_oracle, jw_annihilators
 
@@ -47,6 +53,24 @@ class TestRegion:
         assert not a.isdisjoint(b)
         assert Region((1,)).issubset(a)
         assert len(a) == 2 and 2 in a
+
+
+class TestCachedPlans:
+    def test_reorder_sign_is_read_only(self):
+        sign, axes = _reorder_plan((1, 2, 3), (3, 1, 2))
+        with pytest.raises(ValueError):
+            sign[0] = 5
+        assert _reorder_plan((1, 2, 3), (3, 1, 2))[0] is sign
+        x = np.arange(64, dtype=complex).reshape(8, 8)
+        first = _reorder(x, (1, 2, 3), (3, 1, 2))
+        assert np.array_equal(_reorder(x, (1, 2, 3), (3, 1, 2)), first)
+        assert np.array_equal(x, np.arange(64).reshape(8, 8))
+
+    def test_local_parity_is_read_only(self):
+        par = _local_parity_diag(3)
+        with pytest.raises(ValueError):
+            par[0] = 0.0
+        assert _local_parity_diag(3) is par
 
 
 class TestBuildContext:

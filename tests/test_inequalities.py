@@ -23,6 +23,8 @@ from carentropy import (
     vector_state,
 )
 
+import carentropy.inequalities as inequalities
+
 LN2 = math.log(2.0)
 
 
@@ -220,6 +222,45 @@ class TestVerdicts:
         report = inequality_report(s, Region((1, 2)), Region((2, 3)))
         assert report.triangle_gap is None
         assert "triangle" not in report.verdicts
+
+
+class TestSharedEntropies:
+    """inequality_report restricts once per region and matches the standalone gaps."""
+
+    @pytest.mark.parametrize("I, J, K, regions", [
+        ((1, 4), (2,), (3, 5), [(1, 4), (2,), (1, 2, 4), (1, 3, 4, 5), (2, 3, 5)]),
+        ((1, 2), (2, 3), None, [(1, 2), (2, 3), (1, 2, 3), (2,)]),
+        ((1,), (2, 3), None, [(1,), (2, 3), (1, 2, 3)]),
+    ])
+    def test_one_restriction_per_region(self, ctx5, monkeypatch, I, J, K, regions):
+        calls = []
+        real = inequalities.restrict
+
+        def counting(state, region):
+            calls.append(region.sites)
+            return real(state, region)
+
+        monkeypatch.setattr(inequalities, "restrict", counting)
+        s = random_state(ctx5, ctx5.lattice, seed=3)
+        inequality_report(s, Region(I), Region(J), K and Region(K))
+        assert sorted(calls) == sorted(regions)
+
+    def test_gaps_equal_standalone_bit_for_bit(self, ctx5):
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            s = random_state(ctx5, ctx5.lattice, even=trial % 2 == 0,
+                             rank=int(rng.integers(1, 33)), seed=trial)
+            perm = [int(x) for x in rng.permutation(np.arange(1, 6))]
+            cut_i, cut_j = int(rng.integers(1, 3)), int(rng.integers(3, 5))
+            I, J, K = (Region(tuple(sorted(perm[a:b])))
+                       for a, b in ((0, cut_i), (cut_i, cut_j), (cut_j, 5)))
+            report = inequality_report(s, I, J, K)
+            assert report.ssa_gap.hex() == ssa_gap(s, I, J).hex()
+            assert report.triangle_gap.hex() == triangle_gap(s, I, J).hex()
+            assert report.mono_ssa_gap.hex() == mono_ssa_gap(s, I, J, K).hex()
+            overlap = Region(tuple(sorted(perm[:cut_j])))
+            report = inequality_report(s, overlap, J)
+            assert report.ssa_gap.hex() == ssa_gap(s, overlap, J).hex()
 
 
 class TestBoundOnTriangleViolation:

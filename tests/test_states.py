@@ -26,7 +26,10 @@ from carentropy import (
     transition_probability,
     vector_state,
 )
+from carentropy.car_algebra import _local_parity_diag
 from carentropy.counterexamples import odd_eigenvector_state
+from carentropy.states import _haar_unitary
+from carentropy.tolerances import EVEN_TOL
 
 from oracles import partial_trace, restriction_oracle, vn_entropy
 
@@ -169,6 +172,83 @@ class TestIsEven:
             ctx2, s.region, (s.rep + ctx2.theta_of(s.rep)) / 2.0
         )
         assert is_even(sym)
+
+
+class TestIsEvenBracket:
+    """Frobenius norm and largest entry decide, the spectral norm only in between."""
+
+    @staticmethod
+    def with_odd_block(ctx, block):
+        par = _local_parity_diag(3)
+        plus, minus = np.where(par > 0)[0], np.where(par < 0)[0]
+        density = np.eye(8, dtype=complex) / 8
+        density[np.ix_(plus, minus)] = block
+        density[np.ix_(minus, plus)] = block.conj().T
+        return State(ctx, Region((1, 2, 3)), density)
+
+    @staticmethod
+    def side(block):
+        if 2 * np.linalg.norm(block) <= EVEN_TOL:
+            return "frobenius"
+        if 2 * np.abs(block).max() > EVEN_TOL:
+            return "max_entry"
+        return "middle"
+
+    @pytest.mark.parametrize("block, side, even", [
+        (np.full((4, 4), 0.05 * EVEN_TOL), "frobenius", True),
+        (np.diag([0.6 * EVEN_TOL, 0, 0, 0]), "max_entry", False),
+        # rank one: |B| = |B|_F = 0.8 EVEN_TOL, every entry 0.2 EVEN_TOL
+        (np.full((4, 4), 0.4 * EVEN_TOL / 2), "middle", False),
+        # |B| = max|B_ij| = 0.45 EVEN_TOL, |B|_F = 0.9 EVEN_TOL
+        (np.diag([0.45 * EVEN_TOL] * 4) * np.exp(0.3j), "middle", True),
+    ], ids=["frobenius_even", "max_entry_odd", "middle_odd", "middle_even"])
+    def test_each_side_agrees_with_spectral_norm(self, ctx3, block, side, even):
+        assert self.side(block) == side
+        assert bool(2 * np.linalg.norm(block, 2) <= EVEN_TOL) is even
+        assert is_even(self.with_odd_block(ctx3, block)) is even
+
+    def test_random_blocks_agree_with_spectral_norm(self, ctx3):
+        rng = np.random.default_rng(5)
+        sides = set()
+        for _ in range(300):
+            rank = int(rng.integers(1, 5))
+            block = rng.normal(size=(4, rank)) @ rng.normal(size=(rank, 4))
+            block *= 10.0 ** rng.uniform(-1.5, 0.5) * EVEN_TOL / np.linalg.norm(block, 2)
+            sides.add(self.side(block))
+            want = 2 * np.linalg.norm(block, 2) <= EVEN_TOL
+            assert is_even(self.with_odd_block(ctx3, block)) is bool(want)
+        assert sides == {"frobenius", "max_entry", "middle"}
+
+
+def full_qr_columns(d, rng, cols):
+    """Leading columns of the phase-fixed QR of the whole Gaussian matrix."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(g)
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return (q * phases.conj())[:, :cols]
+
+
+class TestHaarColumns:
+    """Bit-identical at d <= 128 with one BLAS thread (``conftest.py`` sets it)."""
+
+    @staticmethod
+    def assert_same_bits(d, cols, seed):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        mine, full = _haar_unitary(d, rng_a, cols), full_qr_columns(d, rng_b, cols)
+        assert mine.shape == full.shape == (d, cols)
+        assert mine.tobytes() == full.tobytes(), (d, cols)
+        assert rng_a.random() == rng_b.random()  # the stream moved by d x d normals
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 32])
+    def test_every_column_count(self, d):
+        for cols in range(1, d + 1):
+            self.assert_same_bits(d, cols, seed=100 * d + cols)
+
+    @pytest.mark.parametrize("d", [64, 128])
+    def test_sampled_column_counts(self, d):
+        rng = np.random.default_rng(d)
+        for cols in {1, 2, d // 2, d - 1, d, *rng.integers(1, d + 1, size=6).tolist()}:
+            self.assert_same_bits(d, cols, seed=cols)
 
 
 class TestTransitionProbability:
