@@ -1,4 +1,4 @@
-"""Finite CAR (fermionic) lattice algebras as concrete matrix algebras.
+"""Finite CAR (fermionic) lattice algebras and their region subalgebras.
 
 A lattice of ``n`` ordered sites carries annihilation/creation matrices
 ``a_i``, ``a_i*`` acting on ``C^(2^n)``, built by the Jordan-Wigner recipe
@@ -6,31 +6,38 @@ A lattice of ``n`` ordered sites carries annihilation/creation matrices
     a_i = Z (x) ... (x) Z (x) a (x) 1 (x) ... (x) 1
 
 with ``a`` the 2x2 lowering matrix on the i-th factor and ``Z = diag(1, -1)``
-on the ``i-1`` leading factors.  With this choice the subalgebra ``A(I)``
-attached to an arbitrary (possibly non-contiguous) subset ``I`` of sites is
-generated by the already-built global matrices; no re-embedding is needed.
+on the ``i-1`` leading factors.  :class:`AlgebraContext` caches these
+generators; they define the realization.
+
+An element of the subalgebra ``A(R)`` of a region ``R`` (any subset of
+sites, contiguous or not) is held as its image under the isomorphism
+``A(R) ~ M(2^|R|)`` that maps the generators of the sorted sites of ``R``
+onto the Jordan-Wigner generators of a fresh ``|R|``-site lattice: an
+:class:`OperatorElement` is ``(region, 2^|R| x 2^|R| image)``, just as a
+state is ``(region, 2^|R| x 2^|R| density)``.  A fermionic reorder of the
+modes (:func:`_reorder`) is the one implementation of that isomorphism:
+once a region is moved to the front of a larger one it is the leading
+tensor factor ``M(2^|R|) (x) 1``, and :func:`_trace_out` and :func:`_embed`
+map between the two sides.
 
 The module provides:
 
-* the even/odd grading ``Theta`` (conjugation by the full parity unitary),
-* parity unitaries ``v_I = prod_i (a_i* a_i - a_i a_i*)`` for regions,
-* the isomorphism ``A(I) ~ M(2^|I|)``: a fermionic reorder of the modes
-  (:func:`_reorder`) moves ``I`` to the front, after which ``A(I)`` is the
-  leading tensor factor ``M(2^|I|) (x) 1``; :func:`_trace_out` and
-  :func:`_embed` map between the two sides,
-* trace-compatible conditional expectations onto region subalgebras,
-  computed through that isomorphism,
+* the even/odd grading ``Theta``, conjugation by the local parity
+  ``diag(_local_parity_diag(|R|))`` of the image,
+* parity unitaries ``v_R = prod_i (a_i* a_i - a_i a_i*)`` of regions,
+* trace-compatible conditional expectations ``A(S) -> A(R)``,
 * tracially orthogonal monomial bases of region subalgebras,
 * a verification routine for the relative-commutant identity
   ``A(I)' n A(I u J) = A(J)_+ + v_I A(J)_-`` that underlies the tensor
   factorization ``A(I u J) = A(I) (x) (A(I)' n A(I u J))``.
 
 Everything is dense ``complex128``; contexts are immutable after
-construction and all operations are pure functions, so sharing across
-threads is safe.  Only :func:`monomial_basis` and
-:func:`relative_commutant_check` build a basis (``4^|I|`` matrices of size
-``2^n x 2^n``); a request larger than ``MAX_BASIS_BYTES`` raises
-:class:`CapacityError` before anything is allocated.
+construction apart from their caches, and all operations are pure
+functions.  An operator of ``A(R)`` costs ``4^|R|`` entries whatever ``n``
+is.  Only :func:`monomial_basis` and :func:`relative_commutant_check` build
+a basis, on a cached ``|R|``-site (respectively ``|I u J|``-site) context;
+a basis larger than ``MAX_BASIS_BYTES`` raises :class:`CapacityError`
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .tolerances import CAR_ATOL, MEMBERSHIP_TOL, NULLSPACE_RESIDUAL_TOL, ODD_WITNESS_MIN, RANK_TOL
+from .tolerances import CAR_ATOL, NULLSPACE_RESIDUAL_TOL, ODD_WITNESS_MIN, RANK_TOL
 
 __all__ = [
     "Region",
@@ -60,7 +67,7 @@ __all__ = [
 ]
 
 MAX_SITES = 12
-MAX_BASIS_BYTES = 2 ** 29  # 4^|I| * 4^n complex entries; the build peaks at twice this
+MAX_BASIS_BYTES = 2 ** 29  # 4^|order| * 4^k entries on k sites; the build peaks at twice this
 
 _LOWERING = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -117,15 +124,18 @@ class Region:
 
 @dataclass(frozen=True)
 class OperatorElement:
-    """A global matrix together with the region whose subalgebra it belongs to.
+    """An element of ``A(region)``, held as its ``2^|R| x 2^|R|`` image ``matrix``."""
 
-    ``note`` flags degenerate inputs (e.g. the parity unitary of the empty
-    region, which is the identity).
-    """
-
-    matrix: np.ndarray
     region: Region
-    note: str | None = None
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        d = 2 ** len(self.region)
+        if np.shape(self.matrix) != (d, d):
+            raise ValueError(
+                f"an element of A{self.region.sites} is a {d}x{d} image, "
+                f"got shape {np.shape(self.matrix)}"
+            )
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,6 +143,12 @@ def _local_parity_diag(k: int) -> np.ndarray:
     """Diagonal of the parity ``v`` of a ``k``-site local lattice (cached, read-only)."""
     occupied = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
     return _readonly((-1.0) ** (k - occupied.sum(axis=1)))
+
+
+def _theta_image(m: np.ndarray) -> np.ndarray:
+    """``Theta`` of the image ``m``: conjugation by the parity of its modes."""
+    par = _local_parity_diag(m.shape[0].bit_length() - 1)
+    return par[:, None] * m * par[None, :]
 
 
 @functools.lru_cache(maxsize=1024)  # a plan holds 2^k int8 signs: at most 4 MiB at k = 12
@@ -220,8 +236,9 @@ class MonomialBasis:
 class AlgebraContext:
     """Matrix realization of the CAR algebra on ``n`` ordered sites.
 
-    Generator and basis caches are filled lazily; cached arrays are marked
-    read-only and shared, never copied.
+    The Jordan-Wigner generators and the monomial bases built from them are
+    cached lazily; cached arrays are marked read-only and shared, never
+    copied.
     """
 
     def __init__(self, n: int):
@@ -231,7 +248,7 @@ class AlgebraContext:
         self.dim = 2 ** self.n
         self.lattice = Region(tuple(range(1, self.n + 1)))
         self._ann: dict[int, np.ndarray] = {}
-        self._parity_diag: dict[tuple[int, ...], np.ndarray] = {}
+        self._cre: dict[int, np.ndarray] = {}
         self._bases: dict[tuple[int, ...], MonomialBasis] = {}
 
     def __repr__(self):
@@ -254,34 +271,17 @@ class AlgebraContext:
         return self._ann[i]
 
     def creator(self, i: int) -> np.ndarray:
-        return _readonly(np.ascontiguousarray(self.annihilator(i).conj().T))
+        if i not in self._cre:
+            self._cre[i] = _readonly(np.ascontiguousarray(self.annihilator(i).conj().T))
+        return self._cre[i]
 
     @property
     def generators(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per-site pairs ``(a_i, a_i*)`` for the whole lattice."""
         return tuple((self.annihilator(i), self.creator(i)) for i in range(1, self.n + 1))
 
-    def parity_diag(self, sites: tuple[int, ...]) -> np.ndarray:
-        """Diagonal of ``v_sites`` (each ``v_i`` is diagonal in this realization)."""
-        key = tuple(sorted(sites))
-        if key not in self._parity_diag:
-            idx = np.arange(self.dim)
-            d = np.ones(self.dim)
-            for i in key:
-                bit = (idx >> (self.n - i)) & 1
-                d *= np.where(bit == 1, 1.0, -1.0)
-            self._parity_diag[key] = _readonly(d)
-        return self._parity_diag[key]
-
-    def parity_matrix(self, sites: tuple[int, ...]) -> np.ndarray:
-        return _readonly(np.diag(self.parity_diag(sites)).astype(complex))
-
-    def theta_of(self, x: np.ndarray) -> np.ndarray:
-        """Grading automorphism: conjugation by the full-lattice parity unitary."""
-        d = self.parity_diag(self.lattice.sites)
-        return (d[:, None] * d[None, :]) * x
-
     def basis(self, order: tuple[int, ...]) -> MonomialBasis:
+        """The monomials of the sites ``order`` of this lattice, as ``2^n`` matrices."""
         order = tuple(int(s) for s in order)
         if len(set(order)) != len(order):
             raise ValueError(f"repeated sites in order {order}")
@@ -302,78 +302,66 @@ def build_context(n: int) -> AlgebraContext:
     return AlgebraContext(n)
 
 
-def _as_matrix(x) -> np.ndarray:
-    return x.matrix if isinstance(x, OperatorElement) else np.asarray(x, dtype=complex)
+@functools.lru_cache(maxsize=None)
+def _local_context(k: int) -> AlgebraContext:
+    """The shared ``k``-site lattice on which the images of ``A(R)``, ``|R| = k``, live."""
+    return AlgebraContext(k)
 
 
 def parity_unitary(ctx: AlgebraContext, region: Region) -> OperatorElement:
-    """Self-adjoint unitary ``v_I`` implementing the grading on ``A(I)``.
+    """Self-adjoint unitary ``v_R`` implementing the grading on ``A(R)``.
 
-    The empty region degenerates to the identity; the result is flagged
-    through ``note`` rather than raising.
+    Its image is diagonal; the empty region gives the ``1 x 1`` identity.
     """
     ctx.check_region(region)
-    note = None
-    if not region.sites:
-        note = "empty region: parity unitary degenerates to the identity"
-    return OperatorElement(ctx.parity_matrix(region.sites), region, note)
+    return OperatorElement(region, np.diag(_local_parity_diag(len(region))))
 
 
-def theta(ctx: AlgebraContext, x):
-    """Apply the grading automorphism; ``a_i -> -a_i`` for every site.
+def theta(ctx: AlgebraContext, x: OperatorElement) -> OperatorElement:
+    """The grading automorphism, ``a_i -> -a_i`` for every site.
 
-    Accepts an :class:`OperatorElement` (region is preserved, since the
-    grading maps each ``A(I)`` onto itself) or a plain matrix.
+    It maps each ``A(R)`` onto itself, so the region is preserved.
     """
-    if isinstance(x, OperatorElement):
-        return OperatorElement(ctx.theta_of(x.matrix), x.region, x.note)
-    return ctx.theta_of(np.asarray(x, dtype=complex))
+    ctx.check_region(x.region)
+    return OperatorElement(x.region, _theta_image(x.matrix))
 
 
-def grade_split(ctx: AlgebraContext, x):
+def grade_split(ctx: AlgebraContext, x: OperatorElement) -> tuple[OperatorElement, OperatorElement]:
     """Split into (even, odd) parts: ``x_+/- = (x +/- Theta(x)) / 2``."""
-    m = _as_matrix(x)
-    tm = ctx.theta_of(m)
-    even, odd = (m + tm) / 2.0, (m - tm) / 2.0
-    if isinstance(x, OperatorElement):
-        return (OperatorElement(even, x.region), OperatorElement(odd, x.region))
-    return even, odd
+    tm = theta(ctx, x).matrix
+    return (
+        OperatorElement(x.region, (x.matrix + tm) / 2.0),
+        OperatorElement(x.region, (x.matrix - tm) / 2.0),
+    )
 
 
 def monomial_basis(ctx: AlgebraContext, region: Region) -> list[OperatorElement]:
-    """The ``4^|I|`` tracially orthogonal, parity-definite monomials spanning ``A(I)``."""
-    ctx.check_region(region)
-    b = ctx.basis(region.sites)
-    return [OperatorElement(b.mats[i], region) for i in range(b.size)]
+    """The ``4^|R|`` tracially orthogonal, parity-definite monomials spanning ``A(R)``.
 
-
-def _local_image(ctx: AlgebraContext, x: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
-    """Image in ``M(2^|sites|)`` of an element ``x`` of ``A(sites)``, sites in the given order.
-
-    Raises ``ValueError`` when ``|x - E(x)|`` exceeds ``MEMBERSHIP_TOL``
-    relative to ``max(1, |x|)``, i.e. when ``x`` is not in ``A(sites)``.
+    Their images are the monomials of the ``|R|``-site lattice.
     """
-    local = _trace_out(x, ctx.lattice.sites, sites) / 2 ** (ctx.n - len(sites))
-    resid = float(np.linalg.norm(x - _embed(local, sites, ctx.lattice.sites)))
-    if resid > MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(x))):
-        raise ValueError(f"matrix not in the subalgebra of sites {sites} (residual {resid:.3e})")
-    return local
+    ctx.check_region(region)
+    if not region.sites:
+        return [OperatorElement(region, np.ones((1, 1), dtype=complex))]
+    k = len(region)
+    b = _local_context(k).basis(tuple(range(1, k + 1)))
+    return [OperatorElement(region, m) for m in b.mats]
 
 
-def conditional_expectation(ctx: AlgebraContext, x, region: Region):
+def conditional_expectation(
+    ctx: AlgebraContext, x: OperatorElement, region: Region
+) -> OperatorElement:
     """Trace-compatible conditional expectation of ``x`` onto ``A(region)``.
 
-    The normalized partial trace onto the region, embedded back as
-    ``E(x) (x) 1``.
+    ``x (x) 1`` on ``x.region u region``, traced down to ``region`` and
+    divided by ``2^|x.region \\ region|``.
     """
+    ctx.check_region(x.region)
     ctx.check_region(region)
-    lattice = ctx.lattice.sites
-    local = _trace_out(_as_matrix(x), lattice, region.sites) / 2 ** (ctx.n - len(region))
-    out = _embed(local, region.sites, lattice)
-    if isinstance(x, OperatorElement):
-        return OperatorElement(out, region)
-    return out
-
+    outer = x.region.union(region)
+    lifted = _embed(x.matrix, x.region.sites, outer.sites)
+    local = _trace_out(lifted, outer.sites, region.sites) / 2 ** (len(outer) - len(region))
+    return OperatorElement(region, local)
 
 @dataclass(frozen=True)
 class CommutantCheck:
@@ -429,6 +417,8 @@ def _stack_commutators(stack: np.ndarray, g: np.ndarray) -> np.ndarray:
 def relative_commutant_check(ctx: AlgebraContext, I: Region, J: Region) -> CommutantCheck:
     """Verify ``A(I)' n A(I u J) = A(J)_+ + v_I A(J)_-`` and ``A(I)' n A(J) = A(J)_+``.
 
+    Everything lives on the ``|I u J|``-site lattice of the images of
+    ``A(I u J)``, with ``A(I)`` and ``A(J)`` at their positions in ``I u J``.
     The from-scratch nullspace recomputation runs when ``|I| + |J| <= 3``;
     it is quartic in ``4^(|I|+|J|)`` and not needed for the identity itself,
     whose dimension count is forced once the candidate commutes and is
@@ -441,12 +431,16 @@ def relative_commutant_check(ctx: AlgebraContext, I: Region, J: Region) -> Commu
     if not I.isdisjoint(J):
         raise ValueError(f"regions overlap: {I.sites} and {J.sites}")
 
-    bJ = ctx.basis(J.sites)
+    union = I.union(J)
+    local = _local_context(len(union))
+    pos_I = tuple(union.sites.index(s) + 1 for s in I.sites)
+    bJ = local.basis(tuple(union.sites.index(s) + 1 for s in J.sites))
     # v_I is diagonal in this realization, so v_I @ m is a row scaling
-    twisted = ctx.parity_diag(I.sites)[None, :, None] * bJ.mats
+    v_I = np.diag(_embed(parity_unitary(ctx, I).matrix, I.sites, union.sites))
+    twisted = v_I[None, :, None] * bJ.mats
     candidate = np.where((bJ.parity > 0)[:, None, None], bJ.mats, twisted)
 
-    gens = [ctx.annihilator(i) for i in I.sites] + [ctx.creator(i) for i in I.sites]
+    gens = [local.annihilator(p) for p in pos_I] + [local.creator(p) for p in pos_I]
     generator_residual = 0.0
     # A(I)' n A(J) = A(J)_+ : even monomials commute, odd monomials do not.
     per_monomial = np.zeros(bJ.size)
@@ -460,15 +454,14 @@ def relative_commutant_check(ctx: AlgebraContext, I: Region, J: Region) -> Commu
     odd_witness = float(odd.min()) if odd.size else 0.0
 
     flat = candidate.reshape(bJ.size, -1)
-    gram = flat.conj() @ flat.T / ctx.dim
+    gram = flat.conj() @ flat.T / local.dim
     gram_offdiagonal = float(np.abs(gram - np.diag(np.diag(gram))).max())
     candidate_dim = int(np.sum(np.linalg.eigvalsh(gram) > RANK_TOL))
 
     nullspace_dim = None
     nullspace_residual = None
-    union = I.union(J)
     if len(union) <= 3:
-        bU = ctx.basis(union.sites)
+        bU = local.basis(local.lattice.sites)
         blocks = [
             _stack_commutators(bU.mats, g).reshape(bU.size, -1) for g in gens
         ]

@@ -7,7 +7,9 @@ Subcommands
 ``table1``          the summary truth table (SSA / triangle / MONO-SSA)
 
 Reports are JSON (default) or CSV with a fixed schema; identical
-``(config, seed)`` pairs produce byte-identical reports.  Exit codes:
+``(config, seed)`` pairs produce byte-identical reports under a fixed BLAS
+thread count (``OPENBLAS_NUM_THREADS``): at n >= 8 LAPACK splits some
+factorizations by thread count, which moves gaps in their last bits.  Exit codes:
 0 = success / expected outcome, 1 = unexpected mathematical violation,
 2 = usage error.  Environment overrides: ``CARENTROPY_SEED`` (used when
 ``--seed`` is not given) and ``CARENTROPY_OUTDIR`` (prepended to relative

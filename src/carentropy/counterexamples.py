@@ -46,17 +46,20 @@ from .car_algebra import (
     AlgebraContext,
     OperatorElement,
     Region,
-    _local_image,
+    _local_context,
     _local_parity_diag,
     _reorder,
+    parity_unitary,
+    theta,
 )
 from .errors import ExtensionError
 from .inequalities import (
     InequalityReport,
+    _entropies,
+    _mono_ssa,
+    _ssa,
+    _triangle,
     classify_gap,
-    mono_ssa_gap,
-    ssa_gap,
-    triangle_gap,
 )
 from .states import (
     State,
@@ -93,14 +96,15 @@ __all__ = [
 def odd_eigenvector_state(
     ctx: AlgebraContext,
     K: Region,
-    operator: OperatorElement | np.ndarray | None = None,
+    operator: OperatorElement | None = None,
 ) -> State:
     """Vector state of an eigenvector of an odd self-adjoint element of ``A(K)``.
 
-    Defaults to ``a_k + a_k*`` for the first site ``k`` of ``K`` and its
-    largest eigenvalue (+1).  The result is pure, noneven, and maximally
-    odd: any eigenvector with nonzero eigenvalue is orthogonal to its
-    parity image, so ``p_theta = 0``.
+    ``operator`` is an element of ``A(K)`` (its ``2^|K|`` image); it
+    defaults to ``a_k + a_k*`` for the first site ``k`` of ``K``.  The
+    largest eigenvalue is taken (+1 for the default).  The result is pure,
+    noneven, and maximally odd: any eigenvector with nonzero eigenvalue is
+    orthogonal to its parity image, so ``p_theta = 0``.
     """
     ctx.check_region(K)
     if not K.sites:
@@ -109,12 +113,13 @@ def odd_eigenvector_state(
         # a_k + a_k* on the first local site
         local = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2 ** (len(K) - 1)))
     else:
-        mat = operator.matrix if isinstance(operator, OperatorElement) else np.asarray(operator)
-        if np.abs(mat - mat.conj().T).max() > OPERATOR_TOL:
+        if operator.region != K:
+            raise ValueError(f"operator lives on {operator.region.sites}, expected {K.sites}")
+        local = operator.matrix
+        if np.abs(local - local.conj().T).max() > OPERATOR_TOL:
             raise ValueError("operator must be self-adjoint")
-        if np.abs(mat + ctx.theta_of(mat)).max() > OPERATOR_TOL:
+        if np.abs(local + theta(ctx, operator).matrix).max() > OPERATOR_TOL:
             raise ValueError("operator must be odd")
-        local = _local_image(ctx, mat, K.sites)
 
     lam, u = np.linalg.eigh(local)
     top = int(np.argmax(lam))
@@ -143,7 +148,7 @@ def u1_for(rho1: State) -> np.ndarray:
     """
     if entropy(rho1) > PURITY_TOL:
         raise ValueError("u1 is defined here for pure states only")
-    return np.diag(_local_parity_diag(len(rho1.region)))
+    return parity_unitary(rho1.ctx, rho1.region).matrix
 
 
 @dataclass(frozen=True)
@@ -196,7 +201,7 @@ def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> float:
         raise ValueError("u1 must be unitary")
     # conjugation by u1 is a *-automorphism, so flipping the generators of
     # A(K) is the same as implementing the grading on all of A(K)
-    for pair in AlgebraContext(len(recipe.K)).generators:
+    for pair in _local_context(len(recipe.K)).generators:
         for g in pair:
             if np.abs(u1 @ g @ u1 + g).max() > OPERATOR_TOL:
                 raise ValueError("u1 does not implement the grading on A(K)")
@@ -299,12 +304,13 @@ def violation_demo(
         "K": K, "I": I, "J": J,
         "KI": K.union(I), "KJ": K.union(J), "KIJ": K.union(I).union(J),
     }
-    entropies = {name: entropy(restrict(full, reg)) for name, reg in regions.items()}
+    S = _entropies(full)  # each of the six regions is restricted once
+    entropies = {name: S(reg) for name, reg in regions.items()}
 
     gaps = {
-        "mono_ssa": mono_ssa_gap(full, I, J, K),
-        "triangle": triangle_gap(full, I, K),
-        "ssa": ssa_gap(full, K.union(I), K.union(J)),
+        "mono_ssa": _mono_ssa(S, I, J, K),
+        "triangle": _triangle(S, I, K),
+        "ssa": _ssa(S, K.union(I), K.union(J)),
     }
     residuals = {
         "restriction_K": density_distance(restrict(full, K), recipe.rho1),

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .car_algebra import Region, _embed, conditional_expectation
+from .car_algebra import OperatorElement, Region, conditional_expectation
 from .states import State, entropy, is_even, restrict
 from .tolerances import COMMUTING_SQUARE_TOL, HOLD_TOL, VIOLATION_TOL
 
@@ -133,10 +133,8 @@ def monotonicity_curve(
         if previous is not None and not previous.issubset(K):
             raise ValueError(f"chain is not nested at {K.sites}")
         previous = K
-    return [
-        entropy(restrict(state, K.union(I))) + entropy(restrict(state, K.union(J)))
-        for K in chain
-    ]
+    S = _entropies(state)
+    return [S(K.union(I)) + S(K.union(J)) for K in chain]
 
 
 @dataclass(frozen=True)
@@ -183,9 +181,9 @@ def mixing_bounds_check(phi: State, psi: State, lam: float) -> MixingBoundsRepor
 class CommutingSquareReport:
     """Residuals of the conditional-expectation compatibility identities.
 
-    On random elements ``x`` of ``A(I u J)``:
-    ``E_I E_J x = E_{I n J} x``, ``E_J E_I x = E_{I n J} x``, and
-    ``E_{I n J} E_I x = E_{I n J} x``; plus the state-level counterpart
+    On random elements ``x`` of ``A(I u J)``, with ``F = E_{I n J}``:
+    ``E_I E_J x = E_I F x``, ``E_J E_I x = E_J F x``, and
+    ``F E_I x = F E_J x = F x``; plus the state-level counterpart
     ``restrict(restrict(phi, I), I n J) = restrict(phi, I n J)``.
     """
 
@@ -217,13 +215,12 @@ def commuting_square_check(
     d = 2 ** len(union)
     worst = 0.0
     for _ in range(trials):
-        local = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        x = _embed(local, union.sites, ctx.lattice.sites)  # random element of A(I u J)
-        target = conditional_expectation(ctx, x, inter)
+        x = OperatorElement(union, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        on_inter = conditional_expectation(ctx, x, inter)
         for first, second in ((J, I), (I, J), (I, inter), (J, inter)):
-            mid = conditional_expectation(ctx, x, first)
-            two_step = conditional_expectation(ctx, mid, second)
-            worst = max(worst, float(np.abs(two_step - target).max()))
+            two_step = conditional_expectation(ctx, conditional_expectation(ctx, x, first), second)
+            target = conditional_expectation(ctx, on_inter, second)
+            worst = max(worst, float(np.abs(two_step.matrix - target.matrix).max()))
 
     s_target = restrict(state, inter)
     s_resid = 0.0

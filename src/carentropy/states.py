@@ -10,11 +10,14 @@ generators of a fresh ``|R|``-site lattice.  All spectra, entropies and
 fidelities are those of this density.  Logarithms are natural, so entropies
 are in nats and the tracial state on ``|R|`` sites has entropy ``|R| ln 2``.
 
-The *tracial representative* ``W`` of the full lattice (``phi(A) = tau(W A)``
-with ``tau`` the normalized trace, ``W = 1`` for the tracial state) and the
-functional ``phi(x)`` are derived views (:attr:`State.rep`,
-:meth:`State.value`); they build ``2^n x 2^n`` matrices and serve
-operator-level checks only.
+A state and an operator of ``A(R)`` share that picture: an
+:class:`~carentropy.car_algebra.OperatorElement` holds the ``2^|R|`` image
+of an element, and ``phi(x) = Tr(D x)`` for the image ``x``.  The
+*tracial representative* ``W = 2^|R| D`` (``phi(x) = tau(W x)`` with
+``tau`` the normalized trace of ``M(2^|R|)``, ``W = 1`` for the tracial
+state) is another scaling of the same image (:func:`state_from_tau_form`).
+No state path builds a ``2^n x 2^n`` matrix unless ``R`` is the whole
+lattice.
 
 Every change of region goes through one primitive,
 :func:`carentropy.car_algebra._reorder`, which re-expresses a local density
@@ -36,12 +39,10 @@ import numpy as np
 
 from .car_algebra import (
     AlgebraContext,
-    OperatorElement,
     Region,
-    _embed,
-    _local_image,
     _local_parity_diag,
     _reorder,
+    _theta_image,
     _trace_out,
 )
 from .errors import ExtensionError, NotAStateError
@@ -107,21 +108,9 @@ class State:
         """Region-intrinsic trace-one density matrix (``2^|R| x 2^|R|``)."""
         return _hermitize(self.density)
 
-    @property
-    def rep(self) -> np.ndarray:
-        """Tracial representative ``W`` on the full lattice (derived view)."""
-        scaled = self.density * 2 ** len(self.region)
-        return _embed(scaled, self.region.sites, self.ctx.lattice.sites)
-
-    def value(self, x) -> complex:
-        """The functional ``phi(x) = tau(W x)`` for a global matrix ``x``."""
-        m = x.matrix if isinstance(x, OperatorElement) else x
-        return complex(np.einsum("ij,ji->", self.rep, m) / self.ctx.dim)
-
     def theta_image(self) -> "State":
         """The state ``phi o Theta``."""
-        par = _local_parity_diag(len(self.region))
-        return State(self.ctx, self.region, par[:, None] * self.density * par[None, :])
+        return State(self.ctx, self.region, _theta_image(self.density))
 
 
 @dataclass(frozen=True)
@@ -134,16 +123,12 @@ class SpectralData:
 
 
 def state_from_tau_form(ctx: AlgebraContext, region: Region, rep: np.ndarray) -> State:
-    """Build a state from its tracial representative ``W`` (``phi = tau(W .)``)."""
-    ctx.check_region(region)
-    rep = _hermitize(np.asarray(rep, dtype=complex))
-    trace = np.trace(rep).real / ctx.dim
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise NotAStateError(f"tau(W) = {trace:.12f}, expected 1")
-    # _local_image raises ValueError when W is not in A(region)
-    density = _local_image(ctx, rep, region.sites) / (trace * 2 ** len(region))
-    _clamped_spectrum(density)
-    return State(ctx, region, density)
+    """Build a state from the ``2^|R|`` image of its tracial representative ``W``.
+
+    ``phi = tau(W .)`` with ``tau`` the normalized trace, so ``D = W / 2^|R|``
+    and ``tau(W) = Tr(D)`` must be 1.
+    """
+    return state_from_intrinsic(ctx, region, np.asarray(rep, dtype=complex) / 2 ** len(region))
 
 
 def state_from_intrinsic(ctx: AlgebraContext, region: Region, density: np.ndarray) -> State:

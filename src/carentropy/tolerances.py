@@ -24,7 +24,6 @@ SCHMIDT_TOL = 1e-10  # Schmidt coefficients at or below it are round-off zeros
 
 # Operators and subalgebras
 CAR_ATOL = 1e-12  # commutator and Gram residuals of exact monomials, built from 0/+-1 entries
-MEMBERSHIP_TOL = 1e-10  # |x - E(x)| relative to max(1, |x|) up to which x lies in A(R)
 RANK_TOL = 1e-8  # eigen- and singular values at or below it are zero when counting dimensions
 NULLSPACE_RESIDUAL_TOL = 1e-8  # the candidate commutant must meet the stacked constraints to this
 ODD_WITNESS_MIN = 1e-6  # an odd monomial of A(J) must fail to commute with A(I) by more than this

@@ -3,6 +3,9 @@
 Everything here is built from scratch on purpose: plain Kronecker products,
 plain partial traces, expectation values of Jordan-Wigner monomials, and a
 direct representation-based evaluation of the joint-extension functional.
+The global ``2^n x 2^n`` Jordan-Wigner picture of operators and states lives
+here only: :func:`lift` and :func:`local_image` map between it and the
+``2^|R|`` images the package works with, by matching monomial coefficients.
 None of it goes through the package's bases or its mode reordering, so
 agreement is meaningful.
 """
@@ -167,3 +170,60 @@ def solve_density_from_functional(values, p, q):
     sol = np.linalg.lstsq(coeff, np.array(rhs), rcond=None)[0]
     dens = sol.reshape(2 ** n, 2 ** n)
     return (dens + dens.conj().T) / 2.0
+
+
+def _monomial_coefficients(x, mats):
+    """Coefficients of ``x`` on mutually orthogonal matrices ``mats``."""
+    flat = np.array(mats).reshape(len(mats), -1)
+    norms = np.einsum("ij,ij->i", flat.conj(), flat).real
+    return (flat.conj() @ x.ravel()) / norms
+
+
+def lift(local, n, sites):
+    """The global ``2^n`` matrix of the element of ``A(sites)`` with image ``local``.
+
+    The image is taken with the 1-based ``sites`` in the given order: the
+    monomials of a fresh ``|sites|``-site lattice map onto the global
+    monomials of ``sites`` multiplied in that order, coefficient for
+    coefficient.
+    """
+    k = len(sites)
+    coeffs = _monomial_coefficients(local, monomials_on(jw_annihilators(k), range(k)))
+    glob = monomials_on(jw_annihilators(n), [s - 1 for s in sites])
+    return np.tensordot(coeffs, np.array(glob), axes=1)
+
+
+def local_image(x, n, sites):
+    """Inverse of :func:`lift`; ``ValueError`` when ``x`` is not in ``A(sites)``."""
+    k = len(sites)
+    glob = monomials_on(jw_annihilators(n), [s - 1 for s in sites])
+    coeffs = _monomial_coefficients(x, glob)
+    resid = float(np.linalg.norm(x - np.tensordot(coeffs, np.array(glob), axes=1)))
+    if resid > 1e-10 * max(1.0, float(np.linalg.norm(x))):
+        raise ValueError(f"matrix not in the subalgebra of sites {sites} (residual {resid:.3e})")
+    return np.tensordot(coeffs, np.array(monomials_on(jw_annihilators(k), range(k))), axes=1)
+
+
+def parity(n, sites):
+    """Global parity unitary ``v = prod (a* a - a a*)`` of 1-based ``sites``."""
+    out = np.eye(2 ** n, dtype=complex)
+    for a in (jw_annihilators(n)[s - 1] for s in sites):
+        out = out @ (a.conj().T @ a - a @ a.conj().T)
+    return out
+
+
+def theta(x, n):
+    """The grading of a global ``2^n`` matrix: conjugation by the full parity."""
+    v = parity(n, range(1, n + 1))
+    return v @ x @ v
+
+
+def rep(state):
+    """Tracial representative ``W`` of a state on the full lattice (``phi = tau(W .)``)."""
+    scaled = state.density * 2 ** len(state.region)
+    return lift(scaled, state.ctx.n, state.region.sites)
+
+
+def value(state, x):
+    """The functional ``phi(x) = tau(W x)`` of a state for a global matrix ``x``."""
+    return complex(np.einsum("ij,ji->", rep(state), x) / 2 ** state.ctx.n)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from carentropy import (
     CapacityError,
@@ -19,13 +19,17 @@ from carentropy import (
 
 from carentropy.car_algebra import (
     _embed,
-    _local_image,
+    _local_context,
     _local_parity_diag,
     _reorder,
     _reorder_plan,
+    _trace_out,
 )
 
-from oracles import conditional_expectation_oracle, jw_annihilators
+import oracles
+from oracles import conditional_expectation_oracle, jw_annihilators, lift, local_image, monomials_on
+
+LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # image of a_i in A((i,))
 
 
 def anticommutator(x, y):
@@ -113,6 +117,14 @@ class TestBuildContext:
         for i in (1, 2, 3):
             assert np.array_equal(ctx3.creator(i), ctx3.annihilator(i).conj().T)
 
+    def test_creator_cached_read_only(self):
+        ctx = build_context(2)
+        ad = ctx.creator(2)
+        assert ctx.creator(2) is ad
+        assert ctx.generators[1][1] is ad
+        with pytest.raises(ValueError):
+            ad[0, 0] = 1.0
+
     def test_generators_property(self, ctx2):
         gens = ctx2.generators
         assert len(gens) == 2
@@ -120,6 +132,7 @@ class TestBuildContext:
 
 
 class TestParityUnitary:
+    # images are compared, through _embed, with the global Jordan-Wigner oracle
     def test_single_site_formula(self, ctx1):
         a = ctx1.annihilator(1)
         v = parity_unitary(ctx1, Region((1,)))
@@ -129,102 +142,138 @@ class TestParityUnitary:
     @pytest.mark.parametrize("sites", [(1,), (2,), (1, 2), (1, 3), (1, 2, 3)])
     def test_selfadjoint_unitary(self, ctx3, sites):
         v = parity_unitary(ctx3, Region(sites)).matrix
+        d = 2 ** len(sites)
+        assert v.shape == (d, d)
         assert np.abs(v - v.conj().T).max() <= 1e-12
-        assert np.abs(v @ v - np.eye(8)).max() <= 1e-12
+        assert np.abs(v @ v - np.eye(d)).max() <= 1e-12
+        glob = _embed(v, sites, ctx3.lattice.sites)
+        assert np.abs(glob - oracles.parity(3, sites)).max() <= 1e-12
 
     def test_conjugation_flips_inside_fixes_outside(self, ctx2):
-        v = parity_unitary(ctx2, Region((1,))).matrix
-        a1, a2 = ctx2.annihilator(1), ctx2.annihilator(2)
+        v = _embed(parity_unitary(ctx2, Region((1,))).matrix, (1,), ctx2.lattice.sites)
+        a1, a2 = jw_annihilators(2)
         assert np.abs(v @ a1 @ v + a1).max() <= 1e-12
         assert np.abs(v @ a2 @ v - a2).max() <= 1e-12
 
     def test_implements_grading_on_own_region(self, ctx3):
         region = Region((1, 3))
         v = parity_unitary(ctx3, region).matrix
-        for elem in monomial_basis(ctx3, region):
-            conj = v @ elem.matrix @ v
-            assert np.abs(conj - theta(ctx3, elem).matrix).max() <= 1e-12
+        glob = monomials_on(jw_annihilators(3), [0, 2])
+        for elem, oracle in zip(monomial_basis(ctx3, region), glob):
+            graded = theta(ctx3, elem).matrix
+            assert np.abs(v @ elem.matrix @ v - graded).max() <= 1e-12
+            lifted = _embed(graded, region.sites, ctx3.lattice.sites)
+            assert np.abs(lifted - oracles.theta(oracle, 3)).max() <= 1e-12
 
     def test_empty_region_flagged(self, ctx2):
+        # the parity unitary of the empty region is the identity of A(()) = C
         v = parity_unitary(ctx2, Region(()))
-        assert np.array_equal(v.matrix, np.eye(4))
-        assert v.note is not None
+        assert v.region == Region(())
+        assert np.array_equal(v.matrix, np.eye(1))
 
     def test_lies_in_even_part(self, ctx3):
-        v = parity_unitary(ctx3, Region((1, 2))).matrix
+        v = parity_unitary(ctx3, Region((1, 2)))
         even, odd = grade_split(ctx3, v)
-        assert np.abs(odd).max() <= 1e-12
+        assert np.abs(odd.matrix).max() <= 1e-12
+        assert np.abs(even.matrix - v.matrix).max() <= 1e-12
+
+
+def whole(ctx, m):
+    """An element of A(lattice): its image is the global matrix itself."""
+    return OperatorElement(ctx.lattice, m)
 
 
 class TestTheta:
     def test_negates_generators(self, ctx3):
+        oracle = jw_annihilators(3)
         for i in (1, 2, 3):
-            a = ctx3.annihilator(i)
-            assert np.abs(theta(ctx3, a) + a).max() <= 1e-12
-            assert np.abs(theta(ctx3, a.conj().T) + a.conj().T).max() <= 1e-12
+            for g in (LOWER, LOWER.conj().T):
+                out = theta(ctx3, OperatorElement(Region((i,)), g))
+                assert np.abs(out.matrix + g).max() <= 1e-12
+                glob = oracle[i - 1] if g is LOWER else oracle[i - 1].conj().T
+                lifted = _embed(out.matrix, (i,), ctx3.lattice.sites)
+                assert np.abs(lifted + glob).max() <= 1e-12
+                assert np.abs(lifted - oracles.theta(glob, 3)).max() <= 1e-12
 
     def test_fixes_even_monomial(self, ctx2):
         x = ctx2.creator(1) @ ctx2.annihilator(2)
-        assert np.abs(theta(ctx2, x) - x).max() <= 1e-12
+        assert np.abs(theta(ctx2, whole(ctx2, x)).matrix - x).max() <= 1e-12
 
     def test_involution_on_random(self, ctx3):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        assert np.abs(theta(ctx3, theta(ctx3, x)) - x).max() <= 1e-12
+        x = whole(ctx3, rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        assert np.abs(theta(ctx3, theta(ctx3, x)).matrix - x.matrix).max() <= 1e-12
 
     def test_is_automorphism(self, ctx3):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         y = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        assert np.abs(theta(ctx3, x @ y) - theta(ctx3, x) @ theta(ctx3, y)).max() <= 1e-10
+        lhs = theta(ctx3, whole(ctx3, x @ y)).matrix
+        rhs = theta(ctx3, whole(ctx3, x)).matrix @ theta(ctx3, whole(ctx3, y)).matrix
+        assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_preserves_region_of_element(self, ctx3):
-        elem = OperatorElement(ctx3.annihilator(2), Region((2,)))
+        elem = OperatorElement(Region((2,)), LOWER)
         assert theta(ctx3, elem).region == Region((2,))
+
+    def test_image_shape_checked(self):
+        with pytest.raises(ValueError):
+            OperatorElement(Region((2,)), np.eye(4))
 
 
 class TestGradeSplit:
     def test_even_input(self, ctx2):
         x = ctx2.creator(1) @ ctx2.annihilator(1)
-        even, odd = grade_split(ctx2, x)
-        assert np.abs(even - x).max() <= 1e-12
-        assert np.abs(odd).max() <= 1e-12
+        even, odd = grade_split(ctx2, whole(ctx2, x))
+        assert np.abs(even.matrix - x).max() <= 1e-12
+        assert np.abs(odd.matrix).max() <= 1e-12
 
     def test_odd_input(self, ctx2):
         a = ctx2.annihilator(1)
-        even, odd = grade_split(ctx2, a)
-        assert np.abs(even).max() <= 1e-12
-        assert np.abs(odd - a).max() <= 1e-12
+        even, odd = grade_split(ctx2, whole(ctx2, a))
+        assert np.abs(even.matrix).max() <= 1e-12
+        assert np.abs(odd.matrix - a).max() <= 1e-12
 
     def test_linearity_mixed_input(self, ctx2):
         a = ctx2.annihilator(1)
         num = ctx2.creator(1) @ a
-        even, odd = grade_split(ctx2, a + num)
-        assert np.abs(even - num).max() <= 1e-12
-        assert np.abs(odd - a).max() <= 1e-12
+        even, odd = grade_split(ctx2, whole(ctx2, a + num))
+        assert np.abs(even.matrix - num).max() <= 1e-12
+        assert np.abs(odd.matrix - a).max() <= 1e-12
 
     def test_parts_have_definite_parity(self, ctx3):
+        # on a non-contiguous region, against the global grading
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        region = Region((1, 3))
+        x = OperatorElement(region, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         even, odd = grade_split(ctx3, x)
-        assert np.abs(theta(ctx3, even) - even).max() <= 1e-12
-        assert np.abs(theta(ctx3, odd) + odd).max() <= 1e-12
-        assert np.abs(even + odd - x).max() <= 1e-12
+        assert np.abs(theta(ctx3, even).matrix - even.matrix).max() <= 1e-12
+        assert np.abs(theta(ctx3, odd).matrix + odd.matrix).max() <= 1e-12
+        assert np.abs(even.matrix + odd.matrix - x.matrix).max() <= 1e-12
+        glob = lift(x.matrix, 3, region.sites)
+        glob_even = (glob + oracles.theta(glob, 3)) / 2.0
+        lifted = _embed(even.matrix, region.sites, ctx3.lattice.sites)
+        assert np.abs(lifted - glob_even).max() <= 1e-12
 
 
 class TestMonomialBasis:
     def test_single_site_count(self, ctx2):
-        assert len(monomial_basis(ctx2, Region((1,)))) == 4
+        elems = monomial_basis(ctx2, Region((1,)))
+        assert len(elems) == 4
+        assert all(e.matrix.shape == (2, 2) for e in elems)
 
     @pytest.mark.parametrize("sites", [(1, 2), (1, 3), (2, 3)])
     def test_two_site_gram_diagonal(self, ctx3, sites):
         elems = monomial_basis(ctx3, Region(sites))
         assert len(elems) == 16
         flat = np.stack([e.matrix.ravel() for e in elems])
-        gram = flat.conj() @ flat.T / 8
+        gram = flat.conj() @ flat.T / 4
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() <= 1e-12
         assert np.diag(gram).real.min() > 0
+        glob = monomials_on(jw_annihilators(3), [s - 1 for s in sites])
+        for e, oracle in zip(elems, glob):
+            assert np.abs(_embed(e.matrix, sites, ctx3.lattice.sites) - oracle).max() <= 1e-12
 
     @pytest.mark.parametrize("sites", [(1,), (1, 2), (1, 2, 3), (1, 3)])
     def test_parity_split_half_and_half(self, ctx3, sites):
@@ -232,17 +281,21 @@ class TestMonomialBasis:
         assert (b.parity == 1).sum() == (b.parity == -1).sum() == b.size // 2
 
     def test_membership_projection(self, ctx3):
-        b = ctx3.basis((1, 2))
-        rng = np.random.default_rng(2)
-        coeffs = rng.normal(size=b.size) + 1j * rng.normal(size=b.size)
-        inside = np.tensordot(coeffs, b.mats, axes=1)
         region = Region((1, 2))
-        assert np.linalg.norm(inside - conditional_expectation(ctx3, inside, region)) <= 1e-10
-        _local_image(ctx3, inside, region.sites)
-        outside = ctx3.annihilator(3)
-        assert np.linalg.norm(outside - conditional_expectation(ctx3, outside, region)) > 1e-3
+        elems = monomial_basis(ctx3, region)
+        rng = np.random.default_rng(2)
+        coeffs = rng.normal(size=len(elems)) + 1j * rng.normal(size=len(elems))
+        inside = OperatorElement(region, sum(c * e.matrix for c, e in zip(coeffs, elems)))
+        fixed = conditional_expectation(ctx3, inside, region)
+        assert np.linalg.norm(inside.matrix - fixed.matrix) <= 1e-10
+        glob = lift(inside.matrix, 3, region.sites)
+        assert np.abs(local_image(glob, 3, region.sites) - inside.matrix).max() <= 1e-10
+        outside = OperatorElement(Region((3,)), LOWER)
+        moved = _embed(conditional_expectation(ctx3, outside, region).matrix, region.sites,
+                       ctx3.lattice.sites)
+        assert np.linalg.norm(_embed(LOWER, (3,), ctx3.lattice.sites) - moved) > 1e-3
         with pytest.raises(ValueError):
-            _local_image(ctx3, outside, region.sites)
+            local_image(jw_annihilators(3)[2], 3, region.sites)
 
     def test_local_iso_roundtrip_and_products(self, ctx3):
         order = (3, 1)  # deliberately non-sorted order
@@ -251,21 +304,30 @@ class TestMonomialBasis:
         # monomials of a fresh 2-site lattice: site 3 maps to local site 1
         local = build_context(2).basis((1, 2))
         for glob, loc in zip(b.mats, local.mats):
-            assert np.abs(_local_image(ctx3, glob, order) - loc).max() <= 1e-12
+            assert np.abs(_trace_out(glob, ctx3.lattice.sites, order) / 2 - loc).max() <= 1e-12
+            assert np.abs(local_image(glob, 3, order) - loc).max() <= 1e-12
         rng = np.random.default_rng(3)
         c1 = rng.normal(size=b.size) + 1j * rng.normal(size=b.size)
         c2 = rng.normal(size=b.size) + 1j * rng.normal(size=b.size)
         x = np.tensordot(c1, b.mats, axes=1)
         y = np.tensordot(c2, b.mats, axes=1)
-        lx, ly = _local_image(ctx3, x, order), _local_image(ctx3, y, order)
+        lx, ly = local_image(x, 3, order), local_image(y, 3, order)
         assert np.abs(_embed(lx, order, ctx3.lattice.sites) - x).max() <= 1e-10
-        assert np.abs(_local_image(ctx3, x @ y, order) - lx @ ly).max() <= 1e-10
+        assert np.abs(_trace_out(x @ y, ctx3.lattice.sites, order) / 2 - lx @ ly).max() <= 1e-10
 
     def test_oversized_basis_rejected_before_allocating(self):
         ctx = build_context(12)
         with pytest.raises(CapacityError):
             monomial_basis(ctx, ctx.lattice)
-        assert not ctx._bases
+        assert not _local_context(12)._bases
+
+    def test_far_apart_sites_on_the_largest_lattice(self):
+        # 16 images of size 4 x 4, where the 2^12 global picture asked for 4 GiB
+        ctx = build_context(12)
+        elems = monomial_basis(ctx, Region((1, 12)))
+        assert len(elems) == 16
+        assert all(e.matrix.shape == (4, 4) for e in elems)
+        assert all(e.region == Region((1, 12)) for e in elems)
 
 
 class TestConditionalExpectation:
@@ -276,27 +338,37 @@ class TestConditionalExpectation:
             assert np.abs(out.matrix - elem.matrix).max() <= 1e-12
 
     def test_kills_orthogonal_odd_outsider(self, ctx3):
-        out = conditional_expectation(ctx3, ctx3.annihilator(1), Region((2,)))
-        assert np.abs(out).max() <= 1e-12
+        out = conditional_expectation(ctx3, OperatorElement(Region((1,)), LOWER), Region((2,)))
+        assert out.region == Region((2,))
+        assert np.abs(out.matrix).max() <= 1e-12
 
 
 @st.composite
 def expectation_cases(draw):
     n = draw(st.integers(1, 5))
+    source = sorted(draw(st.lists(st.integers(1, n), unique=True)))
     sites = sorted(draw(st.lists(st.integers(1, n), unique=True)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return n, sites, seed
+    return n, source, sites, seed
 
 
 @settings(max_examples=60, deadline=None)
 @given(expectation_cases())
+@example((3, [1, 3], [2, 3], 0))
+@example((4, [2], [1, 4], 1))
 def test_conditional_expectation_matches_projection_oracle(case):
-    n, sites, seed = case
+    # x in A(S) maps to A(R), R not necessarily inside S; the local result,
+    # lifted by _embed, must be the projection of the global oracle matrix
+    n, source, sites, seed = case
     ctx = build_context(n)
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(ctx.dim, ctx.dim)) + 1j * rng.normal(size=(ctx.dim, ctx.dim))
+    d = 2 ** len(source)
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = OperatorElement(Region(tuple(source)), x)
     got = conditional_expectation(ctx, x, Region(tuple(sites)))
-    assert np.abs(got - conditional_expectation_oracle(x, n, sites)).max() <= 1e-12
+    assert got.region == Region(tuple(sites))
+    want = conditional_expectation_oracle(lift(x.matrix, n, source), n, sites)
+    assert np.abs(_embed(got.matrix, tuple(sites), ctx.lattice.sites) - want).max() <= 1e-12
 
 
 class TestRelativeCommutant:
@@ -329,6 +401,13 @@ class TestRelativeCommutant:
             relative_commutant_check(ctx3, Region((1, 2)), Region((2,)))
         with pytest.raises(ValueError):
             relative_commutant_check(ctx3, Region(()), Region((2,)))
+
+    def test_far_apart_sites_on_the_largest_lattice(self):
+        # built on the 2-site lattice of A(1, 12); the 2^12 picture asked for 1 GiB
+        check = relative_commutant_check(build_context(12), Region((1,)), Region((12,)))
+        assert check.candidate_dim == check.expected_dim == 4
+        assert check.nullspace_dim == 4
+        assert check.ok
 
     @pytest.mark.parametrize(
         "I,J",

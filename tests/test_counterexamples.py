@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from carentropy import (
+    OperatorElement,
     Region,
     build_recipe,
     density_distance,
@@ -12,14 +13,15 @@ from carentropy import (
     is_even,
     joint_extension,
     mono_ssa_gap,
-    monomial_basis,
     odd_eigenvector_state,
     p_theta,
+    product_extension,
     random_state,
     restrict,
     ssa_gap,
     symmetrize,
     tracial_state,
+    triangle_gap,
     u1_for,
     vector_state,
     violation_demo,
@@ -28,7 +30,12 @@ from carentropy.car_algebra import _embed
 
 from oracles import (
     joint_extension_functional,
+    jw_annihilators,
+    local_image,
+    monomials_on,
+    parity,
     solve_density_from_functional,
+    value,
     vn_entropy,
 )
 
@@ -47,9 +54,9 @@ class TestOddEigenvectorState:
 
     def test_theta_image_is_partner_vector_state(self, ctx1):
         omega = odd_eigenvector_state(ctx1, Region((1,)))
-        v = ctx1.parity_matrix((1,))
+        v = parity(1, (1,))
         eta = np.array([1.0, 1.0]) / math.sqrt(2)
-        partner = vector_state(ctx1, Region((1,)), v[:2, :2] @ eta)
+        partner = vector_state(ctx1, Region((1,)), v @ eta)
         assert density_distance(omega.theta_image(), partner) <= 1e-12
 
     def test_two_site_region(self, ctx3):
@@ -57,20 +64,28 @@ class TestOddEigenvectorState:
         assert p_theta(omega) <= 1e-8
         assert entropy(omega) <= 1e-10
 
+    # a custom operator is passed as its image, read off the global oracle
     def test_custom_operator(self, ctx2):
-        a = ctx2.annihilator(2)
+        a = jw_annihilators(2)[1]
         op = 1j * (a - a.conj().T)  # odd, self-adjoint
-        omega = odd_eigenvector_state(ctx2, Region((2,)), op)
+        K = Region((2,))
+        omega = odd_eigenvector_state(ctx2, K, OperatorElement(K, local_image(op, 2, K.sites)))
         assert p_theta(omega) <= 1e-8
+        with pytest.raises(ValueError):  # the operator must live on K
+            odd_eigenvector_state(ctx2, Region((1,)), OperatorElement(K, local_image(op, 2, (2,))))
 
     def test_even_operator_rejected(self, ctx2):
-        num = ctx2.creator(1) @ ctx2.annihilator(1)
+        a = jw_annihilators(2)[0]
+        K = Region((1,))
+        num = OperatorElement(K, local_image(a.conj().T @ a, 2, K.sites))
         with pytest.raises(ValueError):
-            odd_eigenvector_state(ctx2, Region((1,)), num)
+            odd_eigenvector_state(ctx2, K, num)
 
     def test_non_selfadjoint_rejected(self, ctx2):
+        K = Region((1,))
+        a = OperatorElement(K, local_image(jw_annihilators(2)[0], 2, K.sites))
         with pytest.raises(ValueError):
-            odd_eigenvector_state(ctx2, Region((1,)), ctx2.annihilator(1))
+            odd_eigenvector_state(ctx2, K, a)
 
 
 class TestSymmetrize:
@@ -106,11 +121,12 @@ class TestU1:
     def test_flips_region_generators(self, ctx3):
         K = Region((1, 3))
         u1 = _embed(u1_for(odd_eigenvector_state(ctx3, K)), K.sites, ctx3.lattice.sites)
-        assert np.abs(u1 - ctx3.parity_matrix(K.sites)).max() <= 1e-12
+        assert np.abs(u1 - parity(3, K.sites)).max() <= 1e-12
+        ann = jw_annihilators(3)
         for k in K.sites:
-            a = ctx3.annihilator(k)
+            a = ann[k - 1]
             assert np.abs(u1 @ a @ u1 + a).max() <= 1e-12
-        b = ctx3.annihilator(2)
+        b = ann[1]
         assert np.abs(u1 @ b - b @ u1).max() <= 1e-12
 
     def test_expectation_vanishes_on_default_state(self, ctx2):
@@ -250,11 +266,12 @@ class TestJointExtension:
             values = joint_extension_functional(
                 p, q, defining_vector(recipe.rho1), defining_vector(recipe.rho2_tilde)
             )
-            bK = monomial_basis(ctx, K)
-            bI = monomial_basis(ctx, I)
+            ann = jw_annihilators(ctx.n)
+            bK = monomials_on(ann, [s - 1 for s in K.sites])
+            bI = monomials_on(ann, [s - 1 for s in I.sites])
             for al in range(4 ** p):
                 for be in range(4 ** q):
-                    mine = psi.value(bK[al].matrix @ bI[be].matrix)
+                    mine = value(psi, bK[al] @ bI[be])
                     assert abs(mine - values[al, be]) <= 1e-10, (K.sites, I.sites, al, be)
 
             oracle_density = solve_density_from_functional(values, p, q)
@@ -293,6 +310,29 @@ class TestViolationDemo:
         monkeypatch.setattr(module, "_validate_recipe", counting)
         violation_demo(ctx3, Region((2,)), Region((1,)), Region((3,)))
         assert len(calls) == 1
+
+    def test_each_region_restricted_once(self, ctx5, monkeypatch):
+        import carentropy.counterexamples as module
+        import carentropy.inequalities as inequalities
+
+        calls = []
+
+        def counting(state, region):
+            calls.append(region.sites)
+            return restrict(state, region)
+
+        monkeypatch.setattr(inequalities, "restrict", counting)
+        monkeypatch.setattr(module, "restrict", counting)
+        K, I, J = Region((2, 4)), Region((1,)), Region((3, 5))
+        rhoJ = random_state(ctx5, J, even=True, seed=4)
+        report = violation_demo(ctx5, K, I, J, rhoJ=rhoJ)
+        # six entropies, then the three marginals of the residuals
+        assert sorted(calls) == sorted(list(report.regions.values()) + [K.sites, I.sites, J.sites])
+        monkeypatch.undo()
+        full = product_extension(joint_extension(report.recipe), rhoJ)
+        assert report.mono_ssa_gap.hex() == mono_ssa_gap(full, I, J, K).hex()
+        assert report.triangle_gap.hex() == triangle_gap(full, I, K).hex()
+        assert report.ssa_gap.hex() == ssa_gap(full, K.union(I), K.union(J)).hex()
 
     def test_two_site_partner_region(self, ctx4):
         report = violation_demo(ctx4, Region((2,)), Region((1,)), Region((3, 4)))

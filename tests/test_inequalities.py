@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carentropy import (
+    OperatorElement,
     Region,
     build_context,
     classify_gap,
@@ -13,6 +14,7 @@ from carentropy import (
     inequality_report,
     mixing_bounds_check,
     mono_ssa_gap,
+    monomial_basis,
     monotonicity_curve,
     odd_eigenvector_state,
     random_state,
@@ -24,6 +26,9 @@ from carentropy import (
 )
 
 import carentropy.inequalities as inequalities
+from carentropy.car_algebra import _embed
+
+from oracles import jw_annihilators, monomials_on, rep
 
 LN2 = math.log(2.0)
 
@@ -44,7 +49,7 @@ class TestSsaGap:
         a = random_state(ctx2, Region((1,)), rank=1, seed=1)
         ext = state_from_tau_form(
             ctx2, Region((1, 2)),
-            (a.rep @ random_state(ctx2, Region((2,)), even=True, rank=1, seed=2).rep),
+            (rep(a) @ rep(random_state(ctx2, Region((2,)), even=True, rank=1, seed=2))),
         )
         assert abs(ssa_gap(ext, Region((1,)), Region((2,)))) <= 1e-9
 
@@ -68,7 +73,7 @@ class TestTriangleGap:
     def test_product_of_pure_states_zero(self, ctx2):
         up = vector_state(ctx2, Region((1,)), np.array([1.0, 0.0]))
         even_pure = random_state(ctx2, Region((2,)), even=True, rank=1, seed=3)
-        ext = state_from_tau_form(ctx2, Region((1, 2)), up.rep @ even_pure.rep)
+        ext = state_from_tau_form(ctx2, Region((1, 2)), rep(up) @ rep(even_pure))
         assert abs(triangle_gap(ext, Region((1,)), Region((2,)))) <= 1e-9
 
 
@@ -179,16 +184,22 @@ class TestCommutingSquare:
         assert report.ok
         # an odd element of the union is traceless, so the expectation onto
         # the trivial intersection sends it to zero
-        x = ctx3.annihilator(1)
+        x = OperatorElement(Region((1,)), np.array([[0.0, 1.0], [0.0, 0.0]]))
         e = conditional_expectation(ctx3, x, Region(()))
-        assert np.abs(e).max() <= 1e-12
+        assert e.matrix.shape == (1, 1)
+        assert np.abs(e.matrix).max() <= 1e-12
 
     def test_elements_of_intersection_fixed(self, ctx3):
+        # E onto a larger region leaves an element of the intersection as it
+        # is: its image there, lifted by _embed, is the global oracle matrix
         inter = Region((2,))
-        b = ctx3.basis(inter.sites)
-        for mat in b.mats:
+        for elem, glob in zip(monomial_basis(ctx3, inter), monomials_on(jw_annihilators(3), [1])):
             for outer in (Region((1, 2)), Region((2, 3))):
-                assert np.abs(conditional_expectation(ctx3, mat, outer) - mat).max() <= 1e-12
+                out = conditional_expectation(ctx3, elem, outer)
+                lifted = _embed(out.matrix, outer.sites, ctx3.lattice.sites)
+                assert np.abs(lifted - glob).max() <= 1e-12
+                back = conditional_expectation(ctx3, out, inter)
+                assert np.abs(back.matrix - elem.matrix).max() <= 1e-12
 
 
 class TestVerdicts:

@@ -11,6 +11,7 @@ from carentropy import (
     density_distance,
     entropy,
     is_even,
+    parity_unitary,
     pure_extension,
     random_state,
     restrict,
@@ -132,7 +133,7 @@ class TestSymmetricPurification:
         # purification commutes with the union parity unitary.
         rho = random_state(ctx2, Region((1,)), even=True, seed=11)
         ext = symmetric_purification(rho, Region((2,)))
-        v = ctx2.parity_matrix((1, 2))
+        v = parity_unitary(ctx2, Region((1, 2))).matrix
         d = ext.intrinsic()
         assert np.abs(v @ d @ v - d).max() <= 1e-10
 

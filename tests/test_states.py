@@ -31,7 +31,16 @@ from carentropy.counterexamples import odd_eigenvector_state
 from carentropy.states import _haar_unitary
 from carentropy.tolerances import EVEN_TOL
 
-from oracles import partial_trace, restriction_oracle, vn_entropy
+import oracles
+from oracles import (
+    jw_annihilators,
+    monomials_on,
+    partial_trace,
+    rep,
+    restriction_oracle,
+    value,
+    vn_entropy,
+)
 
 LN2 = math.log(2.0)
 
@@ -70,19 +79,24 @@ class TestEntropy:
 class TestNormalizationConvention:
     def test_tau_form_and_intrinsic_roundtrip(self, ctx3):
         s = random_state(ctx3, Region((1, 3)), seed=5)
-        back = state_from_intrinsic(ctx3, Region((1, 3)), s.intrinsic())
-        assert np.abs(back.rep - s.rep).max() <= 1e-10
+        back = state_from_tau_form(ctx3, Region((1, 3)), 4 * s.intrinsic())
+        assert np.abs(back.density - s.intrinsic()).max() <= 1e-12
+        assert np.abs(rep(back) - rep(s)).max() <= 1e-10
+        # W of the whole lattice is the global oracle representative itself
+        full = random_state(ctx3, ctx3.lattice, seed=5)
+        again = state_from_tau_form(ctx3, ctx3.lattice, rep(full))
+        assert density_distance(again, full) <= 1e-10
 
     def test_identity_functional_is_one(self, ctx3):
         s = random_state(ctx3, Region((2,)), seed=6)
-        assert abs(s.value(np.eye(8)) - 1.0) <= 1e-12
+        assert abs(value(s, np.eye(8)) - 1.0) <= 1e-12
 
     def test_tau_form_validation(self, ctx2):
         with pytest.raises(NotAStateError):
-            state_from_tau_form(ctx2, Region((1,)), 2.0 * np.eye(4))
-        correlated = np.diag([2.0, 0.0, 0.0, 2.0])  # not of the form x (x) 1
+            state_from_tau_form(ctx2, Region((1,)), 2.0 * np.eye(2))
+        # W is the 2^|R| image: a 2^n matrix for a one-site region is refused
         with pytest.raises(ValueError):
-            state_from_tau_form(ctx2, Region((1,)), correlated)
+            state_from_tau_form(ctx2, Region((1,)), np.diag([2.0, 0.0, 0.0, 2.0]))
 
 
 class TestRestrict:
@@ -109,13 +123,17 @@ class TestRestrict:
         s = random_state(ctx3, Region((1, 2, 3)), seed=9)
         one_step = restrict(s, Region((1,)))
         two_step = restrict(restrict(s, Region((1, 2))), Region((1,)))
-        assert np.abs(one_step.rep - two_step.rep).max() <= 1e-10
+        assert np.abs(rep(one_step) - rep(two_step)).max() <= 1e-10
 
     def test_functional_agreement_on_subalgebra(self, ctx3):
         s = random_state(ctx3, Region((1, 2, 3)), seed=10)
         r = restrict(s, Region((2, 3)))
-        for elem in monomial_basis(ctx3, Region((2, 3))):
-            assert abs(s.value(elem) - r.value(elem)) <= 1e-10
+        for elem, glob in zip(
+            monomial_basis(ctx3, Region((2, 3))), monomials_on(jw_annihilators(3), [1, 2])
+        ):
+            assert abs(value(s, glob) - value(r, glob)) <= 1e-10
+            # phi(x) = Tr(D x) on the local image
+            assert abs(np.trace(r.intrinsic() @ elem.matrix) - value(r, glob)) <= 1e-10
 
     def test_restriction_of_even_state_is_even(self, ctx3):
         s = random_state(ctx3, Region((1, 2, 3)), even=True, seed=11)
@@ -169,7 +187,7 @@ class TestIsEven:
     def test_symmetrized_even(self, ctx2):
         s = random_state(ctx2, Region((1, 2)), seed=13)
         sym = state_from_tau_form(
-            ctx2, s.region, (s.rep + ctx2.theta_of(s.rep)) / 2.0
+            ctx2, ctx2.lattice, (rep(s) + oracles.theta(rep(s), 2)) / 2.0
         )
         assert is_even(sym)
 
@@ -294,7 +312,7 @@ class TestPTheta:
         region = Region((1,))
         omega = odd_eigenvector_state(ctx1, region)
         mix = state_from_tau_form(
-            ctx1, region, 0.5 * omega.rep + 0.5 * tracial_state(ctx1, region).rep
+            ctx1, region, 0.5 * rep(omega) + 0.5 * rep(tracial_state(ctx1, region))
         )
         value = p_theta(mix)
         assert 0.0 < value < 1.0
@@ -344,7 +362,7 @@ class TestRandomState:
     def test_deterministic(self, ctx2):
         a = random_state(ctx2, Region((1, 2)), seed=42)
         b = random_state(ctx2, Region((1, 2)), seed=42)
-        assert np.array_equal(a.rep, b.rep)
+        assert np.array_equal(a.density, b.density)
 
     def test_even_flag(self, ctx3):
         for seed in range(10):
@@ -388,13 +406,14 @@ class TestProductExtension:
         a = random_state(ctx3, Region((1, 2)), seed=32)
         b = random_state(ctx3, Region((3,)), even=True, seed=33)
         ext = product_extension(a, b)
-        basis_a = monomial_basis(ctx3, Region((1, 2)))
-        basis_b = monomial_basis(ctx3, Region((3,)))
+        ann = jw_annihilators(3)
+        basis_a = monomials_on(ann, [0, 1])
+        basis_b = monomials_on(ann, [2])
         for _ in range(200):
             ea = basis_a[rng.integers(len(basis_a))]
             eb = basis_b[rng.integers(len(basis_b))]
-            lhs = ext.value(ea.matrix @ eb.matrix)
-            rhs = a.value(ea) * b.value(eb)
+            lhs = value(ext, ea @ eb)
+            rhs = value(a, ea) * value(b, eb)
             assert abs(lhs - rhs) <= 1e-10
 
     def test_factor_order_irrelevant(self, ctx3):
