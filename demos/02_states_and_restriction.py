@@ -1,9 +1,10 @@
 """States, entropy, restriction, fidelity and the oddness quantifier.
 
-A state of a region subalgebra is stored as its region-intrinsic density
-matrix, which drives every spectral quantity.  Restriction is the
-trace-compatible conditional expectation: a fermionic reorder of the modes
-followed by the ordinary partial trace.
+A state of a region subalgebra is stored as a factor ``X`` of its
+region-intrinsic density matrix ``D = X X*``, which drives every spectral
+quantity.  Restriction is the trace-compatible conditional expectation: a
+fermionic reorder of the factor's rows, after which the traced-out modes
+join the columns.
 """
 
 import numpy as np

@@ -14,11 +14,12 @@ sites, contiguous or not) is held as its image under the isomorphism
 ``A(R) ~ M(2^|R|)`` that maps the generators of the sorted sites of ``R``
 onto the Jordan-Wigner generators of a fresh ``|R|``-site lattice: an
 :class:`OperatorElement` is ``(region, 2^|R| x 2^|R| image)``, just as a
-state is ``(region, 2^|R| x 2^|R| density)``.  A fermionic reorder of the
-modes (:func:`_reorder`) is the one implementation of that isomorphism:
-once a region is moved to the front of a larger one it is the leading
-tensor factor ``M(2^|R|) (x) 1``, and :func:`_trace_out` and :func:`_embed`
-map between the two sides.
+state is ``(region, factor X)`` of its ``2^|R| x 2^|R|`` density
+``X X*``.  A fermionic reorder of the modes (:func:`_reorder`, and
+:func:`_reorder_rows` for the rows of a factor) is the one implementation
+of that isomorphism: once a region is moved to the front of a larger one
+it is the leading tensor factor ``M(2^|R|) (x) 1``, and :func:`_trace_out`
+and :func:`_embed` map between the two sides.
 
 The module provides:
 
@@ -184,6 +185,19 @@ def _reorder(matrix: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> 
     signed = sign[:, None] * matrix
     signed *= sign
     return signed.reshape((2,) * (2 * k)).transpose(axes).reshape(2 ** k, 2 ** k)
+
+
+def _reorder_rows(factor: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
+    """The one-sided :func:`_reorder` of a factor ``X`` of ``D = X X*``.
+
+    The rows go through the sign and the axis permutation; the columns (the
+    ancilla) are untouched, so ``_reorder(D, src, dst)`` is ``Y Y*`` for the
+    result ``Y``.
+    """
+    sign, axes = _reorder_plan(src, dst)
+    k = len(src)
+    signed = sign[:, None] * factor
+    return signed.reshape((2,) * k + (-1,)).transpose(axes[:k] + (k,)).reshape(2 ** k, -1)
 
 
 def _trace_out(matrix: np.ndarray, outer: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:

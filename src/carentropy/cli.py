@@ -39,7 +39,7 @@ from .tolerances import HOLD_TOL
 __all__ = ["main", "RunConfig", "cmd_verify", "cmd_counterexample", "cmd_table1"]
 
 SUITES = ("ssa", "triangle", "mono-ssa", "all")
-MAX_TRIANGLE_MAGNITUDE = 3.0 * math.log(2.0)
+MAX_VIOLATION_MAGNITUDE = 2.0 * math.log(2.0)  # proved for every state: see carentropy.inequalities
 
 
 @dataclass(frozen=True)
@@ -175,24 +175,22 @@ def _verify_trial(ctx, config: RunConfig, index: int, child) -> dict:
 
 
 def _unexpected_violations(config: RunConfig, rows: list[dict]) -> list[str]:
-    """SSA must never fail; even-state suites must never fail; the triangle
-    violation magnitude is bounded by 3 ln 2 for any state."""
+    """SSA must never fail; even-state suites must never fail; no state
+    violates the triangle or MONO-SSA inequality by more than 2 ln 2."""
     problems = []
     for row in rows:
         if row["ssa_verdict"] == "violated":
             problems.append(f"trial {row['trial']}: ssa violated ({row['ssa_gap']:.3e})")
-        if config.even:
-            for kind in ("triangle", "mono_ssa"):
-                if row[f"{kind}_verdict"] == "violated":
-                    problems.append(
-                        f"trial {row['trial']}: {kind} violated for an even state "
-                        f"({row[f'{kind}_gap']:.3e})"
-                    )
-        gap = row["triangle_gap"]
-        if gap is not None and -gap > MAX_TRIANGLE_MAGNITUDE + HOLD_TOL:
-            problems.append(
-                f"trial {row['trial']}: triangle violation exceeds 3 ln 2 ({gap:.3e})"
-            )
+        for kind in ("triangle", "mono_ssa"):
+            gap = row[f"{kind}_gap"]
+            if config.even and row[f"{kind}_verdict"] == "violated":
+                problems.append(
+                    f"trial {row['trial']}: {kind} violated for an even state ({gap:.3e})"
+                )
+            if gap is not None and -gap > MAX_VIOLATION_MAGNITUDE + HOLD_TOL:
+                problems.append(
+                    f"trial {row['trial']}: {kind} violation exceeds 2 ln 2 ({gap:.3e})"
+                )
     return problems
 
 

@@ -38,6 +38,7 @@ subadditivity still holds on the same state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ from .car_algebra import (
     Region,
     _local_context,
     _local_parity_diag,
-    _reorder,
+    _reorder_rows,
     parity_unitary,
     theta,
 )
@@ -63,6 +64,7 @@ from .inequalities import (
 )
 from .states import (
     State,
+    _psd_factor,
     density_distance,
     entropy,
     is_even,
@@ -132,9 +134,12 @@ def odd_eigenvector_state(
 
 
 def symmetrize(state: State) -> State:
-    """Grading-symmetrized average ``(phi + phi o Theta) / 2``; always even."""
-    density = (state.density + state.theta_image().density) / 2.0
-    return State(state.ctx, state.region, density)
+    """Grading-symmetrized average ``(phi + phi o Theta) / 2``; always even.
+
+    Its factor stacks the two factors' columns, each scaled by ``1/sqrt(2)``.
+    """
+    factor = np.hstack([state.factor, state.theta_image().factor]) / math.sqrt(2.0)
+    return State(state.ctx, state.region, factor)
 
 
 def u1_for(rho1: State) -> np.ndarray:
@@ -263,22 +268,23 @@ def joint_extension(recipe: ExtensionRecipe) -> State:
     parity image yields a *different* extension with the same marginals.
     In K-first mode order the density is
     ``D1 (x) (even(D2) + t (-1)^|K| odd(D2~))`` with ``t = tau(v_K u1)``,
-    which is 1 for the ``u1 = v_K`` of :func:`u1_for`.
+    which is 1 for the ``u1 = v_K`` of :func:`u1_for`.  Its factor is
+    ``X1 (x) F2`` with ``F2`` from one ``eigh`` of the ``2^|I|`` second
+    factor; ``D1`` is pure, so that small matrix carries the positivity
+    check.
     """
     ctx = recipe.rho1.ctx
     # u1 v_K commutes with A(K), so rho1(A1 u1) = tau(v_K u1) rho1(A1 v_K)
     t = _validate_recipe(ctx, recipe)
     K, I = recipe.K, recipe.I
-    odd_part = (recipe.rho2_tilde.density - recipe.rho2_tilde.theta_image().density) / 2.0
-    second = recipe.rho2.density + t * (-1) ** len(K) * odd_part
-
-    region = K.union(I)
-    density = _reorder(np.kron(recipe.rho1.density, second), K.sites + I.sites, region.sites)
-    state = State(ctx, region, density)
-    lam_min = float(np.linalg.eigvalsh(state.intrinsic()).min())
+    tilde = recipe.rho2_tilde
+    odd_part = (tilde.intrinsic() - tilde.theta_image().intrinsic()) / 2.0
+    lam_min, second = _psd_factor(recipe.rho2.intrinsic() + t * (-1) ** len(K) * odd_part)
     if lam_min < -EXTENSION_NEGATIVE_TOL:
         raise ExtensionError(f"reconstructed density is not positive (min eig {lam_min:.3e})")
-    return state
+    region = K.union(I)
+    factor = _reorder_rows(np.kron(recipe.rho1.factor, second), K.sites + I.sites, region.sites)
+    return State(ctx, region, factor)
 
 
 def violation_demo(

@@ -16,6 +16,23 @@ Both of the latter hold for every even state and can fail for noneven
 states; entropy over the empty region is 0 (the trivial subalgebra has a
 unique state).
 
+No state violates either of them by more than ``2 ln 2``.  The average
+``phi_bar = (phi + phi o Theta) / 2`` is even.  On every ``A(R)`` the
+grading ``Theta`` is conjugation by ``v_R``, so ``S(phi_R o Theta) =
+S(phi_R)``, and concavity together with the mixing bound (both checked by
+:func:`mixing_bounds_check`) give
+
+    S(phi_R) <= S(phi_bar_R) <= S(phi_R) + ln 2.
+
+The even-state theorem applied to ``phi_bar`` then gives
+
+    S(phi_IJ) >= S(phi_bar_IJ) - ln 2 >= |S(phi_bar_I) - S(phi_bar_J)| - ln 2
+              >= |S(phi_I) - S(phi_J)| - 2 ln 2,
+    mono_ssa_gap(phi) >= mono_ssa_gap(phi_bar) - 2 ln 2 >= -2 ln 2.
+
+The ``verify`` command of :mod:`carentropy.cli` flags any trial beyond
+that bound as an unexpected violation.
+
 Verdicts separate float noise from genuine violations: a gap on the good
 side of ``-1e-9`` "holds", one below ``-1e-6`` is "violated", the band in
 between is "indeterminate" (constructed violations are O(ln 2), far from
@@ -24,6 +41,7 @@ the band); the band lives in :mod:`carentropy.tolerances`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -162,7 +180,8 @@ def mixing_bounds_check(phi: State, psi: State, lam: float) -> MixingBoundsRepor
         raise ValueError("mixing requires a common region")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
-    mixture = State(phi.ctx, phi.region, lam * phi.density + (1.0 - lam) * psi.density)
+    stacked = np.hstack([math.sqrt(lam) * phi.factor, math.sqrt(1.0 - lam) * psi.factor])
+    mixture = State(phi.ctx, phi.region, stacked)
     s_mix = entropy(mixture)
     avg = lam * entropy(phi) + (1.0 - lam) * entropy(psi)
     h = 0.0
@@ -226,7 +245,7 @@ def commuting_square_check(
     s_resid = 0.0
     for mid in (I, J):
         two_step = restrict(restrict(state, mid), inter)
-        s_resid = max(s_resid, float(np.abs(two_step.density - s_target.density).max()))
+        s_resid = max(s_resid, float(np.abs(two_step.intrinsic() - s_target.intrinsic()).max()))
 
     return CommutingSquareReport(
         I=I, J=J, trials=trials, operator_residual=worst, state_residual=s_resid

@@ -5,9 +5,10 @@ relative commutant: for disjoint ``I`` and ``J`` the union subalgebra
 factorizes as ``A(I u J) = A(I) (x) (A(I)' n A(I u J))``.  Numerically the
 purifying vector is built in *I-first* mode order, where ``A(I)`` is the
 leading factor ``M(2^|I|) (x) 1`` and the commutant is ``1 (x) M(2^|J|)``,
-and its density is then reordered to the sorted sites of ``I u J``.  In
-that picture both region parity unitaries are diagonal, so parity-definite
-eigenbases are available by construction.
+and the vector, the one-column factor of the pure state, is then reordered
+to the sorted sites of ``I u J``.  In that picture both region parity
+unitaries are diagonal, so parity-definite eigenbases are available by
+construction.
 
 ``pure_extension`` pairs the eigenvectors of the input density with an
 arbitrary orthonormal family in the commutant factor.  For an *even* input
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import Region, _local_parity_diag, _reorder
+from .car_algebra import Region, _local_parity_diag, _reorder_rows
 from .errors import CapacityError
 from .states import State, is_even
 from .tolerances import EIG_FLOOR, NORM_TOL, SCHMIDT_TOL
@@ -87,18 +88,18 @@ def _eig_descending(density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assemble(rho1: State, J: Region, pairs) -> State:
-    """Build the vector state from (weight, left vector, partner index) pairs."""
+    """Build the vector state from (weight, left vector, partner index) pairs.
+
+    In I-first order the vector, read as a ``2^|I| x 2^|J|`` matrix, holds
+    ``sqrt(weight) left`` in the partner's column.
+    """
     I = rho1.region
-    d1, d2 = 2 ** len(I), 2 ** len(J)
-    xi = np.zeros(d1 * d2, dtype=complex)
+    xi = np.zeros((2 ** len(I), 2 ** len(J)), dtype=complex)
     for lam, left, partner in pairs:
-        e = np.zeros(d2, dtype=complex)
-        e[partner] = 1.0
-        xi += np.sqrt(lam) * np.kron(left, e)
-    xi = _phase_fixed(xi / np.linalg.norm(xi))
+        xi[:, partner] = np.sqrt(lam) * left
+    xi = _phase_fixed(xi.ravel() / np.linalg.norm(xi))
     region = I.union(J)
-    density = _reorder(np.outer(xi, xi.conj()), I.sites + J.sites, region.sites)
-    return State(rho1.ctx, region, density)
+    return State(rho1.ctx, region, _reorder_rows(xi[:, None], I.sites + J.sites, region.sites))
 
 
 def pure_extension(rho1: State, J: Region) -> State:

@@ -1,14 +1,19 @@
-"""States of CAR region subalgebras as density matrices.
+"""States of CAR region subalgebras, held as factors of their densities.
 
 Normalization convention
 ------------------------
-A state ``phi`` on the region subalgebra ``A(R)`` is stored as its
-*region-intrinsic density*: the ordinary trace-one ``2^|R| x 2^|R|``
-density matrix of the state under the isomorphism ``A(R) ~ M(2^|R|)`` that
-maps the generators of the sorted sites of ``R`` onto the Jordan-Wigner
-generators of a fresh ``|R|``-site lattice.  All spectra, entropies and
-fidelities are those of this density.  Logarithms are natural, so entropies
-are in nats and the tracial state on ``|R|`` sites has entropy ``|R| ln 2``.
+A state ``phi`` on the region subalgebra ``A(R)`` is stored as a *factor*
+``X`` (``2^|R| x m``) of its *region-intrinsic density* ``D = X X*``: the
+ordinary trace-one ``2^|R| x 2^|R|`` density matrix of the state under the
+isomorphism ``A(R) ~ M(2^|R|)`` that maps the generators of the sorted
+sites of ``R`` onto the Jordan-Wigner generators of a fresh ``|R|``-site
+lattice.  ``X`` is a purification of ``D`` with an ``m``-dimensional
+ancilla: the vector ``sum_j X[:, j] (x) e_j``.  Any factor of the same
+``D`` describes the same state; :meth:`State.intrinsic` is the one density
+view, formed only where a density is printed or compared.  All spectra,
+entropies and fidelities are those of ``D``.  Logarithms are natural, so
+entropies are in nats and the tracial state on ``|R|`` sites has entropy
+``|R| ln 2``.
 
 A state and an operator of ``A(R)`` share that picture: an
 :class:`~carentropy.car_algebra.OperatorElement` holds the ``2^|R|`` image
@@ -16,18 +21,19 @@ of an element, and ``phi(x) = Tr(D x)`` for the image ``x``.  The
 *tracial representative* ``W = 2^|R| D`` (``phi(x) = tau(W x)`` with
 ``tau`` the normalized trace of ``M(2^|R|)``, ``W = 1`` for the tracial
 state) is another scaling of the same image (:func:`state_from_tau_form`).
-No state path builds a ``2^n x 2^n`` matrix unless ``R`` is the whole
-lattice.
+No state path builds a ``2^n x 2^n`` matrix.
 
-Every change of region goes through one primitive,
-:func:`carentropy.car_algebra._reorder`, which re-expresses a local density
-in another order of its modes: a diagonal ``+-1`` sign,
-``(-1)^(crossed occupied pairs)``, followed by an axis transpose (the
-fermionic swap).  Once ``R`` is moved to the front, the restriction to
-``A(R)`` is the ordinary partial trace over the trailing modes
-(:func:`carentropy.car_algebra._trace_out`), and a product extension is a
-Kronecker product.  Eigenvalues below ``1e-12`` are clamped to zero before
-logarithms, while anything below ``-1e-8`` raises :class:`NotAStateError`.
+Every change of region goes through the fermionic reorder of
+:func:`carentropy.car_algebra._reorder_plan` (a ``+-1`` sign per basis
+state, ``(-1)^(crossed occupied pairs)``, then a permutation of the tensor
+axes), applied to the rows of ``X`` only.  Once ``R`` is moved to the
+front, the restriction to ``A(R)`` is the same rows regrouped as
+``2^|R| x (2^|rest| m)``: the traced-out modes join the ancilla, so no
+partial trace is taken.  A spectrum is that of the smaller of the Grams
+``X X*`` and ``X* X``, which share their nonzero eigenvalues.  Eigenvalues
+below ``1e-12`` are round-off zeros: they are clamped before logarithms and
+dropped from a factor built from a density, while a density with an
+eigenvalue below ``-1e-8`` raises :class:`NotAStateError`.
 """
 
 from __future__ import annotations
@@ -37,14 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import (
-    AlgebraContext,
-    Region,
-    _local_parity_diag,
-    _reorder,
-    _theta_image,
-    _trace_out,
-)
+from .car_algebra import AlgebraContext, Region, _local_parity_diag, _reorder_rows
 from .errors import ExtensionError, NotAStateError
 from .tolerances import (
     CLUSTER_TOL,
@@ -75,42 +74,46 @@ __all__ = [
     "density_distance",
 ]
 
+_CHUNK = 2 ** 16  # entries per piece when drawing normals or forming the odd block of is_even
+
 
 def _hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def _sqrt_psd(x: np.ndarray) -> np.ndarray:
-    lam, u = np.linalg.eigh(_hermitize(x))
-    lam = np.clip(lam, 0.0, None)
-    return _hermitize((u * np.sqrt(lam)) @ u.conj().T)
+def _psd_factor(density: np.ndarray) -> tuple[float, np.ndarray]:
+    """The smallest eigenvalue of a Hermitian matrix and ``V sqrt(lam)`` over
+    its eigenpairs above ``EIG_FLOOR``, a factor of its positive part."""
+    lam, v = np.linalg.eigh(density)
+    keep = lam > EIG_FLOOR
+    return float(lam[0]), v[:, keep] * np.sqrt(lam[keep])
 
 
-def _clamped_spectrum(density: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a density the caller has already hermitized, round-off zeros clamped."""
-    lam = np.linalg.eigvalsh(density)
-    if lam.min() < -NEGATIVE_EIG_TOL:
-        raise NotAStateError(f"density has negative eigenvalue {lam.min():.3e}")
-    lam = lam.copy()
+def _spectrum(factor: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``X X*`` from the smaller Gram, round-off zeros clamped."""
+    xh = factor.conj().T
+    lam = np.linalg.eigvalsh(xh @ factor if xh.shape[0] < factor.shape[0] else factor @ xh)
     lam[lam < EIG_FLOOR] = 0.0
     return lam
 
 
 @dataclass(frozen=True)
 class State:
-    """A state of ``A(region)``, stored as its region-intrinsic density."""
+    """A state of ``A(region)``, stored as a factor ``X`` of its region-intrinsic
+    density ``D = X X*`` (``2^|R|`` rows, any number of columns)."""
 
     ctx: AlgebraContext
     region: Region
-    density: np.ndarray
+    factor: np.ndarray
 
     def intrinsic(self) -> np.ndarray:
-        """Region-intrinsic trace-one density matrix (``2^|R| x 2^|R|``)."""
-        return _hermitize(self.density)
+        """Region-intrinsic trace-one density matrix ``X X*`` (``2^|R| x 2^|R|``)."""
+        return _hermitize(self.factor @ self.factor.conj().T)
 
     def theta_image(self) -> "State":
-        """The state ``phi o Theta``."""
-        return State(self.ctx, self.region, _theta_image(self.density))
+        """The state ``phi o Theta``: the parity-odd rows of ``X`` change sign."""
+        par = _local_parity_diag(len(self.region))
+        return State(self.ctx, self.region, par[:, None] * self.factor)
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,10 @@ def state_from_tau_form(ctx: AlgebraContext, region: Region, rep: np.ndarray) ->
 
 
 def state_from_intrinsic(ctx: AlgebraContext, region: Region, density: np.ndarray) -> State:
-    """Build a state from its region-intrinsic trace-one density matrix."""
+    """Build a state from its region-intrinsic trace-one density matrix.
+
+    One ``eigh`` both checks positivity and gives the factor ``V sqrt(lam)``.
+    """
     ctx.check_region(region)
     density = _hermitize(np.asarray(density, dtype=complex))
     d = 2 ** len(region)
@@ -140,15 +146,17 @@ def state_from_intrinsic(ctx: AlgebraContext, region: Region, density: np.ndarra
         raise ValueError(f"density must be {d}x{d} for region {region.sites}")
     if abs(np.trace(density).real - 1.0) > TRACE_TOL:
         raise NotAStateError(f"Tr(density) = {np.trace(density).real:.12f}, expected 1")
-    _clamped_spectrum(density)
-    return State(ctx, region, density)
+    lam_min, factor = _psd_factor(density)
+    if lam_min < -NEGATIVE_EIG_TOL:
+        raise NotAStateError(f"density has negative eigenvalue {lam_min:.3e}")
+    return State(ctx, region, factor)
 
 
 def tracial_state(ctx: AlgebraContext, region: Region) -> State:
     """The unique tracial state: ``W = 1``; entropy ``|R| ln 2``."""
     ctx.check_region(region)
     d = 2 ** len(region)
-    return State(ctx, region, np.eye(d, dtype=complex) / d)
+    return State(ctx, region, np.eye(d, dtype=complex) / math.sqrt(d))
 
 
 def vector_state(ctx: AlgebraContext, region: Region, vec: np.ndarray) -> State:
@@ -160,19 +168,19 @@ def vector_state(ctx: AlgebraContext, region: Region, vec: np.ndarray) -> State:
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"vector norm {norm:.12f} is not 1")
-    return State(ctx, region, np.outer(vec, vec.conj()))
+    return State(ctx, region, vec[:, None])
 
 
 def entropy(state: State) -> float:
     """Von Neumann entropy ``-sum lam ln lam`` of the intrinsic spectrum (nats)."""
-    lam = _clamped_spectrum(state.intrinsic())
+    lam = _spectrum(state.factor)
     nz = lam[lam > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
 
 def spectral_data(state: State) -> SpectralData:
     """Descending intrinsic spectrum with multiplicities grouped at ``CLUSTER_TOL``."""
-    lam, u = np.linalg.eigh(state.intrinsic())
+    lam, u = np.linalg.eigh(state.factor @ state.factor.conj().T)
     order = np.argsort(-lam)
     lam, u = lam[order], u[:, order]
     mult: list[int] = []
@@ -185,11 +193,14 @@ def spectral_data(state: State) -> SpectralData:
 
 
 def restrict(state: State, region: Region) -> State:
-    """Restriction of the state to ``A(region)``: reorder, then partial trace.
+    """Restriction of the state to ``A(region)``: reorder the rows, regroup.
 
-    The restriction of an even state is even; restricting to the state's
-    own region is the identity, and the empty region carries the unique
-    (entropy-zero) state of the scalars.
+    With ``region`` moved to the front, the factor's rows are indexed by
+    (region, rest) configurations; the rest joins the ancilla, which gives a
+    ``2^|region| x (2^|rest| m)`` factor of the marginal.  The restriction
+    of an even state is even; restricting to the state's own region is the
+    identity, and the empty region carries the unique (entropy-zero) state
+    of the scalars.
     """
     if not region.issubset(state.region):
         raise ValueError(f"region {region.sites} not contained in {state.region.sites}")
@@ -197,38 +208,68 @@ def restrict(state: State, region: Region) -> State:
         return state
     if not region.sites:
         return tracial_state(state.ctx, region)
-    density = _trace_out(state.density, state.region.sites, region.sites)
-    return State(state.ctx, region, density)
+    rest = tuple(s for s in state.region.sites if s not in region.sites)
+    rows = _reorder_rows(state.factor, state.region.sites, region.sites + rest)
+    return State(state.ctx, region, rows.reshape(2 ** len(region), -1))
 
 
 def is_even(state: State) -> bool:
     """Whether ``|D - Theta(D)|``, twice the norm of the density's block
-    between opposite parities, is at most ``EVEN_TOL``.
+    ``B = X+ X-*`` between opposite parities, is at most ``EVEN_TOL``.
 
-    Since ``max|B_ij| <= |B| <= |B|_F``, the Frobenius norm and the largest
-    entry of the block decide almost every state; the spectral norm is
-    computed only when ``EVEN_TOL`` lies between them.
+    Since ``max|B_ij| <= |B| <= |B|_F``, the largest entry and the
+    Frobenius norm decide almost every state; the spectral norm is computed
+    only when ``EVEN_TOL`` lies between them.  ``B`` is formed a few rows at
+    a time, so a noneven state is usually decided by its first rows and the
+    whole block is held only for the spectral norm.  When the block takes
+    more than one piece, it is formed only from the columns of ``X`` that
+    have entries of both parities: the factor of a random even state, and
+    of its marginals, has none.  (The Gram identity
+    ``|B|_F^2 = tr(X+* X+ X-* X-)`` would avoid ``B``, but it loses a small
+    ``B`` to cancellation.)
     """
     par = _local_parity_diag(len(state.region))
-    odd_block = state.density[np.ix_(par > 0, par < 0)]
-    if 2.0 * float(np.linalg.norm(odd_block)) <= EVEN_TOL:
+    plus, minus = state.factor[par > 0], state.factor[par < 0]
+    if len(plus) * len(minus) > _CHUNK:  # B takes more than one piece
+        mixed = plus.any(axis=0) & minus.any(axis=0)  # a column in one parity adds nothing
+        if not mixed.all():
+            plus, minus = plus[:, mixed], minus[:, mixed]
+    minus = minus.conj().T
+    step = max(1, _CHUNK // max(1, minus.shape[1]))
+    frobenius_sq = 0.0
+    for start in range(0, plus.shape[0], step):
+        rows = plus[start:start + step] @ minus
+        if 2.0 * float(np.abs(rows).max(initial=0.0)) > EVEN_TOL:
+            return False
+        frobenius_sq += float(np.vdot(rows, rows).real)
+    if 2.0 * math.sqrt(frobenius_sq) <= EVEN_TOL:
         return True
-    if 2.0 * float(np.abs(odd_block).max()) > EVEN_TOL:
-        return False
-    return 2.0 * float(np.linalg.norm(odd_block, 2)) <= EVEN_TOL
+    return 2.0 * float(np.linalg.norm(plus @ minus, 2)) <= EVEN_TOL
+
+
+def _narrow(factor: np.ndarray) -> np.ndarray:
+    """A factor of the same density with at most as many columns as rows.
+
+    ``X* = Q R`` gives ``X = R* Q*`` and ``X X* = R* R``.
+    """
+    if factor.shape[1] <= factor.shape[0]:
+        return factor
+    return np.linalg.qr(factor.conj().T, mode="r").conj().T
 
 
 def transition_probability(phi: State, psi: State) -> float:
     """Uhlmann fidelity ``(Tr |sqrt(D_phi) sqrt(D_psi)|)^2`` in ``[0, 1]``.
 
-    This closed form attains the supremum of the vector-overlap definition
-    of the transition probability in finite dimensions; it is symmetric and
-    equals 1 exactly when the states coincide.
+    ``X = sqrt(D) U`` for a partial isometry ``U``, so this is the squared
+    nuclear norm of ``X_phi* X_psi``.  The closed form attains the supremum
+    of the vector-overlap definition of the transition probability in
+    finite dimensions; it is symmetric and equals 1 exactly when the states
+    coincide.
     """
     if phi.region != psi.region:
         raise ValueError("transition probability requires a common region")
-    s = _sqrt_psd(phi.intrinsic()) @ _sqrt_psd(psi.intrinsic())
-    fid = float(np.linalg.svd(s, compute_uv=False).sum() ** 2)
+    overlap = _narrow(phi.factor).conj().T @ _narrow(psi.factor)
+    fid = float(np.linalg.svd(overlap, compute_uv=False).sum() ** 2)
     return min(max(fid, 0.0), 1.0)
 
 
@@ -245,11 +286,11 @@ def relative_entropy(omega: State, sigma: State) -> float:
     """
     if omega.region != sigma.region:
         raise ValueError("relative entropy requires a common region")
-    dw = omega.intrinsic()
-    lam_w = _clamped_spectrum(dw)
+    lam_w = _spectrum(omega.factor)
     lam_s, u_s = np.linalg.eigh(sigma.intrinsic())
     support = lam_s > EIG_FLOOR
-    weights = np.einsum("ij,jk,ki->i", u_s.conj().T, dw, u_s).real
+    # <u_i, D_omega u_i> = |X_omega* u_i|^2
+    weights = (np.abs(u_s.conj().T @ omega.factor) ** 2).sum(axis=1)
     outside = float(weights[~support].sum())
     if outside > SUPPORT_TOL:
         return math.inf
@@ -259,16 +300,39 @@ def relative_entropy(omega: State, sigma: State) -> float:
     return term_w - term_s
 
 
-def _haar_unitary(d: int, rng: np.random.Generator, cols: int) -> np.ndarray:
-    """The first ``cols`` columns of a Haar unitary of size ``d``.
+def _gaussian_columns(
+    rng: np.random.Generator, blocks: int, size: int, cols: int
+) -> np.ndarray:
+    """``g[:, :, :cols]`` for ``g = re + 1j im`` and ``re, im`` of each block drawn
+    in turn as ``size x size`` normals.
 
-    All ``d x d`` normals are drawn whatever ``cols`` is, so the random
-    stream does not depend on it; only the needed columns are factored.
+    The normals are drawn as rows of ``size`` in chunks of about
+    ``_CHUNK``, so only the kept columns are held, and the generator
+    ends where one big draw would leave it.
     """
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g[:, :cols])
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases.conj()
+    stream = np.empty((2 * blocks * size, cols))
+    step = max(1, _CHUNK // size)
+    for start in range(0, len(stream), step):
+        rows = min(step, len(stream) - start)
+        stream[start:start + rows] = rng.normal(size=(rows, size))[:, :cols]
+    stream = stream.reshape(blocks, 2, size, cols)
+    g = np.empty((blocks, size, cols), dtype=complex)
+    g.real, g.imag = stream[:, 0], stream[:, 1]
+    return g
+
+
+def _haar_columns(rng: np.random.Generator, blocks: int, size: int, cols: int) -> np.ndarray:
+    """The first ``cols`` columns of ``blocks`` Haar unitaries of size ``size``.
+
+    All ``size x size`` normals of every block are drawn whatever ``cols`` is,
+    so the random stream does not depend on it; only the needed columns are
+    factored, by one stacked QR.  The first ``c`` columns of a QR do not
+    depend on the later ones, so a block may use fewer than ``cols``.
+    """
+    q, r = np.linalg.qr(_gaussian_columns(rng, blocks, size, cols))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q *= (diag / np.abs(diag)).conj()[:, None, :]
+    return q
 
 
 def random_state(
@@ -281,11 +345,11 @@ def random_state(
 ) -> State:
     """Reproducible pseudo-random state of ``A(region)`` with the given rank.
 
-    Eigenvalues are a random simplex point; eigenvectors are Haar columns.
-    With ``even=True`` the columns are drawn block-wise inside the two
-    eigenspaces of the region parity unitary, so the density commutes with
-    it by construction.  ``seed`` may be anything accepted by
-    ``numpy.random.default_rng``.
+    Eigenvalues ``w`` are a random simplex point and eigenvectors ``V`` are
+    Haar columns; the factor is ``V sqrt(w)``.  With ``even=True`` the
+    columns are drawn block-wise inside the two eigenspaces of the region
+    parity unitary, so the density commutes with it by construction.
+    ``seed`` may be anything accepted by ``numpy.random.default_rng``.
     """
     ctx.check_region(region)
     d = 2 ** len(region)
@@ -299,33 +363,28 @@ def random_state(
 
     if even and len(region) >= 1:
         par = _local_parity_diag(len(region))
-        plus = np.where(par > 0)[0]
-        minus = np.where(par < 0)[0]
-        lo = max(0, rank - len(minus))
-        hi = min(rank, len(plus))
-        r_plus = int(rng.integers(lo, hi + 1))
-        cols = []
-        for idx, r in ((plus, r_plus), (minus, rank - r_plus)):
-            if r == 0:
-                continue
-            u = _haar_unitary(len(idx), rng, r)
-            embedded = np.zeros((d, r), dtype=complex)
-            embedded[idx, :] = u
-            cols.append(embedded)
-        v = np.hstack(cols)
+        half = d // 2
+        r_plus = int(rng.integers(max(0, rank - half), min(rank, half) + 1))
+        split = [(par > 0, r_plus), (par < 0, rank - r_plus)]
+        split = [(rows, r) for rows, r in split if r]
+        columns = _haar_columns(rng, len(split), half, max(r for _, r in split))
+        factor = np.zeros((d, rank), dtype=complex)
+        start = 0
+        for (rows, r), block in zip(split, columns):
+            factor[rows, start:start + r] = block[:, :r]
+            start += r
     else:
-        v = _haar_unitary(d, rng, rank)
-
-    density = _hermitize((v * weights) @ v.conj().T)
-    return State(ctx, region, density)
+        factor = _haar_columns(rng, 1, d, rank)[0]
+    factor *= np.sqrt(weights)
+    return State(ctx, region, factor)
 
 
 def product_extension(state_a: State, state_b: State) -> State:
     """The product state ``phi(AB) = phi_A(A) phi_B(B)`` on the union region.
 
     Exists (and is unique) when the regions are disjoint and at least one
-    factor is even; with the even factor's modes last, it is the Kronecker
-    product of the two densities.
+    factor is even; with the even factor's modes last, its factor is the
+    Kronecker product of the two factors.
     """
     if state_a.ctx is not state_b.ctx:
         raise ValueError("states live on different lattice contexts")
@@ -338,9 +397,9 @@ def product_extension(state_a: State, state_b: State) -> State:
         )
     first, last = (state_a, state_b) if b_even else (state_b, state_a)
     region = state_a.region.union(state_b.region)
-    density = np.kron(first.density, last.density)
+    factor = np.kron(first.factor, last.factor)
     order = first.region.sites + last.region.sites
-    return State(state_a.ctx, region, _reorder(density, order, region.sites))
+    return State(state_a.ctx, region, _reorder_rows(factor, order, region.sites))
 
 
 def density_distance(a: State, b: State) -> float:

@@ -220,10 +220,27 @@ def theta(x, n):
 
 def rep(state):
     """Tracial representative ``W`` of a state on the full lattice (``phi = tau(W .)``)."""
-    scaled = state.density * 2 ** len(state.region)
+    scaled = state.intrinsic() * 2 ** len(state.region)
     return lift(scaled, state.ctx.n, state.region.sites)
 
 
 def value(state, x):
     """The functional ``phi(x) = tau(W x)`` of a state for a global matrix ``x``."""
     return complex(np.einsum("ij,ji->", rep(state), x) / 2 ** state.ctx.n)
+
+
+def sqrt_psd(x):
+    """Square root of a positive semidefinite matrix, by its eigendecomposition."""
+    lam, u = np.linalg.eigh((x + x.conj().T) / 2.0)
+    return (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
+
+
+def fidelity(d1, d2):
+    """Uhlmann fidelity ``(Tr |sqrt(D1) sqrt(D2)|)^2`` of two densities."""
+    return float(np.linalg.svd(sqrt_psd(d1) @ sqrt_psd(d2), compute_uv=False).sum() ** 2)
+
+
+def odd_block(density):
+    """The block of a ``2^k`` density between even and odd occupation numbers."""
+    parity = np.array([bin(i).count("1") % 2 for i in range(density.shape[0])])
+    return density[np.ix_(parity == 0, parity == 1)]

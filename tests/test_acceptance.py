@@ -223,7 +223,7 @@ def test_criterion_07_oddness_quantifier():
 
 
 def test_criterion_08_bounds():
-    with criterion(8, "3ln2 bound, mixing bounds, strict concavity"):
+    with criterion(8, "2ln2 bound, mixing bounds, strict concavity"):
         contexts = {3: build_context(3), 4: build_context(4)}
         rngs = spawn_rngs(808, 2000)
         worst = 0.0
@@ -241,7 +241,7 @@ def test_criterion_08_bounds():
             K = Region(tuple(sorted(rng.choice(rest, size=size_k, replace=False).tolist())))
             magnitude = -triangle_gap(state, I, K)
             worst = max(worst, magnitude)
-            assert magnitude <= 3 * LN2 + 1e-9, (t, magnitude)
+            assert magnitude <= 2 * LN2 + 1e-9, (t, magnitude)
 
         ctx2 = contexts[3]
         for seed in range(500):
@@ -256,7 +256,7 @@ def test_criterion_08_bounds():
             if density_distance(a, b) > 1e-3:
                 report = mixing_bounds_check(a, b, 0.5)
                 assert report.concavity_slack > 1e-6, seed
-        print(f"  max triangle violation seen: {worst:.4f} (bound {3 * LN2:.4f})", end="")
+        print(f"  max triangle violation seen: {worst:.4f} (bound {2 * LN2:.4f})", end="")
 
 
 def test_criterion_09_partial_trace_oracle():

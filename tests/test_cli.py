@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from carentropy.cli import main
+from carentropy.cli import RunConfig, _unexpected_violations, main
 
 LN2 = math.log(2.0)
 
@@ -13,6 +13,26 @@ def run(args, tmp_path, name="out.json"):
     path = tmp_path / name
     code = main(args + ["--output", str(path)])
     return code, path
+
+
+class TestViolationBound:
+    """Triangle and MONO-SSA gaps below -2 ln 2 are unexpected for any state."""
+
+    @staticmethod
+    def row(trial, triangle=None, mono_ssa=None):
+        return {
+            "trial": trial, "ssa_gap": -0.1, "ssa_verdict": "holds",
+            "triangle_gap": triangle, "triangle_verdict": "violated" if triangle else "",
+            "mono_ssa_gap": mono_ssa, "mono_ssa_verdict": "violated" if mono_ssa else "",
+        }
+
+    @pytest.mark.parametrize("kind", ["triangle", "mono_ssa"])
+    def test_flags_only_beyond_two_ln_two(self, kind):
+        config = RunConfig("verify", 3, 2, 0, "json", None, suite="all")
+        rows = [self.row(0, **{kind: -2 * LN2}), self.row(1, **{kind: -2 * LN2 - 1e-6})]
+        problems = _unexpected_violations(config, rows)
+        assert len(problems) == 1
+        assert problems[0].startswith(f"trial 1: {kind} violation exceeds 2 ln 2")
 
 
 class TestVerify:
@@ -47,7 +67,7 @@ class TestVerify:
         payload = json.loads(path.read_text())
         stats = payload["summary"]["triangle"]
         assert stats["violations"] >= 0
-        assert -stats["min_gap"] <= 3 * LN2 + 1e-9
+        assert -stats["min_gap"] <= 2 * LN2 + 1e-9
 
     def test_fixed_regions(self, tmp_path):
         code, path = run(

@@ -27,6 +27,7 @@ from carentropy import (
     violation_demo,
 )
 from carentropy.car_algebra import _embed
+from carentropy.errors import ExtensionError
 
 from oracles import (
     joint_extension_functional,
@@ -202,6 +203,20 @@ class TestJointExtension:
             psi = joint_extension(recipe)
             assert abs(entropy(psi) - entropy(rho2_tilde)) <= 1e-9
             assert density_distance(restrict(psi, Region((1, 3))), recipe.rho2) <= 1e-10
+
+    def test_second_factor_not_positive_rejected(self, ctx2):
+        # rho2 = |0><0| is even but not the symmetrization of the odd rho2_tilde:
+        # the second factor [[1, 1/2], [1/2, 0]] has eigenvalue (1 - sqrt 2) / 2.
+        base = build_recipe(ctx2, Region((2,)), Region((1,)))
+        rho2 = vector_state(ctx2, Region((1,)), np.array([1.0, 0.0]))
+        with pytest.raises(ExtensionError, match="not positive"):
+            joint_extension(replace(base, rho2=rho2))
+
+    def test_factor_is_kron_of_small_factors(self, ctx3):
+        rho2_tilde = random_state(ctx3, Region((1, 3)), seed=4)
+        recipe = build_recipe(ctx3, Region((2,)), Region((1, 3)), rho2_tilde=rho2_tilde)
+        psi = joint_extension(recipe)
+        assert psi.factor.shape == (8, 4)  # 2 x 1 pure rho1 times the 4 x 4 second factor
 
     def test_psd_and_normalized(self, ctx2):
         psi = joint_extension(build_recipe(ctx2, Region((2,)), Region((1,))))
@@ -388,7 +403,7 @@ class TestViolationDemo:
 
     def test_violation_magnitude_within_family_bound(self, ctx3):
         # This construction family violates the triangle inequality by at
-        # most ln 2 (the global bound for arbitrary states is 3 ln 2).
+        # most ln 2 (the bound proved for arbitrary states is 2 ln 2).
         report = violation_demo(ctx3, Region((2,)), Region((1,)), Region((3,)))
         assert -report.triangle_gap <= LN2 + 1e-9
         for seed in range(5):

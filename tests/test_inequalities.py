@@ -285,7 +285,7 @@ class TestBoundOnTriangleViolation:
             s = random_state(ctx3, Region((1, 2, 3)), seed=seed)
             for I, K in regions:
                 gap = triangle_gap(s, I, K)
-                assert -gap <= 3 * LN2 + 1e-9
+                assert -gap <= 2 * LN2 + 1e-9
 
 
 @st.composite

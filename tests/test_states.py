@@ -28,7 +28,8 @@ from carentropy import (
 )
 from carentropy.car_algebra import _local_parity_diag
 from carentropy.counterexamples import odd_eigenvector_state
-from carentropy.states import _haar_unitary
+from carentropy import states
+from carentropy.states import _gaussian_columns, _haar_columns
 from carentropy.tolerances import EVEN_TOL
 
 import oracles
@@ -64,7 +65,7 @@ class TestEntropy:
     def test_negative_eigenvalue_raises(self, ctx1):
         bad = np.diag([1.1, -0.1])
         with pytest.raises(NotAStateError):
-            entropy(State(ctx1, Region((1,)), bad))
+            entropy(state_from_intrinsic(ctx1, Region((1,)), bad))
 
     def test_unitary_invariance(self, ctx2):
         rng = np.random.default_rng(0)
@@ -80,7 +81,7 @@ class TestNormalizationConvention:
     def test_tau_form_and_intrinsic_roundtrip(self, ctx3):
         s = random_state(ctx3, Region((1, 3)), seed=5)
         back = state_from_tau_form(ctx3, Region((1, 3)), 4 * s.intrinsic())
-        assert np.abs(back.density - s.intrinsic()).max() <= 1e-12
+        assert np.abs(back.intrinsic() - s.intrinsic()).max() <= 1e-12
         assert np.abs(rep(back) - rep(s)).max() <= 1e-10
         # W of the whole lattice is the global oracle representative itself
         full = random_state(ctx3, ctx3.lattice, seed=5)
@@ -202,7 +203,7 @@ class TestIsEvenBracket:
         density = np.eye(8, dtype=complex) / 8
         density[np.ix_(plus, minus)] = block
         density[np.ix_(minus, plus)] = block.conj().T
-        return State(ctx, Region((1, 2, 3)), density)
+        return state_from_intrinsic(ctx, Region((1, 2, 3)), density)
 
     @staticmethod
     def side(block):
@@ -237,6 +238,42 @@ class TestIsEvenBracket:
             assert is_even(self.with_odd_block(ctx3, block)) is bool(want)
         assert sides == {"frobenius", "max_entry", "middle"}
 
+    def test_one_row_at_a_time(self, ctx3, ctx4, monkeypatch):
+        # pieces of one row: the largest-entry exit, the summed Frobenius norm
+        # and the drop of single-parity columns decide as the whole block does
+        monkeypatch.setattr(states, "_CHUNK", 1)
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            block = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-1.5, 0.5) * EVEN_TOL
+            want = 2 * np.linalg.norm(block, 2) <= EVEN_TOL
+            assert is_even(self.with_odd_block(ctx3, block)) is bool(want)
+        for seed in range(40):
+            state = random_state(ctx4, ctx4.lattice, even=seed % 2 == 0, rank=1 + seed % 16,
+                                 seed=seed)
+            for source in (state, restrict(state, Region((1, 3, 4)))):
+                want = 2 * np.linalg.norm(oracles.odd_block(source.intrinsic()), 2) <= EVEN_TOL
+                assert is_even(source) is bool(want) is (seed % 2 == 0)
+
+    def test_even_state_with_parity_mixed_columns(self, ctx4):
+        # X = [v+, v-] U / sqrt(rank) with U unitary: every column mixes the
+        # two parities, yet X X* is even.  The Gram identity
+        # |B|_F^2 = tr(X+* X+ X-* X-) reads about 1e-17 here instead of 0,
+        # |B|_F about 3e-9, and would call most of these states noneven.
+        par = _local_parity_diag(4)
+        rng = np.random.default_rng(3)
+        for trial in range(20):
+            rank = 2 + trial % 2
+            v = np.zeros((16, rank), dtype=complex)
+            for j in range(rank):
+                rows = par > 0 if j % 2 == 0 else par < 0
+                v[rows, j] = rng.normal(size=8) + 1j * rng.normal(size=8)
+            v, _ = np.linalg.qr(v)  # columns keep their parity
+            u, _ = np.linalg.qr(rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank)))
+            state = State(ctx4, ctx4.lattice, v @ u / np.sqrt(rank))
+            assert np.abs(state.factor[par < 0]).max() > 0.05
+            assert np.abs(state.factor[par > 0]).max() > 0.05
+            assert is_even(state)
+
 
 def full_qr_columns(d, rng, cols):
     """Leading columns of the phase-fixed QR of the whole Gaussian matrix."""
@@ -252,7 +289,7 @@ class TestHaarColumns:
     @staticmethod
     def assert_same_bits(d, cols, seed):
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        mine, full = _haar_unitary(d, rng_a, cols), full_qr_columns(d, rng_b, cols)
+        mine, full = _haar_columns(rng_a, 1, d, cols)[0], full_qr_columns(d, rng_b, cols)
         assert mine.shape == full.shape == (d, cols)
         assert mine.tobytes() == full.tobytes(), (d, cols)
         assert rng_a.random() == rng_b.random()  # the stream moved by d x d normals
@@ -267,6 +304,114 @@ class TestHaarColumns:
         rng = np.random.default_rng(d)
         for cols in {1, 2, d // 2, d - 1, d, *rng.integers(1, d + 1, size=6).tolist()}:
             self.assert_same_bits(d, cols, seed=cols)
+
+
+def per_block_haar(d, rng, cols):
+    """The Haar columns of one block as drawn before the stacked draw: reference."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(g[:, :cols])
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return q * phases.conj()
+
+
+def per_block_factor(k, rank, seed, even):
+    """``V sqrt(w)`` with one draw and one QR per parity block: reference."""
+    d = 2 ** k
+    rng = np.random.default_rng(seed)
+    weights = rng.exponential(size=rank)
+    weights = weights / weights.sum()
+    if even and k:
+        par = _local_parity_diag(k)
+        plus, minus = np.where(par > 0)[0], np.where(par < 0)[0]
+        r_plus = int(rng.integers(max(0, rank - len(minus)), min(rank, len(plus)) + 1))
+        cols = []
+        for idx, r in ((plus, r_plus), (minus, rank - r_plus)):
+            if r:
+                embedded = np.zeros((d, r), dtype=complex)
+                embedded[idx, :] = per_block_haar(len(idx), rng, r)
+                cols.append(embedded)
+        v = np.hstack(cols)
+    else:
+        v = per_block_haar(d, rng, rank)
+    return v * np.sqrt(weights)
+
+
+class TestStackedHaarDraw:
+    """Both parity blocks from one draw and one stacked QR, bit for bit as one per block."""
+
+    @pytest.mark.parametrize("half", [1, 2, 4, 8, 16, 32])
+    def test_every_split(self, half):
+        for r_plus in range(half + 1):
+            for r_minus in range(half + 1):
+                ranks = [r for r in (r_plus, r_minus) if r]
+                if not ranks:
+                    continue
+                seed = 10_000 * half + 100 * r_plus + r_minus
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                stacked = _haar_columns(rng_a, len(ranks), half, max(ranks))
+                for block, r in zip(stacked, ranks):
+                    assert block[:, :r].tobytes() == per_block_haar(half, rng_b, r).tobytes()
+                assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_random_state_factor(self, k):
+        for rank in range(1, 2 ** k + 1):
+            for even in (False, True):
+                seed = 1000 * k + rank
+                mine = random_state(build_context(k), Region(tuple(range(1, k + 1))),
+                                    even=even, rank=rank, seed=seed)
+                want = per_block_factor(k, rank, seed, even)
+                assert mine.factor.tobytes() == want.tobytes(), (k, rank, even)
+
+
+class TestChunkedDraw:
+    """Normals drawn a few rows at a time: the same bits and the same stream."""
+
+    @pytest.mark.parametrize("chunk", [1, 1000, 2 ** 16])
+    def test_same_as_one_draw(self, monkeypatch, chunk):
+        monkeypatch.setattr(states, "_CHUNK", chunk)
+        for blocks, size, cols in ((1, 512, 3), (1, 512, 512), (2, 8, 5), (2, 64, 64)):
+            rng_a, rng_b = np.random.default_rng(size + cols), np.random.default_rng(size + cols)
+            mine = _gaussian_columns(rng_a, blocks, size, cols)
+            for block in mine:
+                g = rng_b.normal(size=(size, size)) + 1j * rng_b.normal(size=(size, size))
+                assert block.tobytes() == np.ascontiguousarray(g[:, :cols]).tobytes()
+            assert rng_a.random() == rng_b.random()
+
+
+@st.composite
+def factored_cases(draw):
+    """A state on a small lattice, a region of it (often non-contiguous), a parity
+    and a rank below or above 2^n / 4, where ``is_even`` switches paths."""
+    n = draw(st.integers(1, 5))
+    region = sorted(draw(st.lists(st.integers(1, n), min_size=1, unique=True)))
+    quarter = max(1, 2 ** n // 4)
+    rank = draw(st.one_of(st.integers(1, quarter), st.integers(quarter, 2 ** n)))
+    return n, tuple(region), draw(st.booleans()), rank, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(factored_cases())
+def test_factored_marginal_matches_oracle(case):
+    n, sites, even, rank, seed = case
+    ctx = build_context(n)
+    state = random_state(ctx, ctx.lattice, even=even, rank=rank, seed=seed)
+    x = state.factor
+    assert x.shape == (2 ** n, rank)
+    oracle = restriction_oracle(x @ x.conj().T, n, sites)
+    marginal = restrict(state, Region(sites))
+    assert marginal.factor.shape == (2 ** len(sites), x.size // 2 ** len(sites))
+    assert abs(entropy(marginal) - vn_entropy(oracle)) <= 1e-10
+    want = np.sort(np.linalg.eigvalsh(oracle))[::-1]
+    assert np.abs(spectral_data(marginal).eigenvalues - want).max() <= 1e-12
+    par = _local_parity_diag(len(sites))
+    odd_block = oracle[np.ix_(par > 0, par < 0)]
+    assert is_even(marginal) is bool(2 * np.linalg.norm(odd_block, 2) <= EVEN_TOL)
+    par = _local_parity_diag(n)
+    odd_block = (x @ x.conj().T)[np.ix_(par > 0, par < 0)]
+    assert is_even(state) is bool(2 * np.linalg.norm(odd_block, 2) <= EVEN_TOL)
+    if even:
+        assert is_even(state) and is_even(marginal)
 
 
 class TestTransitionProbability:
@@ -296,6 +441,22 @@ class TestTransitionProbability:
         b = random_state(ctx2, Region((2,)), seed=1)
         with pytest.raises(ValueError):
             transition_probability(a, b)
+
+    def test_against_square_root_formula(self, ctx3):
+        # Full-rank densities and their marginals, whose factors have more
+        # columns than rows; the square-root oracle loses accuracy on
+        # rank-deficient densities, so pure states use the overlap instead.
+        region = Region((1, 3))
+        for seed in range(20):
+            a = random_state(ctx3, ctx3.lattice, even=seed % 3 == 0, seed=seed)
+            b = random_state(ctx3, ctx3.lattice, seed=seed + 50)
+            for x, y in ((a, b), (a, a.theta_image()), (restrict(a, region), restrict(b, region))):
+                want = oracles.fidelity(x.intrinsic(), y.intrinsic())
+                assert abs(transition_probability(x, y) - want) <= 1e-10
+            u = random_state(ctx3, ctx3.lattice, rank=1, seed=seed + 100)
+            v = random_state(ctx3, ctx3.lattice, rank=1, seed=seed + 200)
+            overlap = abs(np.vdot(u.factor[:, 0], v.factor[:, 0])) ** 2
+            assert abs(transition_probability(u, v) - overlap) <= 1e-12
 
 
 class TestPTheta:
@@ -362,7 +523,7 @@ class TestRandomState:
     def test_deterministic(self, ctx2):
         a = random_state(ctx2, Region((1, 2)), seed=42)
         b = random_state(ctx2, Region((1, 2)), seed=42)
-        assert np.array_equal(a.density, b.density)
+        assert np.array_equal(a.factor, b.factor)
 
     def test_even_flag(self, ctx3):
         for seed in range(10):
