@@ -31,9 +31,10 @@ front, the restriction to ``A(R)`` is the same rows regrouped as
 ``2^|R| x (2^|rest| m)``: the traced-out modes join the ancilla, so no
 partial trace is taken.  A spectrum is that of the smaller of the Grams
 ``X X*`` and ``X* X``, which share their nonzero eigenvalues.  Eigenvalues
-below ``1e-12`` are round-off zeros: they are clamped before logarithms and
-dropped from a factor built from a density, while a density with an
-eigenvalue below ``-1e-8`` raises :class:`NotAStateError`.
+below ``1e-12`` are round-off zeros, clamped before logarithms.  A factor
+built from a density keeps every positive eigenpair, so ``X X*`` is the
+given density up to rounding; a density with an eigenvalue below ``-1e-8``
+raises :class:`NotAStateError`.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ def _hermitize(x: np.ndarray) -> np.ndarray:
 
 def _psd_factor(density: np.ndarray) -> tuple[float, np.ndarray]:
     """The smallest eigenvalue of a Hermitian matrix and ``V sqrt(lam)`` over
-    its eigenpairs above ``EIG_FLOOR``, a factor of its positive part."""
+    its positive eigenpairs, a factor of its positive part."""
     lam, v = np.linalg.eigh(density)
-    keep = lam > EIG_FLOOR
+    keep = lam > 0.0
     return float(lam[0]), v[:, keep] * np.sqrt(lam[keep])
 
 
@@ -219,21 +220,20 @@ def is_even(state: State) -> bool:
 
     Since ``max|B_ij| <= |B| <= |B|_F``, the largest entry and the
     Frobenius norm decide almost every state; the spectral norm is computed
-    only when ``EVEN_TOL`` lies between them.  ``B`` is formed a few rows at
-    a time, so a noneven state is usually decided by its first rows and the
-    whole block is held only for the spectral norm.  When the block takes
-    more than one piece, it is formed only from the columns of ``X`` that
-    have entries of both parities: the factor of a random even state, and
-    of its marginals, has none.  (The Gram identity
+    only when ``EVEN_TOL`` lies between them.  ``B`` is formed only from the
+    columns of ``X`` that have entries of both parities (a column in one
+    parity adds nothing to it; the factor of a random even state, and of
+    its marginals, has none), and a few rows at a time, so a noneven state
+    is usually decided by its first rows and the whole block is held only
+    for the spectral norm.  (The Gram identity
     ``|B|_F^2 = tr(X+* X+ X-* X-)`` would avoid ``B``, but it loses a small
     ``B`` to cancellation.)
     """
     par = _local_parity_diag(len(state.region))
     plus, minus = state.factor[par > 0], state.factor[par < 0]
-    if len(plus) * len(minus) > _CHUNK:  # B takes more than one piece
-        mixed = plus.any(axis=0) & minus.any(axis=0)  # a column in one parity adds nothing
-        if not mixed.all():
-            plus, minus = plus[:, mixed], minus[:, mixed]
+    mixed = plus.any(axis=0) & minus.any(axis=0)
+    if not mixed.all():
+        plus, minus = plus[:, mixed], minus[:, mixed]
     minus = minus.conj().T
     step = max(1, _CHUNK // max(1, minus.shape[1]))
     frobenius_sq = 0.0
