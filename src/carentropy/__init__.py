@@ -36,7 +36,6 @@ from .counterexamples import (
     joint_extension,
     odd_eigenvector_state,
     symmetrize,
-    u1_for,
     violation_demo,
 )
 from .errors import CapacityError, CarError, ExtensionError, NotAStateError
@@ -132,7 +131,6 @@ __all__ = [
     "tracial_state",
     "transition_probability",
     "triangle_gap",
-    "u1_for",
     "vector_state",
     "violation_demo",
 ]

@@ -15,11 +15,12 @@ sites, contiguous or not) is held as its image under the isomorphism
 onto the Jordan-Wigner generators of a fresh ``|R|``-site lattice: an
 :class:`OperatorElement` is ``(region, 2^|R| x 2^|R| image)``, just as a
 state is ``(region, factor X)`` of its ``2^|R| x 2^|R|`` density
-``X X*``.  A fermionic reorder of the modes (:func:`_reorder`, and
-:func:`_reorder_rows` for the rows of a factor) is the one implementation
-of that isomorphism: once a region is moved to the front of a larger one
-it is the leading tensor factor ``M(2^|R|) (x) 1``, and :func:`_trace_out`
-and :func:`_embed` map between the two sides.
+``X X*``.  A fermionic reorder of the modes (:func:`_reorder_rows` on the
+rows of a factor, and :func:`_reorder` on both sides of a matrix) is the
+one implementation of that isomorphism: once a region is moved to the
+front of a larger one it is the leading tensor factor
+``M(2^|R|) (x) 1``, and :func:`_trace_out` and :func:`_embed` map between
+the two sides.
 
 The module provides:
 
@@ -44,7 +45,6 @@ before anything is allocated.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +156,7 @@ def _theta_image(m: np.ndarray) -> np.ndarray:
 def _reorder_plan(
     src: tuple[int, ...], dst: tuple[int, ...]
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The read-only ``+-1`` sign per basis state and the tensor axes of a reorder.
+    """The read-only ``+-1`` sign per basis state and the row axes of a reorder.
 
     A basis state picks up ``-1`` for every pair of occupied modes whose
     relative order changes.
@@ -171,33 +171,27 @@ def _reorder_plan(
             if perm[a] > perm[b]:
                 crossed += occupied[perm[a]] & occupied[perm[b]]
     sign = (1 - 2 * (crossed & 1)).astype(np.int8)
-    return _readonly(sign), tuple(perm + [k + p for p in perm])
-
-
-def _reorder(matrix: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
-    """Re-express a matrix on the modes ``src`` (in that order) in the order ``dst``.
-
-    The fermionic sign of :func:`_reorder_plan`, then a permutation of the
-    tensor axes.
-    """
-    sign, axes = _reorder_plan(src, dst)
-    k = len(src)
-    signed = sign[:, None] * matrix
-    signed *= sign
-    return signed.reshape((2,) * (2 * k)).transpose(axes).reshape(2 ** k, 2 ** k)
+    return _readonly(sign), tuple(perm) + (k,)
 
 
 def _reorder_rows(factor: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
-    """The one-sided :func:`_reorder` of a factor ``X`` of ``D = X X*``.
+    """Re-express the rows of a factor ``X`` of ``D = X X*`` on the modes
+    ``src`` (in that order) in the order ``dst``.
 
-    The rows go through the sign and the axis permutation; the columns (the
-    ancilla) are untouched, so ``_reorder(D, src, dst)`` is ``Y Y*`` for the
-    result ``Y``.
+    The rows go through the fermionic sign of :func:`_reorder_plan`, then a
+    permutation of their tensor axes; the columns (the ancilla) are
+    untouched, so ``_reorder(D, src, dst)`` is ``Y Y*`` for the result ``Y``.
     """
     sign, axes = _reorder_plan(src, dst)
     k = len(src)
     signed = sign[:, None] * factor
-    return signed.reshape((2,) * k + (-1,)).transpose(axes[:k] + (k,)).reshape(2 ** k, -1)
+    return signed.reshape((2,) * k + (-1,)).transpose(axes).reshape(2 ** k, -1)
+
+
+def _reorder(matrix: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
+    """Re-express a matrix on the modes ``src`` (in that order) in the order
+    ``dst``: :func:`_reorder_rows` on its rows, then on its columns."""
+    return _reorder_rows(_reorder_rows(matrix, src, dst).T, src, dst).T
 
 
 def _trace_out(matrix: np.ndarray, outer: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
@@ -232,18 +226,15 @@ class MonomialBasis:
 
     def __init__(self, ctx: "AlgebraContext", order: tuple[int, ...]):
         self.size = 4 ** len(order)
-        self.labels = list(itertools.product(range(4), repeat=len(order)))
-        factor_parity = (1, -1, -1, 1)  # 1, a, a*, v
-        self.parity = np.array(
-            [int(np.prod([factor_parity[g] for g in lab])) if lab else 1 for lab in self.labels],
-            dtype=int,
-        )
+        parity = np.ones(1, dtype=int)
         mats = [np.eye(ctx.dim, dtype=complex)]
         for site in order:
             a = ctx.annihilator(site)
             ad = ctx.creator(site)
             factors = (np.eye(ctx.dim, dtype=complex), a, ad, ad @ a - a @ ad)
             mats = [m @ f for m in mats for f in factors]
+            parity = np.outer(parity, (1, -1, -1, 1)).ravel()  # 1, a, a*, v
+        self.parity = parity
         self.mats = _readonly(np.stack(mats))
 
 
@@ -288,11 +279,6 @@ class AlgebraContext:
         if i not in self._cre:
             self._cre[i] = _readonly(np.ascontiguousarray(self.annihilator(i).conj().T))
         return self._cre[i]
-
-    @property
-    def generators(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per-site pairs ``(a_i, a_i*)`` for the whole lattice."""
-        return tuple((self.annihilator(i), self.creator(i)) for i in range(1, self.n + 1))
 
     def basis(self, order: tuple[int, ...]) -> MonomialBasis:
         """The monomials of the sites ``order`` of this lattice, as ``2^n`` matrices."""

@@ -440,12 +440,14 @@ def main(argv=None) -> int:
             if regions and not {"I", "J"} <= set(regions):
                 parser.error("fixed regions require at least --I and --J")
             # fixed regions must leave the chosen suite its own gap to evaluate
-            if regions and args.suite in ("triangle", "mono-ssa"):
+            if regions:
                 I, J = set(regions["I"]), set(regions["J"])
-                if I & J:
+                if set(regions.get("K", ())) & (I | J):
+                    parser.error("a fixed --K must be disjoint from --I and --J")
+                if args.suite in ("triangle", "mono-ssa") and I & J:
                     parser.error(f"the {args.suite} suite needs disjoint --I and --J")
-                if args.suite == "mono-ssa" and ("K" not in regions or set(regions["K"]) & (I | J)):
-                    parser.error("the mono-ssa suite needs a --K disjoint from --I and --J")
+                if args.suite == "mono-ssa" and "K" not in regions:
+                    parser.error("the mono-ssa suite needs a --K")
             config = RunConfig(
                 command="verify", sites=args.sites, trials=args.trials, seed=seed,
                 output_format=fmt, output_path=args.output,

@@ -16,13 +16,18 @@ The construction takes three mutually disjoint regions K, I, J:
       psi(A1 A2) = rho1(A1) rho2(A2_even)
                    + rho1(A1 u1) rho2_tilde(A2_odd),
 
-  with ``u1 = v_K`` the self-adjoint unitary implementing the grading on
-  ``A(K)`` (for a pure state of a full matrix algebra the GNS
-  representation is the defining one, so the GNS extension of ``rho1`` is
-  just ``<eta, . eta>`` and ``rho1(u1) = <eta, v_K eta> = 0``).  In K-first
-  mode order an odd ``A2`` acts as the parity of ``K`` times a local odd
-  matrix, and ``v_K`` is ``(-1)^|K|`` times that parity, so the density is
-  the closed form ``D1 (x) (even(D2) + (-1)^|K| odd(D2~))``.  The entropy of
+  with ``u1`` a self-adjoint unitary implementing the grading on ``A(K)``
+  (for a pure state of a full matrix algebra the GNS representation is the
+  defining one, so the GNS extension of ``rho1`` is just ``<eta, . eta>``).
+  ``u1 v_K`` commutes with all of ``A(K) = M(2^|K|)``, so it is a scalar,
+  and a self-adjoint unitary scalar is ``+-1``: ``u1 = +-v_K``.  The sign
+  ``-1`` negates the odd term, which is the extension built from
+  ``rho2_tilde o Theta``, so ``u1 = v_K`` loses nothing, and
+  ``rho1(u1) = <eta, v_K eta> = 0``.  In K-first mode order an odd ``A2``
+  acts as the parity of ``K`` times a local odd matrix, and ``v_K`` is
+  ``(-1)^|K|`` times that parity, so the density is the closed form
+  ``D1 (x) (even(D2~) + (-1)^|K| odd(D2~))``: ``D1 (x) D2~`` for even
+  ``|K|`` and ``D1 (x) Theta(D2~)`` for odd ``|K|``.  The entropy of
   ``psi`` equals the entropy of ``rho2_tilde`` (not of ``rho2``), which is
   what breaks the inequalities.
 
@@ -43,16 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import (
-    AlgebraContext,
-    OperatorElement,
-    Region,
-    _local_context,
-    _local_parity_diag,
-    _reorder_rows,
-    parity_unitary,
-    theta,
-)
+from .car_algebra import AlgebraContext, OperatorElement, Region, _reorder_rows, theta
 from .errors import ExtensionError
 from .inequalities import (
     InequalityReport,
@@ -64,7 +60,6 @@ from .inequalities import (
 )
 from .states import (
     State,
-    _psd_factor,
     density_distance,
     entropy,
     is_even,
@@ -74,21 +69,13 @@ from .states import (
     tracial_state,
     vector_state,
 )
-from .tolerances import (
-    EXTENSION_NEGATIVE_TOL,
-    NONZERO_EIG_TOL,
-    ODDNESS_MIN,
-    OPERATOR_TOL,
-    P_THETA_TOL,
-    PURITY_TOL,
-)
+from .tolerances import NONZERO_EIG_TOL, ODDNESS_MIN, OPERATOR_TOL, P_THETA_TOL, PURITY_TOL
 
 __all__ = [
     "ExtensionRecipe",
     "ViolationReport",
     "odd_eigenvector_state",
     "symmetrize",
-    "u1_for",
     "build_recipe",
     "joint_extension",
     "violation_demo",
@@ -142,20 +129,6 @@ def symmetrize(state: State) -> State:
     return State(state.ctx, state.region, factor)
 
 
-def u1_for(rho1: State) -> np.ndarray:
-    """Self-adjoint unitary implementing the grading on ``A(K)``, ``K = rho1.region``.
-
-    For a pure state of the full matrix algebra ``A(K)`` the defining
-    representation is the GNS one, and the region parity unitary ``v_K``
-    (an even element of ``A(K)``) does the job; the phase freedom is fixed
-    by this canonical choice.  Returned as its ``2^|K|`` image in
-    ``M(2^|K|)``, the local parity.
-    """
-    if entropy(rho1) > PURITY_TOL:
-        raise ValueError("u1 is defined here for pure states only")
-    return parity_unitary(rho1.ctx, rho1.region).matrix
-
-
 @dataclass(frozen=True)
 class ExtensionRecipe:
     """Ingredients of the joint extension and the violation demo."""
@@ -164,10 +137,13 @@ class ExtensionRecipe:
     I: Region
     rho1: State
     rho2_tilde: State
-    rho2: State
-    u1: np.ndarray  # image in M(2^|K|) of an element of A(K), sites of K sorted
     J: Region | None = None
     rhoJ: State | None = None
+
+    @property
+    def rho2(self) -> State:
+        """The even marginal on ``I``, ``symmetrize(rho2_tilde)``."""
+        return symmetrize(self.rho2_tilde)
 
 
 @dataclass(frozen=True)
@@ -177,13 +153,8 @@ class ViolationReport(InequalityReport):
     recipe: ExtensionRecipe | None = None
 
 
-def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> float:
-    """Check the recipe's ingredients; return ``t = tau(v_K u1)``.
-
-    ``u1`` must lie in ``A(K)`` (for a pure ``rho1`` the GNS algebra
-    ``pi1(A(K))''`` is ``A(K)`` itself); the recipe holds its image in
-    ``M(2^|K|)``, so only its shape is checked for membership.
-    """
+def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> None:
+    """Check the recipe's ingredients."""
     if not recipe.K.isdisjoint(recipe.I):
         raise ValueError("K and I must be disjoint")
     if p_theta(recipe.rho1) > P_THETA_TOL:
@@ -193,30 +164,14 @@ def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> float:
         )
     if entropy(recipe.rho1) > PURITY_TOL:
         raise ValueError("rho1 must be pure")
-    if not is_even(recipe.rho2):
-        raise ValueError("rho2 must be even")
     if density_distance(recipe.rho2_tilde, recipe.rho2_tilde.theta_image()) <= ODDNESS_MIN:
         raise ValueError("rho2_tilde must differ from its parity image")
-    u1, d = recipe.u1, 2 ** len(recipe.K)
-    if u1.shape != (d, d):
-        raise ValueError(f"u1 must be the {d}x{d} image of an element of A(K), got {u1.shape}")
-    if np.abs(u1 - u1.conj().T).max() > OPERATOR_TOL:
-        raise ValueError("u1 must be self-adjoint")
-    if np.abs(u1 @ u1 - np.eye(d)).max() > OPERATOR_TOL:
-        raise ValueError("u1 must be unitary")
-    # conjugation by u1 is a *-automorphism, so flipping the generators of
-    # A(K) is the same as implementing the grading on all of A(K)
-    for pair in _local_context(len(recipe.K)).generators:
-        for g in pair:
-            if np.abs(u1 @ g @ u1 + g).max() > OPERATOR_TOL:
-                raise ValueError("u1 does not implement the grading on A(K)")
     if recipe.J is not None:
         for other, name in ((recipe.K, "K"), (recipe.I, "I")):
             if not recipe.J.isdisjoint(other):
                 raise ValueError(f"J must be disjoint from {name}")
     if recipe.rhoJ is not None and not is_even(recipe.rhoJ):
         raise ExtensionError("rhoJ must be even for the product extension to exist")
-    return float(_local_parity_diag(len(recipe.K)) @ np.diag(u1).real) / d
 
 
 def _assemble_recipe(
@@ -234,15 +189,11 @@ def _assemble_recipe(
         rho2_tilde = odd_eigenvector_state(ctx, I)
     elif rho2_tilde.region != I:
         raise ValueError(f"rho2_tilde lives on {rho2_tilde.region.sites}, expected {I.sites}")
-    rho2 = symmetrize(rho2_tilde)
     if J is not None and rhoJ is None:
         rhoJ = tracial_state(ctx, J)
     if rhoJ is not None and J is not None and rhoJ.region != J:
         raise ValueError(f"rhoJ lives on {rhoJ.region.sites}, expected {J.sites}")
-    return ExtensionRecipe(
-        K=K, I=I, rho1=rho1, rho2_tilde=rho2_tilde, rho2=rho2,
-        u1=u1_for(rho1), J=J, rhoJ=rhoJ,
-    )
+    return ExtensionRecipe(K=K, I=I, rho1=rho1, rho2_tilde=rho2_tilde, J=J, rhoJ=rhoJ)
 
 
 def build_recipe(
@@ -266,25 +217,19 @@ def joint_extension(recipe: ExtensionRecipe) -> State:
     Restricts to ``rho1`` on ``A(K)`` and to ``rho2`` on ``A(I)``, but its
     entropy equals that of ``rho2_tilde``.  Swapping ``rho2_tilde`` for its
     parity image yields a *different* extension with the same marginals.
-    In K-first mode order the density is
-    ``D1 (x) (even(D2) + t (-1)^|K| odd(D2~))`` with ``t = tau(v_K u1)``,
-    which is 1 for the ``u1 = v_K`` of :func:`u1_for`.  Its factor is
-    ``X1 (x) F2`` with ``F2`` from one ``eigh`` of the ``2^|I|`` second
-    factor; ``D1`` is pure, so that small matrix carries the positivity
-    check.
+    With ``u1 = v_K`` (the only choice up to a sign, which swaps
+    ``rho2_tilde`` for its parity image) the density in K-first mode order
+    is ``D1 (x) D2~`` for even ``|K|`` and ``D1 (x) Theta(D2~)`` for odd
+    ``|K|``, so its factor is the Kronecker product of the two factors,
+    reordered to the sorted sites of ``K u I``.
     """
-    ctx = recipe.rho1.ctx
-    # u1 v_K commutes with A(K), so rho1(A1 u1) = tau(v_K u1) rho1(A1 v_K)
-    t = _validate_recipe(ctx, recipe)
+    _validate_recipe(recipe.rho1.ctx, recipe)
     K, I = recipe.K, recipe.I
-    tilde = recipe.rho2_tilde
-    odd_part = (tilde.intrinsic() - tilde.theta_image().intrinsic()) / 2.0
-    lam_min, second = _psd_factor(recipe.rho2.intrinsic() + t * (-1) ** len(K) * odd_part)
-    if lam_min < -EXTENSION_NEGATIVE_TOL:
-        raise ExtensionError(f"reconstructed density is not positive (min eig {lam_min:.3e})")
+    second = recipe.rho2_tilde if len(K) % 2 == 0 else recipe.rho2_tilde.theta_image()
     region = K.union(I)
-    factor = _reorder_rows(np.kron(recipe.rho1.factor, second), K.sites + I.sites, region.sites)
-    return State(ctx, region, factor)
+    kron = np.kron(recipe.rho1.factor, second.factor)
+    factor = _reorder_rows(kron, K.sites + I.sites, region.sites)
+    return State(recipe.rho1.ctx, region, factor)
 
 
 def violation_demo(

@@ -51,14 +51,6 @@ class SchmidtDecomposition:
     left_vectors: np.ndarray
     right_vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        d1, r = self.left_vectors.shape
-        d2 = self.right_vectors.shape[0]
-        out = np.zeros(d1 * d2, dtype=complex)
-        for i in range(r):
-            out += self.lambdas[i] * np.kron(self.left_vectors[:, i], self.right_vectors[:, i])
-        return out
-
 
 def schmidt(vector: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     """Schmidt decomposition of a unit vector across a ``d1 x d2`` split."""

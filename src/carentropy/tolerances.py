@@ -35,4 +35,3 @@ P_THETA_TOL = 1e-8  # p_theta (a square root of a fidelity) up to which rho1 is 
 PURITY_TOL = 1e-10  # entropy up to which rho1 is pure
 NONZERO_EIG_TOL = 1e-8  # the chosen eigenvalue must be nonzero for eta to be orthogonal to v_K eta
 ODDNESS_MIN = 1e-6  # rho2_tilde must differ from its parity image by more than this
-EXTENSION_NEGATIVE_TOL = 1e-10  # the closed form is exact: an eigenvalue below -this is an error

@@ -121,14 +121,8 @@ class TestBuildContext:
         ctx = build_context(2)
         ad = ctx.creator(2)
         assert ctx.creator(2) is ad
-        assert ctx.generators[1][1] is ad
         with pytest.raises(ValueError):
             ad[0, 0] = 1.0
-
-    def test_generators_property(self, ctx2):
-        gens = ctx2.generators
-        assert len(gens) == 2
-        assert np.array_equal(gens[0][1], gens[0][0].conj().T)
 
 
 class TestParityUnitary:

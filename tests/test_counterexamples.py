@@ -7,6 +7,7 @@ import pytest
 from carentropy import (
     OperatorElement,
     Region,
+    State,
     build_recipe,
     density_distance,
     entropy,
@@ -15,6 +16,7 @@ from carentropy import (
     mono_ssa_gap,
     odd_eigenvector_state,
     p_theta,
+    parity_unitary,
     product_extension,
     random_state,
     restrict,
@@ -22,12 +24,9 @@ from carentropy import (
     symmetrize,
     tracial_state,
     triangle_gap,
-    u1_for,
     vector_state,
     violation_demo,
 )
-from carentropy.car_algebra import _embed
-from carentropy.errors import ExtensionError
 
 from oracles import (
     joint_extension_functional,
@@ -110,36 +109,12 @@ class TestSymmetrize:
 
 
 class TestU1:
-    # u1 is held as its image in M(2^|K|); _embed maps it back onto the lattice
-    def test_selfadjoint_unitary(self, ctx2):
-        K = Region((1,))
-        rho1 = odd_eigenvector_state(ctx2, K)
-        u1 = u1_for(rho1)
-        assert u1.shape == (2, 2)
-        assert np.abs(u1 @ u1 - np.eye(2)).max() <= 1e-12
-        assert np.abs(u1 - u1.conj().T).max() <= 1e-12
-
-    def test_flips_region_generators(self, ctx3):
-        K = Region((1, 3))
-        u1 = _embed(u1_for(odd_eigenvector_state(ctx3, K)), K.sites, ctx3.lattice.sites)
-        assert np.abs(u1 - parity(3, K.sites)).max() <= 1e-12
-        ann = jw_annihilators(3)
-        for k in K.sites:
-            a = ann[k - 1]
-            assert np.abs(u1 @ a @ u1 + a).max() <= 1e-12
-        b = ann[1]
-        assert np.abs(u1 @ b - b @ u1).max() <= 1e-12
-
+    # the recipe's u1 is the region parity unitary v_K
     def test_expectation_vanishes_on_default_state(self, ctx2):
         K = Region((1,))
         rho1 = odd_eigenvector_state(ctx2, K)
-        u1 = u1_for(rho1)
+        u1 = parity_unitary(ctx2, K).matrix
         assert abs(np.trace(rho1.intrinsic() @ u1)) <= 1e-12
-
-    def test_mixed_state_rejected(self, ctx2):
-        K = Region((1,))
-        with pytest.raises(ValueError):
-            u1_for(tracial_state(ctx2, K))
 
 
 class TestRecipeValidation:
@@ -166,21 +141,26 @@ class TestRecipeValidation:
         recipe = build_recipe(ctx2, Region((2,)), Region((1,)))
         # forge a recipe whose rho1 is even pure: p_theta = 1, must refuse
         even_pure = random_state(ctx2, Region((2,)), even=True, rank=1, seed=3)
-        forged = type(recipe)(
-            K=recipe.K, I=recipe.I, rho1=even_pure, rho2_tilde=recipe.rho2_tilde,
-            rho2=recipe.rho2, u1=recipe.u1,
-        )
         with pytest.raises(ValueError):
-            joint_extension(forged)
+            joint_extension(replace(recipe, rho1=even_pure))
 
-    def test_u1_outside_region_rejected(self, ctx3):
-        # u1 is held as a 2^|K| matrix, so an element outside A(K) can only
-        # arrive with the wrong shape: here v_K v_L as a matrix on K u L
-        K = Region((2,))
-        recipe = build_recipe(ctx3, K, Region((1,)))
-        outside = np.kron(recipe.u1, np.diag([-1.0, 1.0]))
-        with pytest.raises(ValueError, match="image of an element of A"):
-            joint_extension(replace(recipe, u1=outside))
+    def test_purity_of_rho1_enforced(self, ctx3):
+        # the tracial state of the +1 eigenspace of the local a_1 + a_1* on
+        # K = (1, 2) is maximally odd (p_theta = 0) but has entropy ln 2
+        K = Region((1, 2))
+        recipe = build_recipe(ctx3, K, Region((3,)))
+        plus = np.array([1.0, 1.0]) / math.sqrt(2)
+        mixed = State(ctx3, K, np.kron(plus[:, None], np.eye(2)) / math.sqrt(2))
+        assert p_theta(mixed) <= 1e-8
+        with pytest.raises(ValueError, match="rho1 must be pure"):
+            joint_extension(replace(recipe, rho1=mixed))
+
+    def test_rho2_follows_rho2_tilde(self, ctx2):
+        recipe = build_recipe(ctx2, Region((2,)), Region((1,)))
+        other = random_state(ctx2, Region((1,)), seed=5)
+        assert np.array_equal(
+            replace(recipe, rho2_tilde=other).rho2.factor, symmetrize(other).factor
+        )
 
 
 class TestJointExtension:
@@ -204,14 +184,6 @@ class TestJointExtension:
             assert abs(entropy(psi) - entropy(rho2_tilde)) <= 1e-9
             assert density_distance(restrict(psi, Region((1, 3))), recipe.rho2) <= 1e-10
 
-    def test_second_factor_not_positive_rejected(self, ctx2):
-        # rho2 = |0><0| is even but not the symmetrization of the odd rho2_tilde:
-        # the second factor [[1, 1/2], [1/2, 0]] has eigenvalue (1 - sqrt 2) / 2.
-        base = build_recipe(ctx2, Region((2,)), Region((1,)))
-        rho2 = vector_state(ctx2, Region((1,)), np.array([1.0, 0.0]))
-        with pytest.raises(ExtensionError, match="not positive"):
-            joint_extension(replace(base, rho2=rho2))
-
     def test_factor_is_kron_of_small_factors(self, ctx3):
         rho2_tilde = random_state(ctx3, Region((1, 3)), seed=4)
         recipe = build_recipe(ctx3, Region((2,)), Region((1, 3)), rho2_tilde=rho2_tilde)
@@ -232,17 +204,6 @@ class TestJointExtension:
         assert density_distance(psi1, psi2) > 1e-6
         assert density_distance(restrict(psi2, K), base.rho1) <= 1e-10
         assert density_distance(restrict(psi2, I), base.rho2) <= 1e-10
-
-    def test_negated_u1_twists_with_parity_image(self, ctx3):
-        # -v_K also implements the grading on A(K); it flips the sign of the
-        # twisted term, which is the extension built from theta(rho2_tilde)
-        K, I = Region((1, 3)), Region((2,))
-        rho2_tilde = random_state(ctx3, I, seed=6)
-        base = build_recipe(ctx3, K, I, rho2_tilde=rho2_tilde)
-        negated = replace(base, u1=-base.u1)
-        flipped = build_recipe(ctx3, K, I, rho2_tilde=rho2_tilde.theta_image())
-        assert density_distance(joint_extension(negated), joint_extension(flipped)) <= 1e-12
-        assert density_distance(joint_extension(negated), joint_extension(base)) > 1e-6
 
     def test_two_site_k_interleaved(self, ctx4):
         # the default odd element on a multi-site K has a degenerate top

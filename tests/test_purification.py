@@ -47,7 +47,8 @@ class TestSchmidt:
         vec /= np.linalg.norm(vec)
         dec = schmidt(vec, (4, 4))
         assert abs((dec.lambdas ** 2).sum() - 1.0) <= 1e-10
-        assert np.abs(dec.reconstruct() - vec).max() <= 1e-10
+        rebuilt = ((dec.left_vectors * dec.lambdas) @ dec.right_vectors.T).ravel()
+        assert np.abs(rebuilt - vec).max() <= 1e-10
         for fam in (dec.left_vectors, dec.right_vectors):
             gram = fam.conj().T @ fam
             assert np.abs(gram - np.eye(fam.shape[1])).max() <= 1e-10
