@@ -444,8 +444,8 @@ def main(argv=None) -> int:
                 I, J = set(regions["I"]), set(regions["J"])
                 if set(regions.get("K", ())) & (I | J):
                     parser.error("a fixed --K must be disjoint from --I and --J")
-                if args.suite in ("triangle", "mono-ssa") and I & J:
-                    parser.error(f"the {args.suite} suite needs disjoint --I and --J")
+                if args.suite != "ssa" and I & J:
+                    parser.error(f"--suite {args.suite} needs disjoint --I and --J")
                 if args.suite == "mono-ssa" and "K" not in regions:
                     parser.error("the mono-ssa suite needs a --K")
             config = RunConfig(

@@ -60,6 +60,7 @@ from .inequalities import (
 )
 from .states import (
     State,
+    _phase_fixed,
     density_distance,
     entropy,
     is_even,
@@ -114,10 +115,7 @@ def odd_eigenvector_state(
     top = int(np.argmax(lam))
     if abs(lam[top]) <= NONZERO_EIG_TOL:
         raise ValueError("chosen eigenvalue is zero; the parity image would not be orthogonal")
-    vec = u[:, top]
-    k_big = int(np.argmax(np.abs(vec)))
-    vec = vec * (vec[k_big] / abs(vec[k_big])).conj()
-    return vector_state(ctx, K, vec)
+    return vector_state(ctx, K, _phase_fixed(u[:, [top]]))
 
 
 def symmetrize(state: State) -> State:
@@ -148,12 +146,15 @@ class ExtensionRecipe:
 
 @dataclass(frozen=True)
 class ViolationReport(InequalityReport):
-    """The gaps of the violation demo together with the recipe they came from."""
+    """The gaps of the violation demo, the entropies and residuals behind them,
+    and the recipe they came from."""
 
+    entropies: dict[str, float] | None = None
+    residuals: dict[str, float] | None = None
     recipe: ExtensionRecipe | None = None
 
 
-def _validate_recipe(ctx: AlgebraContext, recipe: ExtensionRecipe) -> None:
+def _validate_recipe(recipe: ExtensionRecipe) -> None:
     """Check the recipe's ingredients."""
     if not recipe.K.isdisjoint(recipe.I):
         raise ValueError("K and I must be disjoint")
@@ -207,7 +208,7 @@ def build_recipe(
 ) -> ExtensionRecipe:
     """Assemble and validate the default or a customized recipe."""
     recipe = _assemble_recipe(ctx, K, I, rho2_tilde, J, rhoJ)
-    _validate_recipe(ctx, recipe)
+    _validate_recipe(recipe)
     return recipe
 
 
@@ -223,7 +224,7 @@ def joint_extension(recipe: ExtensionRecipe) -> State:
     ``|K|``, so its factor is the Kronecker product of the two factors,
     reordered to the sorted sites of ``K u I``.
     """
-    _validate_recipe(recipe.rho1.ctx, recipe)
+    _validate_recipe(recipe)
     K, I = recipe.K, recipe.I
     second = recipe.rho2_tilde if len(K) % 2 == 0 else recipe.rho2_tilde.theta_image()
     region = K.union(I)

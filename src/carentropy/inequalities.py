@@ -262,8 +262,6 @@ class InequalityReport:
     triangle_gap: float | None = None
     mono_ssa_gap: float | None = None
     verdicts: dict[str, str] = field(default_factory=dict)
-    entropies: dict[str, float] | None = None
-    residuals: dict[str, float] | None = None
 
 
 def inequality_report(

@@ -98,6 +98,12 @@ def _spectrum(factor: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _phase_fixed(vectors: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude entry of each column real positive (reproducibility)."""
+    top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * (top / np.abs(top)).conj()
+
+
 @dataclass(frozen=True)
 class State:
     """A state of ``A(region)``, stored as a factor ``X`` of its region-intrinsic

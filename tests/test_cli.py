@@ -102,6 +102,7 @@ class TestVerify:
             ["verify", "--suite", "mono-ssa", "--I", "1", "--J", "2"],
             ["verify", "--suite", "mono-ssa", "--I", "1", "--J", "2", "--K", "2,3"],
             ["verify", "--suite", "triangle", "--I", "1,2", "--J", "2"],
+            ["verify", "--suite", "all", "--sites", "3", "--I", "1,2", "--J", "2", "--trials", "3"],
             ["verify", "--suite", "all", "--sites", "3", "--I", "1", "--J", "2", "--K", "1,3"],
         ):
             with pytest.raises(SystemExit) as exc:

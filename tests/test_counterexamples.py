@@ -279,9 +279,9 @@ class TestViolationDemo:
         calls = []
         original = module._validate_recipe
 
-        def counting(ctx, recipe):
+        def counting(recipe):
             calls.append(recipe)
-            return original(ctx, recipe)
+            return original(recipe)
 
         monkeypatch.setattr(module, "_validate_recipe", counting)
         violation_demo(ctx3, Region((2,)), Region((1,)), Region((3,)))

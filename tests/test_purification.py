@@ -11,12 +11,15 @@ from carentropy import (
     density_distance,
     entropy,
     is_even,
+    odd_eigenvector_state,
     parity_unitary,
     pure_extension,
     random_state,
     restrict,
     schmidt,
+    state_from_intrinsic,
     symmetric_purification,
+    symmetrize,
     tracial_state,
     vector_state,
 )
@@ -103,6 +106,21 @@ class TestPureExtension:
         with pytest.raises(ValueError):
             pure_extension(rho, Region((1, 2)))
 
+    def test_rank_from_eigenvalues_not_factor_columns(self, ctx3):
+        # state_from_intrinsic keeps round-off eigenpairs, so the factor of
+        # a rank-1 density can have more columns than J = (3,) has partners.
+        I = Region((1, 2))
+        rng = np.random.default_rng(0)
+        widest = 0
+        for _ in range(10):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            v /= np.linalg.norm(v)
+            rho = state_from_intrinsic(ctx3, I, np.outer(v, v.conj()))
+            widest = max(widest, rho.factor.shape[1])
+            ext = pure_extension(rho, Region((3,)))
+            assert density_distance(restrict(ext, I), rho) <= 1e-10
+        assert widest > 2
+
 
 class TestSymmetricPurification:
     def test_output_even_and_pure(self, ctx2):
@@ -160,6 +178,18 @@ class TestSymmetricPurification:
         assert is_even(ext)
         assert entropy(ext) <= 1e-9
         assert density_distance(restrict(ext, Region((2, 4))), rho) <= 1e-10
+
+    def test_factor_columns_mixing_parities(self, ctx4):
+        # symmetrize stacks a noneven factor with its parity image: each
+        # column has entries of both parities, though the state is even.
+        I = Region((1, 3))
+        rho = symmetrize(odd_eigenvector_state(ctx4, I))
+        par = parity_unitary(ctx4, I).matrix.diagonal().real
+        assert (rho.factor[par > 0].any(axis=0) & rho.factor[par < 0].any(axis=0)).all()
+        ext = symmetric_purification(rho, Region((2, 4)))
+        assert is_even(ext)
+        assert entropy(ext) <= 1e-9
+        assert density_distance(restrict(ext, I), rho) <= 1e-10
 
     def test_larger_partner_region(self, ctx5):
         I, J = Region((2, 4)), Region((1, 3, 5))
