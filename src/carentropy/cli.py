@@ -11,15 +11,19 @@ Reports are JSON (default) or CSV with a fixed schema; identical
 thread count (``OPENBLAS_NUM_THREADS``): at n >= 8 LAPACK splits some
 factorizations by thread count, which moves gaps in their last bits.  Exit codes:
 0 = success / expected outcome, 1 = unexpected mathematical violation,
-2 = usage error.  Environment overrides: ``CARENTROPY_SEED`` (used when
-``--seed`` is not given) and ``CARENTROPY_OUTDIR`` (prepended to relative
-``--output`` paths).
+2 = usage error, an ``--output`` that cannot be written included.
+Environment overrides: ``CARENTROPY_SEED`` (used when ``--seed`` is not
+given) and ``CARENTROPY_OUTDIR`` (prepended to relative ``--output`` paths).
+
+The argument parser is built once per process, on the first :func:`main`
+call, and reused by every later call in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -232,8 +236,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 def _complex_matrix_payload(mat: np.ndarray) -> dict:
     return {
-        "re": [[round(float(x.real), 12) for x in row] for row in mat],
-        "im": [[round(float(x.imag), 12) for x in row] for row in mat],
+        "re": [[round(x, 12) for x in row] for row in mat.real.tolist()],
+        "im": [[round(x, 12) for x in row] for row in mat.imag.tolist()],
     }
 
 
@@ -379,7 +383,9 @@ def _env_seed(parser: argparse.ArgumentParser, default: int) -> int:
         parser.error(f"CARENTROPY_SEED must be an integer, got {raw!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``carentropy`` parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="carentropy",
         description="Entropy inequality campaigns on finite CAR lattices",
@@ -458,6 +464,9 @@ def main(argv=None) -> int:
         if args.command == "counterexample":
             K = _parse_region(args.K)
             I = _parse_region(args.I)
+            for name, region in (("K", K), ("I", I)):
+                if not region.sites:
+                    parser.error(f"--{name} must name at least one site")
             if args.j_sites is not None:
                 if args.j_sites < 0:
                     parser.error("--J-sites must be at least 0")
@@ -485,6 +494,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
 
 

@@ -39,20 +39,31 @@ tracial, the demo state has ``S(K) = S(K u I) = 0``,
 ``S(I) = S(J) = S(K u J) = ln 2``, so both the triangle gap on (I, K) and
 the monotonicity-form gap on (I, J; K) equal ``-ln 2`` while strong
 subadditivity still holds on the same state.
+
+:func:`violation_demo` restricts the demo state to each of its six regions
+(K, I, J, K u I, K u J, K u I u J) once; the entropies and the K, I and J
+restriction residuals are read from those marginals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import AlgebraContext, OperatorElement, Region, _reorder_rows, theta
+from .car_algebra import (
+    AlgebraContext,
+    OperatorElement,
+    Region,
+    _readonly,
+    _reorder_rows,
+    theta,
+)
 from .errors import ExtensionError
 from .inequalities import (
     InequalityReport,
-    _entropies,
     _mono_ssa,
     _ssa,
     _triangle,
@@ -83,6 +94,22 @@ __all__ = [
 ]
 
 
+def _top_eigenvector(local: np.ndarray) -> np.ndarray:
+    """Phase-fixed eigenvector (one column) of the largest eigenvalue of ``local``."""
+    lam, u = np.linalg.eigh(local)
+    top = int(np.argmax(lam))
+    if abs(lam[top]) <= NONZERO_EIG_TOL:
+        raise ValueError("chosen eigenvalue is zero; the parity image would not be orthogonal")
+    return _phase_fixed(u[:, [top]])
+
+
+@functools.lru_cache(maxsize=None)
+def _default_odd_vector(k: int) -> np.ndarray:
+    """Top eigenvector of ``a_1 + a_1*`` on a ``k``-site local lattice (cached, read-only)."""
+    local = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2 ** (k - 1)))
+    return _readonly(_top_eigenvector(local))
+
+
 def odd_eigenvector_state(
     ctx: AlgebraContext,
     K: Region,
@@ -91,31 +118,25 @@ def odd_eigenvector_state(
     """Vector state of an eigenvector of an odd self-adjoint element of ``A(K)``.
 
     ``operator`` is an element of ``A(K)`` (its ``2^|K|`` image); it
-    defaults to ``a_k + a_k*`` for the first site ``k`` of ``K``.  The
-    largest eigenvalue is taken (+1 for the default).  The result is pure,
-    noneven, and maximally odd: any eigenvector with nonzero eigenvalue is
-    orthogonal to its parity image, so ``p_theta = 0``.
+    defaults to ``a_k + a_k*`` for the first site ``k`` of ``K``, whose
+    eigenvector is built once per ``|K|``.  The largest eigenvalue is taken
+    (+1 for the default).  The result is pure, noneven, and maximally odd:
+    any eigenvector with nonzero eigenvalue is orthogonal to its parity
+    image, so ``p_theta = 0``.
     """
     ctx.check_region(K)
     if not K.sites:
         raise ValueError("K must be nonempty")
     if operator is None:
-        # a_k + a_k* on the first local site
-        local = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2 ** (len(K) - 1)))
-    else:
-        if operator.region != K:
-            raise ValueError(f"operator lives on {operator.region.sites}, expected {K.sites}")
-        local = operator.matrix
-        if np.abs(local - local.conj().T).max() > OPERATOR_TOL:
-            raise ValueError("operator must be self-adjoint")
-        if np.abs(local + theta(ctx, operator).matrix).max() > OPERATOR_TOL:
-            raise ValueError("operator must be odd")
-
-    lam, u = np.linalg.eigh(local)
-    top = int(np.argmax(lam))
-    if abs(lam[top]) <= NONZERO_EIG_TOL:
-        raise ValueError("chosen eigenvalue is zero; the parity image would not be orthogonal")
-    return vector_state(ctx, K, _phase_fixed(u[:, [top]]))
+        return vector_state(ctx, K, _default_odd_vector(len(K)))
+    if operator.region != K:
+        raise ValueError(f"operator lives on {operator.region.sites}, expected {K.sites}")
+    local = operator.matrix
+    if np.abs(local - local.conj().T).max() > OPERATOR_TOL:
+        raise ValueError("operator must be self-adjoint")
+    if np.abs(local + theta(ctx, operator).matrix).max() > OPERATOR_TOL:
+        raise ValueError("operator must be odd")
+    return vector_state(ctx, K, _top_eigenvector(local))
 
 
 def symmetrize(state: State) -> State:
@@ -138,9 +159,9 @@ class ExtensionRecipe:
     J: Region | None = None
     rhoJ: State | None = None
 
-    @property
+    @functools.cached_property
     def rho2(self) -> State:
-        """The even marginal on ``I``, ``symmetrize(rho2_tilde)``."""
+        """The even marginal on ``I``, ``symmetrize(rho2_tilde)``, built once per recipe."""
         return symmetrize(self.rho2_tilde)
 
 
@@ -185,6 +206,8 @@ def _assemble_recipe(
 ) -> ExtensionRecipe:
     ctx.check_region(K)
     ctx.check_region(I)
+    if not I.sites:
+        raise ValueError("I must be nonempty")
     rho1 = odd_eigenvector_state(ctx, K)
     if rho2_tilde is None:
         rho2_tilde = odd_eigenvector_state(ctx, I)
@@ -246,7 +269,8 @@ def violation_demo(
     Expected pattern: the monotonicity-form gap on (I, J; K) and the
     triangle gap on (I, K) are negative (``-ln 2`` with the defaults) while
     the strong subadditivity gap on the overlapping pair (K u I, K u J)
-    stays nonpositive.
+    stays nonpositive.  Each of the six report regions is restricted once:
+    the entropies and the K, I and J residuals share those marginals.
     """
     recipe = _assemble_recipe(ctx, K, I, rho2_tilde, J, rhoJ)
     psi = joint_extension(recipe)  # validates the recipe
@@ -256,8 +280,12 @@ def violation_demo(
         "K": K, "I": I, "J": J,
         "KI": K.union(I), "KJ": K.union(J), "KIJ": K.union(I).union(J),
     }
-    S = _entropies(full)  # each of the six regions is restricted once
-    entropies = {name: S(reg) for name, reg in regions.items()}
+    marginals = {name: restrict(full, reg) for name, reg in regions.items()}
+    # an empty J has S = 0.0; entropy() of its 1 x 1 marginal would give -0.0
+    entropies = {
+        name: entropy(m) if m.region.sites else 0.0 for name, m in marginals.items()
+    }
+    S = {regions[name]: s for name, s in entropies.items()}.__getitem__
 
     gaps = {
         "mono_ssa": _mono_ssa(S, I, J, K),
@@ -265,9 +293,9 @@ def violation_demo(
         "ssa": _ssa(S, K.union(I), K.union(J)),
     }
     residuals = {
-        "restriction_K": density_distance(restrict(full, K), recipe.rho1),
-        "restriction_I": density_distance(restrict(full, I), recipe.rho2),
-        "restriction_J": density_distance(restrict(full, J), recipe.rhoJ),
+        "restriction_K": density_distance(marginals["K"], recipe.rho1),
+        "restriction_I": density_distance(marginals["I"], recipe.rho2),
+        "restriction_J": density_distance(marginals["J"], recipe.rhoJ),
         "entropy_vs_rho2_tilde": abs(entropies["KI"] - entropy(recipe.rho2_tilde)),
         "product_entropy": abs(entropies["KJ"] - entropies["K"] - entropies["J"]),
     }

@@ -409,7 +409,11 @@ def product_extension(state_a: State, state_b: State) -> State:
 
 
 def density_distance(a: State, b: State) -> float:
-    """Operator-norm distance of the intrinsic densities (same region)."""
+    """Operator-norm distance of the intrinsic densities (same region).
+
+    The first value of the descending SVD: the same bits as
+    ``np.linalg.norm(diff, 2)``, which takes the largest of that SVD.
+    """
     if a.region != b.region:
         raise ValueError("states live on different regions")
-    return float(np.linalg.norm(a.intrinsic() - b.intrinsic(), 2))
+    return float(np.linalg.svd(a.intrinsic() - b.intrinsic(), compute_uv=False)[0])

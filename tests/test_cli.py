@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from carentropy.cli import RunConfig, _unexpected_violations, main
+from carentropy.cli import RunConfig, _unexpected_violations, build_parser, main
 
 LN2 = math.log(2.0)
 
@@ -99,6 +99,8 @@ class TestVerify:
             ["table1", "--sites", "1"],
             ["verify", "--tolerance", "1e-3"],
             ["counterexample", "--J-sites", "-1"],
+            ["counterexample", "--I="],
+            ["counterexample", "--K=", "--I=", "--J-sites", "1"],
             ["verify", "--suite", "mono-ssa", "--I", "1", "--J", "2"],
             ["verify", "--suite", "mono-ssa", "--I", "1", "--J", "2", "--K", "2,3"],
             ["verify", "--suite", "triangle", "--I", "1,2", "--J", "2"],
@@ -111,6 +113,17 @@ class TestVerify:
 
     def test_bad_region_exit_two(self):
         assert main(["verify", "--I", "1,x", "--J", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["verify", "--suite", "ssa", "--trials", "2"], ["counterexample"]],
+    )
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, args):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(args + ["--output", str(blocker / "report.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write the report:")
 
 
 class TestCounterexample:
@@ -138,6 +151,13 @@ class TestCounterexample:
         with pytest.raises(SystemExit) as exc:
             main(["counterexample", "--K", "1", "--I", "1", "--J", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("empty", ["K", "I"])
+    def test_empty_region_named(self, capsys, empty):
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", f"--{empty}="])
+        assert exc.value.code == 2
+        assert f"--{empty} must name at least one site" in capsys.readouterr().err
 
 
 class TestTable1:
@@ -180,6 +200,21 @@ class TestDeterminism:
         _, path1 = run(args, tmp_path, name="first.json")
         _, path2 = run(args, tmp_path, name="second.json")
         assert path1.read_bytes() == path2.read_bytes()
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_leaves_parser_intact(self, tmp_path):
+        args = ["counterexample", "--K", "1,3", "--I", "2", "--J", "4",
+                "--rhoJ", "random", "--seed", "5"]
+        build_parser.cache_clear()  # the next call is a first call
+        _, first = run(args, tmp_path, name="first.json")
+        with pytest.raises(SystemExit):
+            main(["counterexample", "--rhoJ", "nonsense"])
+        _, again = run(args, tmp_path, name="again.json")
+        assert first.read_bytes() == again.read_bytes()
 
 
 class TestEnvironmentOverrides:

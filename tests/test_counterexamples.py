@@ -64,6 +64,21 @@ class TestOddEigenvectorState:
         assert p_theta(omega) <= 1e-8
         assert entropy(omega) <= 1e-10
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_default_vector_cached_read_only(self, ctx4, k):
+        from carentropy.counterexamples import _default_odd_vector
+
+        cached = _default_odd_vector(k)
+        assert cached is _default_odd_vector(k)
+        assert not cached.flags.writeable
+        # the same a_1 + a_1* image passed as an operator takes the uncached path
+        K = Region(tuple(range(1, k + 1)))
+        sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+        op = OperatorElement(K, np.kron(sigma_x, np.eye(2 ** (k - 1))))
+        uncached = odd_eigenvector_state(ctx4, K, operator=op)
+        assert np.array_equal(odd_eigenvector_state(ctx4, K).factor, uncached.factor)
+        assert np.array_equal(cached, uncached.factor)
+
     # a custom operator is passed as its image, read off the global oracle
     def test_custom_operator(self, ctx2):
         a = jw_annihilators(2)[1]
@@ -157,7 +172,9 @@ class TestRecipeValidation:
 
     def test_rho2_follows_rho2_tilde(self, ctx2):
         recipe = build_recipe(ctx2, Region((2,)), Region((1,)))
+        assert recipe.rho2 is recipe.rho2  # built once, then cached
         other = random_state(ctx2, Region((1,)), seed=5)
+        # the replaced recipe is a new object and carries no stale rho2
         assert np.array_equal(
             replace(recipe, rho2_tilde=other).rho2.factor, symmetrize(other).factor
         )
@@ -302,13 +319,24 @@ class TestViolationDemo:
         K, I, J = Region((2, 4)), Region((1,)), Region((3, 5))
         rhoJ = random_state(ctx5, J, even=True, seed=4)
         report = violation_demo(ctx5, K, I, J, rhoJ=rhoJ)
-        # six entropies, then the three marginals of the residuals
-        assert sorted(calls) == sorted(list(report.regions.values()) + [K.sites, I.sites, J.sites])
+        # the six report regions, once each: the residuals reuse the K, I, J marginals
+        assert sorted(calls) == sorted(report.regions.values())
+        assert len(calls) == 6
         monkeypatch.undo()
         full = product_extension(joint_extension(report.recipe), rhoJ)
         assert report.mono_ssa_gap.hex() == mono_ssa_gap(full, I, J, K).hex()
         assert report.triangle_gap.hex() == triangle_gap(full, I, K).hex()
         assert report.ssa_gap.hex() == ssa_gap(full, K.union(I), K.union(J)).hex()
+
+    def test_empty_J_entropy_is_positive_zero(self, ctx3):
+        report = violation_demo(ctx3, Region((2,)), Region((1,)), Region(()))
+        # reports print the sign of a zero: an empty J must read 0.0, not -0.0
+        assert math.copysign(1.0, report.entropies["J"]) == 1.0
+        assert report.entropies["KJ"] == report.entropies["K"]
+
+    def test_empty_I_named(self, ctx3):
+        with pytest.raises(ValueError, match="I must be nonempty"):
+            violation_demo(ctx3, Region((2,)), Region(()), Region((3,)))
 
     def test_two_site_partner_region(self, ctx4):
         report = violation_demo(ctx4, Region((2,)), Region((1,)), Region((3, 4)))
