@@ -146,20 +146,33 @@ def _local_parity_diag(k: int) -> np.ndarray:
     return _readonly((-1.0) ** (k - occupied.sum(axis=1)))
 
 
+@functools.lru_cache(maxsize=None)
+def _parity_rows(k: int) -> np.ndarray:
+    """The even row indices and the odd row indices of a ``k``-site local
+    lattice, as the rows of a read-only ``(2, 2^(k-1))`` array (cached).
+
+    The empty lattice has one even row and no odd one: ``[[0]]``.
+    """
+    par = _local_parity_diag(k)
+    blocks = [np.flatnonzero(par == sign) for sign in (1.0, -1.0)]
+    return _readonly(np.stack(blocks if k else blocks[:1]))
+
+
 def _theta_image(m: np.ndarray) -> np.ndarray:
     """``Theta`` of the image ``m``: conjugation by the parity of its modes."""
     par = _local_parity_diag(m.shape[0].bit_length() - 1)
     return par[:, None] * m * par[None, :]
 
 
-@functools.lru_cache(maxsize=1024)  # a plan holds 2^k int8 signs: at most 4 MiB at k = 12
-def _reorder_plan(
-    src: tuple[int, ...], dst: tuple[int, ...]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The read-only ``+-1`` sign per basis state and the row axes of a reorder.
+# a plan holds 2^k int8 signs and 2^k intp rows: 36 KiB at k = 12, at most 36 MiB in all
+@functools.lru_cache(maxsize=1024)
+def _reorder_plan(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``+-1`` sign and source row of each row of a reorder.
 
-    A basis state picks up ``-1`` for every pair of occupied modes whose
-    relative order changes.
+    Row ``j`` of the reordered factor is row ``rows[j]`` of the source times
+    ``sign[j]``: the source basis state picks up ``-1`` for every pair of
+    occupied modes whose relative order changes, and ``rows`` permutes the
+    tensor axes of the row index.
     """
     k = len(src)
     perm = [src.index(s) for s in dst]
@@ -170,22 +183,23 @@ def _reorder_plan(
         for b in range(a + 1, k):
             if perm[a] > perm[b]:
                 crossed += occupied[perm[a]] & occupied[perm[b]]
-    sign = (1 - 2 * (crossed & 1)).astype(np.int8)
-    return _readonly(sign), tuple(perm) + (k,)
+    rows = idx.reshape((2,) * k).transpose(perm).ravel()
+    sign = (1 - 2 * (crossed[rows] & 1)).astype(np.int8)
+    return _readonly(sign), _readonly(rows)
 
 
 def _reorder_rows(factor: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:
     """Re-express the rows of a factor ``X`` of ``D = X X*`` on the modes
     ``src`` (in that order) in the order ``dst``.
 
-    The rows go through the fermionic sign of :func:`_reorder_plan`, then a
-    permutation of their tensor axes; the columns (the ancilla) are
-    untouched, so ``_reorder(D, src, dst)`` is ``Y Y*`` for the result ``Y``.
+    One gather of the rows of :func:`_reorder_plan`, then its fermionic
+    sign in place; the columns (the ancilla) are untouched, so
+    ``_reorder(D, src, dst)`` is ``Y Y*`` for the result ``Y``.
     """
-    sign, axes = _reorder_plan(src, dst)
-    k = len(src)
-    signed = sign[:, None] * factor
-    return signed.reshape((2,) * k + (-1,)).transpose(axes).reshape(2 ** k, -1)
+    sign, rows = _reorder_plan(src, dst)
+    out = factor[rows]
+    out *= sign[:, None]
+    return out
 
 
 def _reorder(matrix: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:

@@ -250,26 +250,6 @@ def cmd_counterexample(config: RunConfig) -> int:
     else:
         rho_j = tracial_state(ctx, J)
     report = violation_demo(ctx, K, I, J, rhoJ=rho_j)
-    recipe = report.recipe
-    payload = {
-        "config": _config_payload(config),
-        "regions": {k: list(v) for k, v in report.regions.items()},
-        "entropies": report.entropies,
-        "gaps": {
-            "mono_ssa": report.mono_ssa_gap,
-            "triangle": report.triangle_gap,
-            "ssa": report.ssa_gap,
-        },
-        "verdicts": report.verdicts,
-        "residuals": report.residuals,
-        "recipe": {
-            "rho1_density": _complex_matrix_payload(recipe.rho1.intrinsic()),
-            "rho2_tilde_density": _complex_matrix_payload(recipe.rho2_tilde.intrinsic()),
-            "rho2_density": _complex_matrix_payload(recipe.rho2.intrinsic()),
-            "rhoJ_density": _complex_matrix_payload(recipe.rhoJ.intrinsic()),
-            "u1_is_region_parity_unitary": True,
-        },
-    }
     if config.output_format == "csv":
         rows = [{
             "trial": 0, "seed": config.seed, "sites": config.sites,
@@ -284,6 +264,26 @@ def cmd_counterexample(config: RunConfig) -> int:
         }]
         _emit(_csv_text(rows), config.output_path)
     else:
+        recipe = report.recipe
+        payload = {
+            "config": _config_payload(config),
+            "regions": {k: list(v) for k, v in report.regions.items()},
+            "entropies": report.entropies,
+            "gaps": {
+                "mono_ssa": report.mono_ssa_gap,
+                "triangle": report.triangle_gap,
+                "ssa": report.ssa_gap,
+            },
+            "verdicts": report.verdicts,
+            "residuals": report.residuals,
+            "recipe": {
+                "rho1_density": _complex_matrix_payload(recipe.rho1.intrinsic()),
+                "rho2_tilde_density": _complex_matrix_payload(recipe.rho2_tilde.intrinsic()),
+                "rho2_density": _complex_matrix_payload(recipe.rho2.intrinsic()),
+                "rhoJ_density": _complex_matrix_payload(recipe.rhoJ.intrinsic()),
+                "u1_is_region_parity_unitary": True,
+            },
+        }
         _emit(_json_text(payload), config.output_path)
 
     reproduced = (

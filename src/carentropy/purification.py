@@ -25,6 +25,11 @@ eigenvector of the union parity unitary: the output is an even pure state
 whose second marginal has the same nonzero spectrum (with multiplicities)
 as the input.  For noneven inputs no such spectrum-matched partner is
 guaranteed to exist, so only the even case is certified here.
+
+The blocks are stacked index arrays, the rows and partners of
+:func:`carentropy.car_algebra._parity_rows` for the two parities, so both
+parity blocks go through one gather, one stacked Gram and one stacked
+``eigh``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import Region, _local_parity_diag, _reorder_rows
+from .car_algebra import Region, _parity_rows, _reorder_rows
 from .errors import CapacityError
 from .states import State, _phase_fixed, is_even
 from .tolerances import EIG_FLOOR, NORM_TOL, SCHMIDT_TOL
@@ -73,29 +78,35 @@ def schmidt(vector: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     return SchmidtDecomposition(s[keep], u[:, keep], vh[keep, :].T)
 
 
-def _purify(rho1: State, J: Region, blocks) -> State:
-    """The vector state on ``I u J`` built from ``(rows, partners)`` index blocks.
+def _purify(rho1: State, J: Region, rows: np.ndarray, partners: np.ndarray) -> State:
+    """The vector state on ``I u J`` built from stacked index blocks.
 
-    For each block the eigenvectors of ``X_b X_b*`` above ``EIG_FLOOR``,
-    largest first, fill its first partners.  The eigenvalues decide the
-    rank, not the factor's column count, which may include round-off
-    columns.
+    Block ``b`` pairs the rows ``rows[b]`` of the factor with the partner
+    columns ``partners[b]``, or with none when ``partners`` has fewer
+    blocks (the odd rows of an ``I`` purified into an empty ``J``).  One
+    gather, one stacked Gram ``X_b X_b*`` and one stacked ``eigh`` serve
+    every block.  In each, the eigenvectors above ``EIG_FLOOR``, largest
+    first (ties in the order ``np.argsort`` gives), fill its first
+    partners.  The eigenvalues decide the rank, not the factor's column
+    count, which may include round-off columns.
     """
     I = rho1.region
-    xi = np.zeros((2 ** len(I), 2 ** len(J)), dtype=complex)
-    for rows, partners in blocks:
-        if not rows.size:
-            continue
-        x = rho1.factor[rows]
-        lam, u = np.linalg.eigh(x @ x.conj().T)
-        order = np.argsort(-lam)[: np.count_nonzero(lam > EIG_FLOOR)]
-        if order.size > partners.size:
+    x = rho1.factor[rows]
+    lam, u = np.linalg.eigh(x @ x.conj().transpose(0, 2, 1))
+    ranks = np.count_nonzero(lam > EIG_FLOOR, axis=-1)
+    for b, rank in enumerate(ranks):
+        room = partners.shape[1] if b < len(partners) else 0
+        if rank > room:
             raise CapacityError(
-                f"rank {order.size} exceeds the {partners.size} partner vectors "
+                f"rank {rank} exceeds the {room} partner vectors "
                 f"of its block in region {J.sites}"
             )
-        schmidt_vectors = _phase_fixed(u[:, order]) * np.sqrt(lam[order])
-        xi[rows[:, None], partners[: order.size]] = schmidt_vectors
+    # the kept eigenpairs lead each block's descending order
+    block, col = np.nonzero(np.arange(lam.shape[1]) < ranks[:, None])
+    pair = np.argsort(-lam, axis=-1)[block, col]
+    vectors = _phase_fixed(u[block, :, pair].T) * np.sqrt(lam[block, pair])
+    xi = np.zeros((2 ** len(I), 2 ** len(J)), dtype=complex)
+    xi[rows[block].T, partners[block, col]] = vectors
     vector = _phase_fixed(xi.reshape(-1, 1) / np.linalg.norm(xi))
     region = I.union(J)
     return State(rho1.ctx, region, _reorder_rows(vector, I.sites + J.sites, region.sites))
@@ -110,28 +121,24 @@ def pure_extension(rho1: State, J: Region) -> State:
     rho1.ctx.check_region(J)
     if not rho1.region.isdisjoint(J):
         raise ValueError(f"regions overlap: {rho1.region.sites} and {J.sites}")
-    blocks = [(np.arange(2 ** len(rho1.region)), np.arange(2 ** len(J)))]
-    return _purify(rho1, J, blocks)
+    rows, partners = np.arange(2 ** len(rho1.region)), np.arange(2 ** len(J))
+    return _purify(rho1, J, rows[None], partners[None])
 
 
 def symmetric_purification(rho1: State, J: Region) -> State:
     """Even pure extension of an even state with spectrum-matched marginals.
 
-    Two blocks: the even rows of the factor fill even partner columns and
-    the odd rows odd ones.  The density of an even input is block-diagonal
-    across the two eigenspaces of the region parity unitary, so each
-    block's Gram ``X_b X_b*`` is exactly one parity block of the density,
-    whatever parities the factor's columns mix.  This cannot run out of
-    partners when ``|J| >= |I|``.
+    Two blocks from :func:`_parity_rows` (one for an empty region): the
+    even rows of the factor fill even partner columns and the odd rows odd
+    ones.  The density of an even input is block-diagonal across the two
+    eigenspaces of the region parity unitary, so each block's Gram
+    ``X_b X_b*`` is exactly one parity block of the density, whatever
+    parities the factor's columns mix.  This cannot run out of partners
+    when ``|J| >= |I|``.
     """
     rho1.ctx.check_region(J)
     if not rho1.region.isdisjoint(J):
         raise ValueError(f"regions overlap: {rho1.region.sites} and {J.sites}")
     if not is_even(rho1):
         raise ValueError("symmetric purification requires an even input state")
-    par1 = _local_parity_diag(len(rho1.region))
-    par2 = _local_parity_diag(len(J))
-    blocks = [
-        (np.flatnonzero(par1 == sign), np.flatnonzero(par2 == sign)) for sign in (1.0, -1.0)
-    ]
-    return _purify(rho1, J, blocks)
+    return _purify(rho1, J, _parity_rows(len(rho1.region)), _parity_rows(len(J)))

@@ -24,12 +24,12 @@ state) is another scaling of the same image (:func:`state_from_tau_form`).
 No state path builds a ``2^n x 2^n`` matrix.
 
 Every change of region goes through the fermionic reorder of
-:func:`carentropy.car_algebra._reorder_plan` (a ``+-1`` sign per basis
-state, ``(-1)^(crossed occupied pairs)``, then a permutation of the tensor
-axes), applied to the rows of ``X`` only.  Once ``R`` is moved to the
-front, the restriction to ``A(R)`` is the same rows regrouped as
-``2^|R| x (2^|rest| m)``: the traced-out modes join the ancilla, so no
-partial trace is taken.  A spectrum is that of the smaller of the Grams
+:func:`carentropy.car_algebra._reorder_plan` (one gather of the rows in
+the permuted order of their tensor axes, then a ``+-1`` sign per basis
+state, ``(-1)^(crossed occupied pairs)``), applied to the rows of ``X``
+only.  Once ``R`` is moved to the front, the restriction to ``A(R)`` is
+the same rows regrouped as ``2^|R| x (2^|rest| m)``: the traced-out modes
+join the ancilla, so no partial trace is taken.  A spectrum is that of the smaller of the Grams
 ``X X*`` and ``X* X``, which share their nonzero eigenvalues.  Eigenvalues
 below ``1e-12`` are round-off zeros, clamped before logarithms.  A factor
 built from a density keeps every positive eigenpair, so ``X X*`` is the
@@ -44,7 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import AlgebraContext, Region, _local_parity_diag, _reorder_rows
+from .car_algebra import (
+    AlgebraContext,
+    Region,
+    _local_parity_diag,
+    _parity_rows,
+    _reorder_rows,
+)
 from .errors import ExtensionError, NotAStateError
 from .tolerances import (
     CLUSTER_TOL,
@@ -224,20 +230,28 @@ def is_even(state: State) -> bool:
     """Whether ``|D - Theta(D)|``, twice the norm of the density's block
     ``B = X+ X-*`` between opposite parities, is at most ``EVEN_TOL``.
 
-    Since ``max|B_ij| <= |B| <= |B|_F``, the largest entry and the
-    Frobenius norm decide almost every state; the spectral norm is computed
-    only when ``EVEN_TOL`` lies between them.  ``B`` is formed only from the
-    columns of ``X`` that have entries of both parities (a column in one
-    parity adds nothing to it; the factor of a random even state, and of
-    its marginals, has none), and a few rows at a time, so a noneven state
-    is usually decided by its first rows and the whole block is held only
-    for the spectral norm.  (The Gram identity
-    ``|B|_F^2 = tr(X+* X+ X-* X-)`` would avoid ``B``, but it loses a small
-    ``B`` to cancellation.)
+    One gather of the parity rows of :func:`_parity_rows` gives ``X+`` and
+    ``X-``.  A column of ``X`` with entries in one parity only adds nothing
+    to ``B``, so when no column has entries in both, ``B`` is exactly zero
+    and the state is even before any product is formed (the factor of a
+    random even state, and of its marginals, has no such column).  This
+    return uses no tolerance: an entry of any size in the other parity,
+    round-off included, takes the path below.  Since
+    ``max|B_ij| <= |B| <= |B|_F``, the largest entry and the Frobenius norm
+    decide almost every remaining state; the spectral norm is computed only
+    when ``EVEN_TOL`` lies between them.  ``B`` is formed only from the
+    mixed columns and a few rows at a time, so a noneven state is usually
+    decided by its first rows and the whole block is held only for the
+    spectral norm.  (The Gram identity ``|B|_F^2 = tr(X+* X+ X-* X-)``
+    would avoid ``B``, but it loses a small ``B`` to cancellation.)
     """
-    par = _local_parity_diag(len(state.region))
-    plus, minus = state.factor[par > 0], state.factor[par < 0]
+    parity_rows = _parity_rows(len(state.region))
+    if len(parity_rows) == 1:  # the scalars of the empty region
+        return True
+    plus, minus = state.factor[parity_rows]
     mixed = plus.any(axis=0) & minus.any(axis=0)
+    if not mixed.any():
+        return True
     if not mixed.all():
         plus, minus = plus[:, mixed], minus[:, mixed]
     minus = minus.conj().T
@@ -368,11 +382,10 @@ def random_state(
     weights = weights / weights.sum()
 
     if even and len(region) >= 1:
-        par = _local_parity_diag(len(region))
         half = d // 2
         r_plus = int(rng.integers(max(0, rank - half), min(rank, half) + 1))
-        split = [(par > 0, r_plus), (par < 0, rank - r_plus)]
-        split = [(rows, r) for rows, r in split if r]
+        pairs = zip(_parity_rows(len(region)), (r_plus, rank - r_plus))
+        split = [(rows, r) for rows, r in pairs if r]
         columns = _haar_columns(rng, len(split), half, max(r for _, r in split))
         factor = np.zeros((d, rank), dtype=complex)
         start = 0

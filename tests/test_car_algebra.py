@@ -23,6 +23,7 @@ from carentropy.car_algebra import (
     _local_parity_diag,
     _reorder,
     _reorder_plan,
+    _reorder_rows,
     _trace_out,
 )
 
@@ -75,6 +76,52 @@ class TestCachedPlans:
         with pytest.raises(ValueError):
             par[0] = 0.0
         assert _local_parity_diag(3) is par
+
+
+def sign_then_transpose(factor, src, dst):
+    """The row reorder as a sign per source basis state, then a transpose of
+    the row's mode axes: reference."""
+    k = len(src)
+    perm = [src.index(s) for s in dst]
+    idx = np.arange(2 ** k)
+    occupied = [(idx >> (k - 1 - i)) & 1 for i in range(k)]
+    crossed = np.zeros(2 ** k, dtype=int)
+    for a in range(k):
+        for b in range(a + 1, k):
+            if perm[a] > perm[b]:
+                crossed += occupied[perm[a]] & occupied[perm[b]]
+    signed = (1 - 2 * (crossed & 1)).astype(np.int8)[:, None] * factor
+    return signed.reshape((2,) * k + (-1,)).transpose(perm + [k]).reshape(2 ** k, -1)
+
+
+class TestReorderRows:
+    """One gather of rows and a sign in place, bit for bit as sign-then-transpose."""
+
+    @staticmethod
+    def assert_same_bits(src, dst, seed):
+        rng = np.random.default_rng(seed)
+        d = 2 ** len(src)
+        for cols in (1, d + 3):
+            factor = rng.normal(size=(d, cols)) + 1j * rng.normal(size=(d, cols))
+            factor[rng.random(size=factor.shape) < 0.2] = 0.0  # signed zeros stay signed alike
+            factor.imag[rng.random(size=factor.shape) < 0.2] = -0.0
+            mine = _reorder_rows(factor, src, dst)
+            assert mine.tobytes() == sign_then_transpose(factor, src, dst).tobytes(), (src, dst)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_every_permutation(self, k):
+        sites = (2, 5, 6, 9)[:k]
+        for seed, (src, dst) in enumerate(itertools.product(itertools.permutations(sites),
+                                                            repeat=2)):
+            self.assert_same_bits(src, dst, seed)
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_sampled_permutations(self, k):
+        rng = np.random.default_rng(k)
+        sites = tuple(range(1, k + 1))
+        for seed in range(12):
+            src, dst = (tuple(rng.permutation(sites).tolist()) for _ in range(2))
+            self.assert_same_bits(src, dst, seed)
 
 
 class TestBuildContext:

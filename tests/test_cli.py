@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from carentropy import cli
 from carentropy.cli import RunConfig, _unexpected_violations, build_parser, main
 
 LN2 = math.log(2.0)
@@ -146,6 +147,15 @@ class TestCounterexample:
         assert code == 0
         payload = json.loads(path.read_text())
         assert abs(payload["entropies"]["KJ"] - 2 * LN2) <= 1e-9
+
+    @pytest.mark.parametrize("fmt, densities", [("csv", 0), ("json", 4)])
+    def test_densities_built_only_for_json(self, tmp_path, monkeypatch, fmt, densities):
+        calls = []
+        payload = cli._complex_matrix_payload
+        monkeypatch.setattr(cli, "_complex_matrix_payload", lambda m: calls.append(m) or payload(m))
+        code, _ = run(["counterexample", "--seed", "7", "--format", fmt], tmp_path, name=f"o.{fmt}")
+        assert code == 0
+        assert len(calls) == densities
 
     def test_overlapping_regions_exit_two(self):
         with pytest.raises(SystemExit) as exc:

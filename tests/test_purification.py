@@ -23,6 +23,8 @@ from carentropy import (
     tracial_state,
     vector_state,
 )
+from carentropy.car_algebra import _local_parity_diag, _reorder_rows
+from carentropy.tolerances import EIG_FLOOR
 
 
 def sorted_nonzero_spectrum(state, tol=1e-11):
@@ -202,6 +204,106 @@ class TestSymmetricPurification:
         lam_j = sorted_nonzero_spectrum(restrict(ext, J))
         assert lam_i.shape == lam_j.shape
         assert np.abs(lam_i - lam_j).max() <= 1e-9
+
+
+def per_block_purify(rho1, J, blocks):
+    """The purified factor from one Gram ``eigh`` per ``(rows, partners)``
+    block, eigenpairs sorted by ``np.argsort`` per block: reference."""
+    I = rho1.region
+    xi = np.zeros((2 ** len(I), 2 ** len(J)), dtype=complex)
+    for rows, partners in blocks:
+        if not rows.size:
+            continue
+        x = rho1.factor[rows]
+        lam, u = np.linalg.eigh(x @ x.conj().T)
+        order = np.argsort(-lam)[: np.count_nonzero(lam > EIG_FLOOR)]
+        if order.size > partners.size:
+            raise CapacityError(
+                f"rank {order.size} exceeds the {partners.size} partner vectors "
+                f"of its block in region {J.sites}"
+            )
+        u = u[:, order]
+        top = u[np.argmax(np.abs(u), axis=0), np.arange(order.size)]
+        phases = (top / np.abs(top)).conj()
+        xi[rows[:, None], partners[: order.size]] = u * phases * np.sqrt(lam[order])
+    vector = xi.reshape(-1, 1) / np.linalg.norm(xi)
+    top = vector[np.argmax(np.abs(vector)), 0]
+    vector = vector * (top / np.abs(top)).conj()
+    return _reorder_rows(vector, I.sites + J.sites, I.union(J).sites)
+
+
+def parity_blocks(I, J):
+    par1, par2 = _local_parity_diag(len(I)), _local_parity_diag(len(J))
+    return [(np.flatnonzero(par1 == sign), np.flatnonzero(par2 == sign)) for sign in (1, -1)]
+
+
+def all_blocks(I, J):
+    return [(np.arange(2 ** len(I)), np.arange(2 ** len(J)))]
+
+
+def assert_matches_reference(extend, rho, J, blocks):
+    """Same factor within 1e-15, or the same CapacityError text."""
+    try:
+        want = per_block_purify(rho, J, blocks)
+    except CapacityError as exc:
+        with pytest.raises(CapacityError) as got:
+            extend(rho, J)
+        assert str(got.value) == str(exc)
+        return "capacity"
+    ext = extend(rho, J)
+    assert ext.region == rho.region.union(J)
+    assert np.abs(ext.factor - want).max() <= 1e-15
+    return "built"
+
+
+class TestStackedBlocks:
+    """Both extensions from one stacked ``eigh``, as one ``eigh`` per block."""
+
+    @staticmethod
+    def inputs(ctx, I, rng):
+        """Random even states of every rank, the tracial state, and an even
+        diagonal density with repeated eigenvalues inside each parity block."""
+        d = 2 ** len(I)
+        states = [random_state(ctx, I, even=True, rank=r, seed=int(rng.integers(2 ** 31)))
+                  for r in range(1, d + 1)]
+        states.append(tracial_state(ctx, I))
+        weights = rng.integers(1, 3, size=d).astype(float)
+        states.append(state_from_intrinsic(ctx, I, np.diag(weights / weights.sum())))
+        return states
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_regions(self, n):
+        ctx = build_context(n)
+        rng = np.random.default_rng(n)
+        seen = set()
+        for _ in range(8):
+            labels = rng.integers(0, 3, size=n)
+            I = Region(tuple(int(s) + 1 for s in np.flatnonzero(labels == 0)))
+            J = Region(tuple(int(s) + 1 for s in np.flatnonzero(labels == 1)))
+            for rho in self.inputs(ctx, I, rng):
+                seen.add(assert_matches_reference(
+                    symmetric_purification, rho, J, parity_blocks(I, J)))
+                seen.add(assert_matches_reference(pure_extension, rho, J, all_blocks(I, J)))
+        assert seen == {"built", "capacity"}
+
+    @pytest.mark.parametrize("I, J", [((), (1, 3)), ((), ()), ((2,), ()), ((1, 3), ())])
+    def test_empty_regions(self, ctx3, I, J):
+        I, J = Region(I), Region(J)
+        rng = np.random.default_rng(len(I) + 3 * len(J))
+        states = self.inputs(ctx3, I, rng)
+        for k in range(2 ** len(I)):  # even and odd pure states
+            states.append(vector_state(ctx3, I, np.eye(2 ** len(I))[k]))
+        for rho in states:
+            assert_matches_reference(symmetric_purification, rho, J, parity_blocks(I, J))
+            assert_matches_reference(pure_extension, rho, J, all_blocks(I, J))
+
+    def test_tied_eigenvalues(self, ctx4):
+        # the tracial state: every eigenvalue of each block is the same
+        for I, J in (((1,), (2,)), ((1, 3), (2, 4)), ((2, 3, 4), (1,))):
+            rho = tracial_state(ctx4, Region(I))
+            for extend, blocks in ((symmetric_purification, parity_blocks),
+                                   (pure_extension, all_blocks)):
+                assert_matches_reference(extend, rho, Region(J), blocks(Region(I), Region(J)))
 
 
 @st.composite

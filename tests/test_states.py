@@ -29,7 +29,7 @@ from carentropy import (
 from carentropy.car_algebra import _local_parity_diag
 from carentropy.counterexamples import odd_eigenvector_state
 from carentropy import states
-from carentropy.states import _gaussian_columns, _haar_columns
+from carentropy.states import _gaussian_columns, _haar_columns, _spectrum
 from carentropy.tolerances import EVEN_TOL
 
 import oracles
@@ -75,6 +75,23 @@ class TestEntropy:
         rotated = state_from_intrinsic(ctx2, Region((1, 2)), q @ s.intrinsic() @ q.conj().T)
         assert abs(entropy(rotated) - entropy(s)) <= 1e-9
         assert abs(entropy(s.theta_image()) - entropy(s)) <= 1e-10
+
+
+class TestSpectrumClamp:
+    """A rank-r factor with 2^k rows and more columns than rows goes through
+    ``X X*``; its 2^k - r round-off eigenvalues are exactly zero."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_exactly_the_missing_rank_is_zero(self, k):
+        d = 2 ** k
+        rng = np.random.default_rng(k)
+        for r in sorted({1, d // 2, d - 1}):
+            a = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+            b = rng.normal(size=(r, 2 * d + 1)) + 1j * rng.normal(size=(r, 2 * d + 1))
+            factor = a @ b
+            lam = _spectrum(factor / np.linalg.norm(factor))
+            assert lam.shape == (d,)
+            assert np.count_nonzero(lam == 0.0) == d - r, (k, r)
 
 
 class TestNormalizationConvention:
@@ -202,6 +219,34 @@ class TestIsEven:
             ctx2, ctx2.lattice, (rep(s) + oracles.theta(rep(s), 2)) / 2.0
         )
         assert is_even(sym)
+
+
+class TestIsEvenParityColumns:
+    """No column with entries in both parities: even at once, with no tolerance."""
+
+    @staticmethod
+    def parity_pure_factor(ctx):
+        par = _local_parity_diag(3)
+        rng = np.random.default_rng(7)
+        factor = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+        factor[par < 0, :3] = 0.0
+        factor[par > 0, 3:] = 0.0
+        return factor / np.linalg.norm(factor)
+
+    def test_parity_pure_columns_even(self, ctx3):
+        assert is_even(State(ctx3, ctx3.lattice, self.parity_pure_factor(ctx3)))
+
+    def test_round_off_entry_in_other_parity_even(self, ctx3):
+        factor = self.parity_pure_factor(ctx3)
+        factor[np.flatnonzero(_local_parity_diag(3) < 0)[1], 0] = 1e-30
+        assert is_even(State(ctx3, ctx3.lattice, factor))
+
+    def test_mixed_column_beside_parity_pure_ones_noneven(self, ctx3):
+        factor = self.parity_pure_factor(ctx3)
+        factor[:, 4] = 0.4  # both parities, next to four parity-pure columns
+        state = State(ctx3, ctx3.lattice, factor / np.linalg.norm(factor))
+        assert 2 * np.linalg.norm(oracles.odd_block(state.intrinsic()), 2) > EVEN_TOL
+        assert not is_even(state)
 
 
 class TestIsEvenBracket:
