@@ -36,7 +36,7 @@ import numpy as np
 from .car_algebra import Region, build_context
 from .counterexamples import violation_demo
 from .errors import CarError
-from .inequalities import inequality_report
+from .inequalities import InequalityReport, inequality_report
 from .states import random_state, tracial_state
 from .tolerances import HOLD_TOL
 
@@ -150,6 +150,18 @@ def _trial_regions(rng: np.random.Generator, n: int, suite: str, fixed) -> dict[
     return out
 
 
+def _report_row(config: RunConfig, index: int, report: InequalityReport) -> dict:
+    """One trial row: the report's regions, parity, gaps and verdicts."""
+    row = {"trial": index, "seed": config.seed, "sites": config.sites}
+    for name in ("I", "J", "K"):
+        row[name] = _region_str(report.regions.get(name, ()))
+    row["parity"] = "even" if report.even_state else "noneven"
+    for kind in ("ssa", "triangle", "mono_ssa"):
+        row[f"{kind}_gap"] = getattr(report, f"{kind}_gap")
+        row[f"{kind}_verdict"] = report.verdicts.get(kind, "")
+    return row
+
+
 def _verify_trial(ctx, config: RunConfig, index: int, child) -> dict:
     rng = np.random.default_rng(child)
     fixed = config.regions and {
@@ -161,21 +173,7 @@ def _verify_trial(ctx, config: RunConfig, index: int, child) -> dict:
         ctx, ctx.lattice, even=config.even, rank=rank, seed=rng.integers(0, 2 ** 63)
     )
     report = inequality_report(state, regions["I"], regions["J"], regions.get("K"))
-    return {
-        "trial": index,
-        "seed": config.seed,
-        "sites": config.sites,
-        "I": _region_str(regions["I"].sites),
-        "J": _region_str(regions["J"].sites),
-        "K": _region_str(regions["K"].sites) if "K" in regions else "",
-        "parity": "even" if report.even_state else "noneven",
-        "ssa_gap": report.ssa_gap,
-        "triangle_gap": report.triangle_gap,
-        "mono_ssa_gap": report.mono_ssa_gap,
-        "ssa_verdict": report.verdicts.get("ssa", ""),
-        "triangle_verdict": report.verdicts.get("triangle", ""),
-        "mono_ssa_verdict": report.verdicts.get("mono_ssa", ""),
-    }
+    return _report_row(config, index, report)
 
 
 def _unexpected_violations(config: RunConfig, rows: list[dict]) -> list[str]:
@@ -251,18 +249,7 @@ def cmd_counterexample(config: RunConfig) -> int:
         rho_j = tracial_state(ctx, J)
     report = violation_demo(ctx, K, I, J, rhoJ=rho_j)
     if config.output_format == "csv":
-        rows = [{
-            "trial": 0, "seed": config.seed, "sites": config.sites,
-            "I": _region_str(I.sites), "J": _region_str(J.sites), "K": _region_str(K.sites),
-            "parity": "noneven",
-            "ssa_gap": report.ssa_gap,
-            "triangle_gap": report.triangle_gap,
-            "mono_ssa_gap": report.mono_ssa_gap,
-            "ssa_verdict": report.verdicts["ssa"],
-            "triangle_verdict": report.verdicts["triangle"],
-            "mono_ssa_verdict": report.verdicts["mono_ssa"],
-        }]
-        _emit(_csv_text(rows), config.output_path)
+        _emit(_csv_text([_report_row(config, 0, report)]), config.output_path)
     else:
         recipe = report.recipe
         payload = {
@@ -280,7 +267,7 @@ def cmd_counterexample(config: RunConfig) -> int:
                 "rho1_density": _complex_matrix_payload(recipe.rho1.intrinsic()),
                 "rho2_tilde_density": _complex_matrix_payload(recipe.rho2_tilde.intrinsic()),
                 "rho2_density": _complex_matrix_payload(recipe.rho2.intrinsic()),
-                "rhoJ_density": _complex_matrix_payload(recipe.rhoJ.intrinsic()),
+                "rhoJ_density": _complex_matrix_payload(rho_j.intrinsic()),
                 "u1_is_region_parity_unitary": True,
             },
         }

@@ -34,6 +34,11 @@ The construction takes three mutually disjoint regions K, I, J:
 * ``rhoJ`` on J: an arbitrary even state; the full demo state is the
   product extension ``psi o rhoJ``.
 
+An :class:`ExtensionRecipe` holds K, I, ``rho1`` and ``rho2_tilde`` and
+checks them on construction.  :func:`violation_demo` owns J and ``rhoJ``
+(tracial by default); :func:`carentropy.states.product_extension` refuses
+an overlapping J or a noneven ``rhoJ``.
+
 With one site per region, ``rho2_tilde`` maximally odd pure, and ``rhoJ``
 tracial, the demo state has ``S(K) = S(K u I) = 0``,
 ``S(I) = S(J) = S(K u J) = ln 2``, so both the triangle gap on (I, K) and
@@ -61,7 +66,6 @@ from .car_algebra import (
     _reorder_rows,
     theta,
 )
-from .errors import ExtensionError
 from .inequalities import (
     InequalityReport,
     _mono_ssa,
@@ -150,14 +154,21 @@ def symmetrize(state: State) -> State:
 
 @dataclass(frozen=True)
 class ExtensionRecipe:
-    """Ingredients of the joint extension and the violation demo."""
+    """The ingredients of the joint extension, checked on construction.
+
+    ``rho1`` is a maximally odd pure state on ``K`` and ``rho2_tilde`` a
+    state on ``I`` that differs from its parity image; ``K`` and ``I`` are
+    disjoint.  ``__post_init__`` raises ``ValueError`` otherwise, so
+    ``dataclasses.replace`` re-checks the ingredients it swaps in.
+    """
 
     K: Region
     I: Region
     rho1: State
     rho2_tilde: State
-    J: Region | None = None
-    rhoJ: State | None = None
+
+    def __post_init__(self) -> None:
+        _validate_recipe(self)
 
     @functools.cached_property
     def rho2(self) -> State:
@@ -176,9 +187,14 @@ class ViolationReport(InequalityReport):
 
 
 def _validate_recipe(recipe: ExtensionRecipe) -> None:
-    """Check the recipe's ingredients."""
+    """Check the recipe's regions and ingredients."""
     if not recipe.K.isdisjoint(recipe.I):
         raise ValueError("K and I must be disjoint")
+    for name, state, region in (
+        ("rho1", recipe.rho1, recipe.K), ("rho2_tilde", recipe.rho2_tilde, recipe.I)
+    ):
+        if state.region != region:
+            raise ValueError(f"{name} lives on {state.region.sites}, expected {region.sites}")
     if p_theta(recipe.rho1) > P_THETA_TOL:
         raise ValueError(
             "rho1 must be maximally odd (p_theta = 0); the functional formula "
@@ -188,22 +204,16 @@ def _validate_recipe(recipe: ExtensionRecipe) -> None:
         raise ValueError("rho1 must be pure")
     if density_distance(recipe.rho2_tilde, recipe.rho2_tilde.theta_image()) <= ODDNESS_MIN:
         raise ValueError("rho2_tilde must differ from its parity image")
-    if recipe.J is not None:
-        for other, name in ((recipe.K, "K"), (recipe.I, "I")):
-            if not recipe.J.isdisjoint(other):
-                raise ValueError(f"J must be disjoint from {name}")
-    if recipe.rhoJ is not None and not is_even(recipe.rhoJ):
-        raise ExtensionError("rhoJ must be even for the product extension to exist")
 
 
-def _assemble_recipe(
-    ctx: AlgebraContext,
-    K: Region,
-    I: Region,
-    rho2_tilde: State | None,
-    J: Region | None,
-    rhoJ: State | None,
+def build_recipe(
+    ctx: AlgebraContext, K: Region, I: Region, *, rho2_tilde: State | None = None
 ) -> ExtensionRecipe:
+    """The recipe with the default ``rho1`` on ``K`` and the given or default ``rho2_tilde``.
+
+    Both defaults are :func:`odd_eigenvector_state` vector states; the
+    recipe checks itself on construction.
+    """
     ctx.check_region(K)
     ctx.check_region(I)
     if not I.sites:
@@ -211,28 +221,7 @@ def _assemble_recipe(
     rho1 = odd_eigenvector_state(ctx, K)
     if rho2_tilde is None:
         rho2_tilde = odd_eigenvector_state(ctx, I)
-    elif rho2_tilde.region != I:
-        raise ValueError(f"rho2_tilde lives on {rho2_tilde.region.sites}, expected {I.sites}")
-    if J is not None and rhoJ is None:
-        rhoJ = tracial_state(ctx, J)
-    if rhoJ is not None and J is not None and rhoJ.region != J:
-        raise ValueError(f"rhoJ lives on {rhoJ.region.sites}, expected {J.sites}")
-    return ExtensionRecipe(K=K, I=I, rho1=rho1, rho2_tilde=rho2_tilde, J=J, rhoJ=rhoJ)
-
-
-def build_recipe(
-    ctx: AlgebraContext,
-    K: Region,
-    I: Region,
-    *,
-    rho2_tilde: State | None = None,
-    J: Region | None = None,
-    rhoJ: State | None = None,
-) -> ExtensionRecipe:
-    """Assemble and validate the default or a customized recipe."""
-    recipe = _assemble_recipe(ctx, K, I, rho2_tilde, J, rhoJ)
-    _validate_recipe(recipe)
-    return recipe
+    return ExtensionRecipe(K=K, I=I, rho1=rho1, rho2_tilde=rho2_tilde)
 
 
 def joint_extension(recipe: ExtensionRecipe) -> State:
@@ -245,9 +234,9 @@ def joint_extension(recipe: ExtensionRecipe) -> State:
     ``rho2_tilde`` for its parity image) the density in K-first mode order
     is ``D1 (x) D2~`` for even ``|K|`` and ``D1 (x) Theta(D2~)`` for odd
     ``|K|``, so its factor is the Kronecker product of the two factors,
-    reordered to the sorted sites of ``K u I``.
+    reordered to the sorted sites of ``K u I``.  The recipe was checked
+    when it was built.
     """
-    _validate_recipe(recipe)
     K, I = recipe.K, recipe.I
     second = recipe.rho2_tilde if len(K) % 2 == 0 else recipe.rho2_tilde.theta_image()
     region = K.union(I)
@@ -266,15 +255,21 @@ def violation_demo(
 ) -> ViolationReport:
     """Build ``psi o rhoJ`` and report its gaps, entropies, residuals and recipe.
 
+    The recipe comes from :func:`build_recipe`; ``rhoJ`` defaults to the
+    tracial state on ``J`` and must live on ``J``.
+
     Expected pattern: the monotonicity-form gap on (I, J; K) and the
     triangle gap on (I, K) are negative (``-ln 2`` with the defaults) while
     the strong subadditivity gap on the overlapping pair (K u I, K u J)
     stays nonpositive.  Each of the six report regions is restricted once:
     the entropies and the K, I and J residuals share those marginals.
     """
-    recipe = _assemble_recipe(ctx, K, I, rho2_tilde, J, rhoJ)
-    psi = joint_extension(recipe)  # validates the recipe
-    full = product_extension(psi, recipe.rhoJ)
+    recipe = build_recipe(ctx, K, I, rho2_tilde=rho2_tilde)
+    if rhoJ is None:
+        rhoJ = tracial_state(ctx, J)
+    elif rhoJ.region != J:
+        raise ValueError(f"rhoJ lives on {rhoJ.region.sites}, expected {J.sites}")
+    full = product_extension(joint_extension(recipe), rhoJ)
 
     regions = {
         "K": K, "I": I, "J": J,
@@ -295,7 +290,7 @@ def violation_demo(
     residuals = {
         "restriction_K": density_distance(marginals["K"], recipe.rho1),
         "restriction_I": density_distance(marginals["I"], recipe.rho2),
-        "restriction_J": density_distance(marginals["J"], recipe.rhoJ),
+        "restriction_J": density_distance(marginals["J"], rhoJ),
         "entropy_vs_rho2_tilde": abs(entropies["KI"] - entropy(recipe.rho2_tilde)),
         "product_entropy": abs(entropies["KJ"] - entropies["K"] - entropies["J"]),
     }

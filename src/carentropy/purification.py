@@ -85,10 +85,12 @@ def _purify(rho1: State, J: Region, rows: np.ndarray, partners: np.ndarray) -> S
     columns ``partners[b]``, or with none when ``partners`` has fewer
     blocks (the odd rows of an ``I`` purified into an empty ``J``).  One
     gather, one stacked Gram ``X_b X_b*`` and one stacked ``eigh`` serve
-    every block.  In each, the eigenvectors above ``EIG_FLOOR``, largest
-    first (ties in the order ``np.argsort`` gives), fill its first
-    partners.  The eigenvalues decide the rank, not the factor's column
-    count, which may include round-off columns.
+    every block.  In each, the eigenvectors above ``EIG_FLOOR`` fill its
+    first partners, largest first: they are read from the end of
+    ``eigh``'s ascending order, so tied ones keep the reverse of ``eigh``'s
+    order and no CPU-dependent sort reorders them.  The eigenvalues decide
+    the rank, not the factor's column count, which may include round-off
+    columns.
     """
     I = rho1.region
     x = rho1.factor[rows]
@@ -101,9 +103,9 @@ def _purify(rho1: State, J: Region, rows: np.ndarray, partners: np.ndarray) -> S
                 f"rank {rank} exceeds the {room} partner vectors "
                 f"of its block in region {J.sites}"
             )
-    # the kept eigenpairs lead each block's descending order
+    # the kept eigenpairs end each block's ascending order
     block, col = np.nonzero(np.arange(lam.shape[1]) < ranks[:, None])
-    pair = np.argsort(-lam, axis=-1)[block, col]
+    pair = lam.shape[1] - 1 - col
     vectors = _phase_fixed(u[block, :, pair].T) * np.sqrt(lam[block, pair])
     xi = np.zeros((2 ** len(I), 2 ** len(J)), dtype=complex)
     xi[rows[block].T, partners[block, col]] = vectors

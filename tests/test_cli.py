@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -156,6 +157,20 @@ class TestCounterexample:
         code, _ = run(["counterexample", "--seed", "7", "--format", fmt], tmp_path, name=f"o.{fmt}")
         assert code == 0
         assert len(calls) == densities
+
+    def test_csv_row(self, tmp_path):
+        code, path = run(
+            ["counterexample", "--K", "2,4", "--I", "1", "--J-sites", "0", "--format", "csv"],
+            tmp_path,
+            name="out.csv",
+        )
+        assert code == 0
+        (row,) = csv.DictReader(path.read_text().splitlines())
+        assert (row["trial"], row["sites"], row["parity"]) == ("0", "4", "noneven")
+        assert (row["K"], row["I"], row["J"]) == ("2,4", "1", "")
+        assert (row["ssa_verdict"], row["triangle_verdict"], row["mono_ssa_verdict"]) == (
+            "holds", "violated", "violated",
+        )
 
     def test_overlapping_regions_exit_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from carentropy import (
+    ExtensionError,
     OperatorElement,
     Region,
     State,
@@ -146,11 +147,20 @@ class TestRecipeValidation:
 
     def test_wrong_region_ingredients_rejected(self, ctx3):
         misplaced = random_state(ctx3, Region((3,)), seed=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rho2_tilde lives on"):
             build_recipe(ctx3, Region((2,)), Region((1,)), rho2_tilde=misplaced)
         rho_j = tracial_state(ctx3, Region((1,)))
-        with pytest.raises(ValueError):
-            build_recipe(ctx3, Region((2,)), Region((1,)), J=Region((3,)), rhoJ=rho_j)
+        with pytest.raises(ValueError, match="rhoJ lives on"):
+            violation_demo(ctx3, Region((2,)), Region((1,)), Region((3,)), rhoJ=rho_j)
+
+    def test_replace_checks_regions(self, ctx3):
+        # ingredients that are valid on their own but live on a third region
+        recipe = build_recipe(ctx3, Region((2,)), Region((1,)))
+        elsewhere = odd_eigenvector_state(ctx3, Region((3,)))
+        with pytest.raises(ValueError, match="rho2_tilde lives on"):
+            replace(recipe, rho2_tilde=elsewhere)
+        with pytest.raises(ValueError, match="rho1 lives on"):
+            replace(recipe, rho1=elsewhere)
 
     def test_oddness_of_rho1_enforced(self, ctx2):
         recipe = build_recipe(ctx2, Region((2,)), Region((1,)))
@@ -361,15 +371,17 @@ class TestViolationDemo:
 
     def test_noneven_rhoJ_rejected(self, ctx3):
         bad = odd_eigenvector_state(ctx3, Region((3,)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ExtensionError, match="at least one even factor"):
             violation_demo(ctx3, Region((2,)), Region((1,)), Region((3,)), rhoJ=bad)
+
+    def test_overlapping_J_rejected(self, ctx3):
+        with pytest.raises(ValueError, match="disjoint regions"):
+            violation_demo(ctx3, Region((2,)), Region((1,)), Region((1, 3)))
 
     def test_demo_state_satisfies_ssa_directly(self, ctx3):
         K, I, J = Region((2,)), Region((1,)), Region((3,))
-        recipe = build_recipe(ctx3, K, I, J=J)
-        from carentropy import product_extension
-
-        full = product_extension(joint_extension(recipe), recipe.rhoJ)
+        recipe = build_recipe(ctx3, K, I)
+        full = product_extension(joint_extension(recipe), tracial_state(ctx3, J))
         assert ssa_gap(full, K.union(I), K.union(J)) <= 1e-9
         assert ssa_gap(full, I.union(K), I.union(J)) <= 1e-9
 
@@ -378,13 +390,12 @@ class TestViolationDemo:
         # rhoJ even pure-product bookkeeping, S(KI) = S(rho2_tilde) and
         # S(I) = S(rho2), so the monotonicity-form gap is exactly minus
         # the entropy gained by symmetrizing rho2_tilde.
-        from carentropy import product_extension
-
         K, I, J = Region((2,)), Region((1,)), Region((3,))
+        rho_j = tracial_state(ctx3, J)
         for seed in (0, 1, 2, 5, 8):
             rho2_tilde = random_state(ctx3, I, rank=(seed % 2) + 1, seed=seed)
-            recipe = build_recipe(ctx3, K, I, rho2_tilde=rho2_tilde, J=J)
-            full = product_extension(joint_extension(recipe), recipe.rhoJ)
+            recipe = build_recipe(ctx3, K, I, rho2_tilde=rho2_tilde)
+            full = product_extension(joint_extension(recipe), rho_j)
             gap = mono_ssa_gap(full, I, J, K)
             gain = entropy(recipe.rho2) - entropy(rho2_tilde)
             assert gain >= -1e-12

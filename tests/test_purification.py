@@ -208,7 +208,7 @@ class TestSymmetricPurification:
 
 def per_block_purify(rho1, J, blocks):
     """The purified factor from one Gram ``eigh`` per ``(rows, partners)``
-    block, eigenpairs sorted by ``np.argsort`` per block: reference."""
+    block, eigenpairs read from the end of each ascending ``eigh``: reference."""
     I = rho1.region
     xi = np.zeros((2 ** len(I), 2 ** len(J)), dtype=complex)
     for rows, partners in blocks:
@@ -216,7 +216,7 @@ def per_block_purify(rho1, J, blocks):
             continue
         x = rho1.factor[rows]
         lam, u = np.linalg.eigh(x @ x.conj().T)
-        order = np.argsort(-lam)[: np.count_nonzero(lam > EIG_FLOOR)]
+        order = np.arange(lam.size)[::-1][: np.count_nonzero(lam > EIG_FLOOR)]
         if order.size > partners.size:
             raise CapacityError(
                 f"rank {order.size} exceeds the {partners.size} partner vectors "
