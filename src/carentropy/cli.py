@@ -12,8 +12,8 @@ thread count (``OPENBLAS_NUM_THREADS``): at n >= 8 LAPACK splits some
 factorizations by thread count, which moves gaps in their last bits.  Exit codes:
 0 = success / expected outcome, 1 = unexpected mathematical violation,
 2 = usage error, an ``--output`` that cannot be written included.
-Environment overrides: ``CARENTROPY_SEED`` (used when ``--seed`` is not
-given) and ``CARENTROPY_OUTDIR`` (prepended to relative ``--output`` paths).
+Environment: ``CARENTROPY_OUTDIR`` is prepended to relative ``--output``
+paths.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call in the same process.
@@ -44,6 +44,18 @@ __all__ = ["main", "RunConfig", "cmd_verify", "cmd_counterexample", "cmd_table1"
 
 SUITES = ("ssa", "triangle", "mono-ssa", "all")
 MAX_VIOLATION_MAGNITUDE = 2.0 * math.log(2.0)  # proved for every state: see carentropy.inequalities
+# table1's rows: (name, verify suite, even states, gap kind) for the campaigns
+# and (name, gap kind, expected verdict) for the counterexample state
+TABLE1_CAMPAIGNS = (
+    ("ssa_all_states", "ssa", False, "ssa"),
+    ("triangle_even_states", "triangle", True, "triangle"),
+    ("mono_ssa_even_states", "mono-ssa", True, "mono_ssa"),
+)
+TABLE1_COUNTEREXAMPLE = (
+    ("triangle_noneven_counterexample", "triangle", "violated"),
+    ("mono_ssa_noneven_counterexample", "mono_ssa", "violated"),
+    ("ssa_on_counterexample_state", "ssa", "holds"),
+)
 
 
 @dataclass(frozen=True)
@@ -124,10 +136,8 @@ def _random_subset(rng: np.random.Generator, pool: list[int], size: int) -> Regi
     return Region(tuple(sorted(int(x) for x in picked)))
 
 
-def _trial_regions(rng: np.random.Generator, n: int, suite: str, fixed) -> dict[str, Region]:
+def _trial_regions(rng: np.random.Generator, n: int, suite: str) -> dict[str, Region]:
     """Sample trial regions; disjoint I, J (+K) except the ssa suite, where overlap is fair game."""
-    if fixed:
-        return fixed
     sites = list(range(1, n + 1))
     if suite == "ssa":
         size_i = int(rng.integers(1, n))
@@ -162,12 +172,9 @@ def _report_row(config: RunConfig, index: int, report: InequalityReport) -> dict
     return row
 
 
-def _verify_trial(ctx, config: RunConfig, index: int, child) -> dict:
+def _verify_trial(ctx, config: RunConfig, fixed, index: int, child) -> dict:
     rng = np.random.default_rng(child)
-    fixed = config.regions and {
-        key: Region(val) for key, val in config.regions.items()
-    }
-    regions = _trial_regions(rng, config.sites, config.suite, fixed)
+    regions = fixed or _trial_regions(rng, config.sites, config.suite)
     rank = int(rng.integers(1, ctx.dim + 1))
     state = random_state(
         ctx, ctx.lattice, even=config.even, rank=rank, seed=rng.integers(0, 2 ** 63)
@@ -198,8 +205,9 @@ def _unexpected_violations(config: RunConfig, rows: list[dict]) -> list[str]:
 
 def _run_suite(config: RunConfig) -> tuple[list[dict], dict]:
     ctx = build_context(config.sites)
+    fixed = config.regions and {key: Region(val) for key, val in config.regions.items()}
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
-    rows = [_verify_trial(ctx, config, i, child) for i, child in enumerate(children)]
+    rows = [_verify_trial(ctx, config, fixed, i, child) for i, child in enumerate(children)]
 
     summary: dict = {"trials": config.trials}
     for kind in ("ssa", "triangle", "mono_ssa"):
@@ -283,49 +291,24 @@ def cmd_counterexample(config: RunConfig) -> int:
 
 def cmd_table1(config: RunConfig) -> int:
     """Run the six suites behind the truth table and render its CAR column."""
-    base = np.random.SeedSequence(config.seed).spawn(4)
-
-    def sub(suite: str, even: bool, seed_seq) -> tuple[list[dict], dict]:
+    suites: dict[str, dict] = {}
+    children = np.random.SeedSequence(config.seed).spawn(3)
+    for (name, suite, even, kind), child in zip(TABLE1_CAMPAIGNS, children, strict=True):
         cfg = RunConfig(
             command="verify", sites=config.sites, trials=config.trials,
-            seed=int(seed_seq.generate_state(1)[0] % (2 ** 31)),
+            seed=int(child.generate_state(1)[0] % (2 ** 31)),
             output_format="json", output_path=None, suite=suite, even=even,
         )
-        return _run_suite(cfg)
-
-    _, ssa_all = sub("ssa", even=False, seed_seq=base[0])
-    _, tri_even = sub("triangle", even=True, seed_seq=base[1])
-    _, mono_even = sub("mono-ssa", even=True, seed_seq=base[2])
+        stats = _run_suite(cfg)[1][kind]
+        suites[name] = {"stats": stats, "conforms": stats["violations"] == 0}
 
     ctx = build_context(config.sites)
     demo = violation_demo(ctx, Region((2,)), Region((1,)), Region((3,)))
-
-    suites = {
-        "ssa_all_states": {
-            "stats": ssa_all["ssa"],
-            "conforms": ssa_all["ssa"]["violations"] == 0,
-        },
-        "triangle_even_states": {
-            "stats": tri_even["triangle"],
-            "conforms": tri_even["triangle"]["violations"] == 0,
-        },
-        "mono_ssa_even_states": {
-            "stats": mono_even["mono_ssa"],
-            "conforms": mono_even["mono_ssa"]["violations"] == 0,
-        },
-        "triangle_noneven_counterexample": {
-            "stats": {"gap": demo.triangle_gap},
-            "conforms": demo.verdicts["triangle"] == "violated",
-        },
-        "mono_ssa_noneven_counterexample": {
-            "stats": {"gap": demo.mono_ssa_gap},
-            "conforms": demo.verdicts["mono_ssa"] == "violated",
-        },
-        "ssa_on_counterexample_state": {
-            "stats": {"gap": demo.ssa_gap},
-            "conforms": demo.verdicts["ssa"] == "holds",
-        },
-    }
+    for name, kind, verdict in TABLE1_COUNTEREXAMPLE:
+        suites[name] = {
+            "stats": {"gap": getattr(demo, f"{kind}_gap")},
+            "conforms": demo.verdicts[kind] == verdict,
+        }
     all_ok = all(entry["conforms"] for entry in suites.values())
     cells = {
         "SSA": "holds",
@@ -360,16 +343,6 @@ def cmd_table1(config: RunConfig) -> int:
     return 0 if all_ok else 1
 
 
-def _env_seed(parser: argparse.ArgumentParser, default: int) -> int:
-    raw = os.environ.get("CARENTROPY_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"CARENTROPY_SEED must be an integer, got {raw!r}")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``carentropy`` parser, built on first use and shared by later calls."""
@@ -381,28 +354,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--sites", type=int, default=3, help="lattice size n")
-    common.add_argument("--seed", type=int, default=None, help="master seed (default 7)")
-    common.add_argument("--format", choices=["json", "csv", "text"], default="json",
-                        dest="output_format")
+    common.add_argument("--seed", type=int, default=7, help="master seed (default 7)")
     common.add_argument("--output", default=None, help="report path ('-' = stdout)")
 
-    verify = sub.add_parser("verify", parents=[common], help="random-state campaigns")
+    def command(name: str, help_text: str, formats: tuple[str, ...]) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, parents=[common], help=help_text)
+        cmd.add_argument("--format", choices=formats, default="json", dest="output_format")
+        return cmd
+
+    verify = command("verify", "random-state campaigns", ("json", "csv"))
     verify.add_argument("--suite", choices=SUITES, default="all")
     verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--even", action="store_true", help="restrict to even states")
     for name in ("I", "J", "K"):
         verify.add_argument(f"--{name}", default=None, help="fixed region, e.g. 1,2")
 
-    counter = sub.add_parser("counterexample", parents=[common],
-                             help="joint-extension violation demo")
+    counter = command("counterexample", "joint-extension violation demo", ("json", "csv"))
     counter.add_argument("--K", default="2")
     counter.add_argument("--I", default="1")
     counter.add_argument("--J", default="3")
-    counter.add_argument("--J-sites", type=int, default=None, dest="j_sites",
-                         help="replace J by this many fresh sites after max(I u K)")
     counter.add_argument("--rhoJ", choices=["tracial", "random"], default="tracial")
 
-    table = sub.add_parser("table1", parents=[common], help="summary truth table")
+    table = command("table1", "summary truth table", ("json", "csv", "text"))
     table.add_argument("--trials", type=int, default=200)
     return parser
 
@@ -410,10 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = _env_seed(parser, 7) if args.seed is None else args.seed
-    fmt = args.output_format
-    if args.command in ("verify", "counterexample") and fmt == "text":
-        parser.error(f"{args.command} supports json or csv output")
     if args.command in ("verify", "table1") and args.trials < 1:
         parser.error("--trials must be at least 1")
     if args.command == "table1" and args.sites < 3:
@@ -442,8 +411,8 @@ def main(argv=None) -> int:
                 if args.suite == "mono-ssa" and "K" not in regions:
                     parser.error("the mono-ssa suite needs a --K")
             config = RunConfig(
-                command="verify", sites=args.sites, trials=args.trials, seed=seed,
-                output_format=fmt, output_path=args.output,
+                command="verify", sites=args.sites, trials=args.trials, seed=args.seed,
+                output_format=args.output_format, output_path=args.output,
                 suite=args.suite, even=args.even, regions=regions or None,
             )
             return cmd_verify(config)
@@ -454,26 +423,20 @@ def main(argv=None) -> int:
             for name, region in (("K", K), ("I", I)):
                 if not region.sites:
                     parser.error(f"--{name} must name at least one site")
-            if args.j_sites is not None:
-                if args.j_sites < 0:
-                    parser.error("--J-sites must be at least 0")
-                start = max(K.sites + I.sites) + 1
-                J = Region(tuple(range(start, start + args.j_sites)))
-            else:
-                J = _parse_region(args.J)
+            J = _parse_region(args.J)
             if not (K.isdisjoint(I) and K.isdisjoint(J) and I.isdisjoint(J)):
                 parser.error("regions K, I, J must be mutually disjoint")
             sites = max(args.sites, max(K.sites + I.sites + J.sites))
             config = RunConfig(
-                command="counterexample", sites=sites, trials=1, seed=seed,
-                output_format=fmt, output_path=args.output,
+                command="counterexample", sites=sites, trials=1, seed=args.seed,
+                output_format=args.output_format, output_path=args.output,
                 regions={"K": K.sites, "I": I.sites, "J": J.sites}, rhoJ=args.rhoJ,
             )
             return cmd_counterexample(config)
 
         config = RunConfig(
-            command="table1", sites=args.sites, trials=args.trials, seed=seed,
-            output_format=fmt, output_path=args.output,
+            command="table1", sites=args.sites, trials=args.trials, seed=args.seed,
+            output_format=args.output_format, output_path=args.output,
         )
         return cmd_table1(config)
     except CarError as exc:

@@ -63,7 +63,6 @@ from .car_algebra import (
     OperatorElement,
     Region,
     _readonly,
-    _reorder_rows,
     theta,
 )
 from .inequalities import (
@@ -75,6 +74,7 @@ from .inequalities import (
 )
 from .states import (
     State,
+    _kron_state,
     _phase_fixed,
     density_distance,
     entropy,
@@ -237,12 +237,9 @@ def joint_extension(recipe: ExtensionRecipe) -> State:
     reordered to the sorted sites of ``K u I``.  The recipe was checked
     when it was built.
     """
-    K, I = recipe.K, recipe.I
-    second = recipe.rho2_tilde if len(K) % 2 == 0 else recipe.rho2_tilde.theta_image()
-    region = K.union(I)
-    kron = np.kron(recipe.rho1.factor, second.factor)
-    factor = _reorder_rows(kron, K.sites + I.sites, region.sites)
-    return State(recipe.rho1.ctx, region, factor)
+    tilde = recipe.rho2_tilde
+    second = tilde if len(recipe.K) % 2 == 0 else tilde.theta_image()
+    return _kron_state(recipe.rho1, second)
 
 
 def violation_demo(

@@ -274,16 +274,18 @@ def inequality_report(
 
     SSA is always evaluated on (I, J).  The triangle gap needs disjoint I,
     J and is skipped otherwise.  The monotonicity-form gap needs a third
-    mutually disjoint region K.
+    mutually disjoint region K.  Every given region, K included, must lie
+    in the state's region.
     """
     _contained(state, I, "I")
     _contained(state, J, "J")
+    if K is not None:
+        _contained(state, K, "K")
     S = _entropies(state)  # shared by the three gaps: each region costs one entropy
     disjoint = I.isdisjoint(J)
     gaps: dict[str, float | None] = {"ssa": _ssa(S, I, J)}
     gaps["triangle"] = _triangle(S, I, J) if disjoint else None
     if K is not None and disjoint and K.isdisjoint(I) and K.isdisjoint(J):
-        _contained(state, K, "K")
         gaps["mono_ssa"] = _mono_ssa(S, I, J, K)
     else:
         gaps["mono_ssa"] = None

@@ -192,10 +192,14 @@ def entropy(state: State) -> float:
 
 
 def spectral_data(state: State) -> SpectralData:
-    """Descending intrinsic spectrum with multiplicities grouped at ``CLUSTER_TOL``."""
+    """Descending intrinsic spectrum with multiplicities grouped at ``CLUSTER_TOL``.
+
+    The eigenpairs are ``eigh``'s ascending order reversed, so tied
+    eigenvalues keep the reverse of ``eigh``'s order and no CPU-dependent
+    sort reorders their eigenvectors.
+    """
     lam, u = np.linalg.eigh(state.factor @ state.factor.conj().T)
-    order = np.argsort(-lam)
-    lam, u = lam[order], u[:, order]
+    lam, u = lam[::-1], u[:, ::-1]
     mult: list[int] = []
     for i, x in enumerate(lam):
         if mult and abs(x - lam[i - 1]) <= CLUSTER_TOL:
@@ -415,10 +419,20 @@ def product_extension(state_a: State, state_b: State) -> State:
             "product state extension requires at least one even factor"
         )
     first, last = (state_a, state_b) if b_even else (state_b, state_a)
-    region = state_a.region.union(state_b.region)
+    return _kron_state(first, last)
+
+
+def _kron_state(first: State, last: State) -> State:
+    """The state on the union region whose factor, with ``first``'s modes
+    ahead of ``last``'s, is the Kronecker product of the two factors.
+
+    The rows are then reordered to the sorted union.  Callers check that the
+    regions are disjoint and that the product is the state they mean.
+    """
+    region = first.region.union(last.region)
     factor = np.kron(first.factor, last.factor)
     order = first.region.sites + last.region.sites
-    return State(state_a.ctx, region, _reorder_rows(factor, order, region.sites))
+    return State(first.ctx, region, _reorder_rows(factor, order, region.sites))
 
 
 def density_distance(a: State, b: State) -> float:

@@ -1,0 +1,77 @@
+"""Compare the CLI's stdout bytes and exit codes between two source trees.
+
+Usage (from the repository root)::
+
+    python tests/cli_bytes.py OLD_ROOT NEW_ROOT
+
+Each command in ``COMMANDS`` runs once in each tree, in a fresh interpreter
+with ``PYTHONPATH=<root>/src`` and ``OPENBLAS_NUM_THREADS=1`` (LAPACK splits
+some factorizations by thread count, which moves gaps in their last bits).
+A line ``old argv | new argv`` pairs two spellings of the same run: the old
+one runs in ``OLD_ROOT`` and the new one in ``NEW_ROOT``; once ``OLD_ROOT``
+takes only the new spelling, a pair keeps only its new half.  One line is
+printed per command, and the exit status is 1 when any stdout or exit code
+differs.  The file has no ``test_`` prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shlex
+import subprocess
+import sys
+
+COMMANDS = """
+counterexample --seed 7
+counterexample --rhoJ tracial --J-sites 2 --seed 7 | counterexample --rhoJ tracial --J 3,4 --seed 7
+counterexample --K 2,4 --I 1 --J-sites 0 --format csv | counterexample --K 2,4 --I 1 --J= --format csv
+counterexample --K 1,3 --I 2 --J-sites 2 --rhoJ random --seed 5 | counterexample --K 1,3 --I 2 --J 4,5 --rhoJ random --seed 5
+counterexample --sites 12 --rhoJ random
+verify --suite all --sites 5 --trials 30
+verify --suite all --sites 5 --trials 30 --even --format csv
+verify --suite mono-ssa --even --sites 4 --trials 30 --seed 3
+verify --suite ssa --sites 3 --trials 10 --I 1,2 --J 2,3
+verify --suite all --sites 4 --trials 10 --I 1 --J 2 --K 3,4 --even
+verify --suite triangle --sites 4 --trials 10 --I 1,3 --J 2 --format csv
+table1 --trials 50 --seed 7 --format text
+table1 --trials 50 --seed 7
+table1 --trials 50 --seed 9 --format csv
+table1 --trials 30 --sites 4
+"""
+
+RUN_MAIN = "import sys; from carentropy.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run(root: str, argv: list[str]) -> tuple[bytes, int]:
+    """Stdout bytes and exit code of ``carentropy ARGV`` run from ``root``'s source."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CARENTROPY_")}
+    env.update(PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_MAIN, *argv], env=env, capture_output=True, check=False
+    )
+    return done.stdout, done.returncode
+
+
+def main(args: list[str]) -> int:
+    if len(args) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old_root, new_root = args
+    lines = COMMANDS.strip().splitlines()
+    differ = 0
+    for line in lines:
+        old_text, _, new_text = line.partition(" | ")
+        old_out, old_code = run(old_root, shlex.split(old_text))
+        new_out, new_code = run(new_root, shlex.split(new_text or old_text))
+        if old_out == new_out and old_code == new_code:
+            print(f"same  exit {new_code}  {len(new_out):7d} B  {line}")
+            continue
+        differ += 1
+        what = "stdout" if old_out != new_out else f"exit {old_code} -> {new_code}"
+        print(f"DIFF  {what}  {line}")
+    print(f"{differ} of {len(lines)} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -100,9 +100,10 @@ class TestVerify:
             ["table1", "--sites", "2"],
             ["table1", "--sites", "1"],
             ["verify", "--tolerance", "1e-3"],
-            ["counterexample", "--J-sites", "-1"],
             ["counterexample", "--I="],
-            ["counterexample", "--K=", "--I=", "--J-sites", "1"],
+            ["counterexample", "--K=", "--I=", "--J", "3"],
+            ["verify", "--format", "text"],
+            ["counterexample", "--format", "text"],
             ["verify", "--suite", "mono-ssa", "--I", "1", "--J", "2"],
             ["verify", "--suite", "mono-ssa", "--I", "1", "--J", "2", "--K", "2,3"],
             ["verify", "--suite", "triangle", "--I", "1,2", "--J", "2"],
@@ -115,6 +116,10 @@ class TestVerify:
 
     def test_bad_region_exit_two(self):
         assert main(["verify", "--I", "1,x", "--J", "2"]) == 2
+        # a --K off the lattice, even when it meets no disjointness check
+        argv = ["verify", "--suite", "ssa", "--sites", "3", "--trials", "1",
+                "--I", "1,2", "--J", "2,3", "--K", "9"]
+        assert main(argv) == 2
 
     @pytest.mark.parametrize(
         "args",
@@ -142,7 +147,7 @@ class TestCounterexample:
 
     def test_two_site_tracial_partner(self, tmp_path):
         code, path = run(
-            ["counterexample", "--rhoJ", "tracial", "--J-sites", "2", "--seed", "7"],
+            ["counterexample", "--rhoJ", "tracial", "--J", "3,4", "--seed", "7"],
             tmp_path,
         )
         assert code == 0
@@ -160,7 +165,7 @@ class TestCounterexample:
 
     def test_csv_row(self, tmp_path):
         code, path = run(
-            ["counterexample", "--K", "2,4", "--I", "1", "--J-sites", "0", "--format", "csv"],
+            ["counterexample", "--K", "2,4", "--I", "1", "--J=", "--format", "csv"],
             tmp_path,
             name="out.csv",
         )
@@ -243,22 +248,6 @@ class TestParserReuse:
 
 
 class TestEnvironmentOverrides:
-    def test_seed_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CARENTROPY_SEED", "99")
-        _, path = run(
-            ["verify", "--suite", "ssa", "--sites", "3", "--trials", "3"],
-            tmp_path,
-        )
-        payload = json.loads(path.read_text())
-        assert payload["config"]["seed"] == 99
-
-    def test_non_integer_seed_env_exit_two(self, monkeypatch, capsys):
-        monkeypatch.setenv("CARENTROPY_SEED", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "ssa", "--sites", "3", "--trials", "3"])
-        assert exc.value.code == 2
-        assert "CARENTROPY_SEED" in capsys.readouterr().err
-
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CARENTROPY_OUTDIR", str(tmp_path))
         code = main(

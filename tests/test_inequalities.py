@@ -234,6 +234,12 @@ class TestVerdicts:
         assert report.triangle_gap is None
         assert "triangle" not in report.verdicts
 
+    def test_report_checks_k_without_mono_ssa(self, ctx3):
+        # K overlaps I, so no mono-ssa gap is taken, yet K must lie in the state's region
+        s = random_state(ctx3, Region((1, 2, 3)), seed=14)
+        with pytest.raises(ValueError, match=r"region K=\(1, 9\) not contained"):
+            inequality_report(s, Region((1, 2)), Region((2, 3)), Region((1, 9)))
+
 
 class TestSharedEntropies:
     """inequality_report restricts once per region and matches the standalone gaps."""

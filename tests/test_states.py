@@ -665,6 +665,12 @@ class TestSpectralData:
         gram = data.eigenvectors.conj().T @ data.eigenvectors
         assert np.abs(gram - np.eye(4)).max() <= 1e-10
 
+    def test_tied_eigenvectors_in_reversed_eigh_order(self, ctx3):
+        # a sort would order tied eigenpairs by the CPU's sort kernel
+        s = tracial_state(ctx3, Region((1, 2, 3)))
+        _, u = np.linalg.eigh(s.factor @ s.factor.conj().T)
+        assert np.array_equal(spectral_data(s).eigenvectors, u[:, ::-1])
+
 
 class TestEntropyOracleAgreement:
     def test_against_plain_eigenvalue_formula(self, ctx3):
