@@ -8,8 +8,11 @@ Subcommands
 
 Reports are JSON (default) or CSV with a fixed schema; identical
 ``(config, seed)`` pairs produce byte-identical reports under a fixed BLAS
-thread count (``OPENBLAS_NUM_THREADS``): at n >= 8 LAPACK splits some
-factorizations by thread count, which moves gaps in their last bits.  Exit codes:
+thread count (``OPENBLAS_NUM_THREADS``).  Only that thread count, at n >= 8,
+still moves report bytes: LAPACK splits some factorizations by thread count,
+which moves gaps in their last bits.  The ``counterexample`` recipe does not
+depend on the eigensolver: its default odd vectors are written in closed form.
+Exit codes:
 0 = success / expected outcome, 1 = unexpected mathematical violation,
 2 = usage error, an ``--output`` that cannot be written included.
 Environment: ``CARENTROPY_OUTDIR`` is prepended to relative ``--output``

@@ -3,8 +3,9 @@
 The construction takes three mutually disjoint regions K, I, J:
 
 * ``rho1`` on K: a *maximally odd* pure state (oddness quantifier
-  ``p_theta = 0``), e.g. the vector state of an eigenvector ``eta`` of an
-  odd self-adjoint element such as ``a_k + a_k*``.  Then ``eta`` is
+  ``p_theta = 0``), by default the vector state of
+  ``eta = (e_0 + e_(2^(|K|-1))) / sqrt(2)``, the vacuum plus the first site
+  of K filled, a +1 eigenvector of ``a_k + a_k*``.  Then ``eta`` is
   orthogonal to ``v_K eta`` and the grading flips the state to the vector
   state of ``v_K eta``.
 * ``rho2_tilde`` on I: any state with ``rho2_tilde != rho2_tilde o Theta``;
@@ -58,13 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import (
-    AlgebraContext,
-    OperatorElement,
-    Region,
-    _readonly,
-    theta,
-)
+from .car_algebra import AlgebraContext, Region, _readonly
 from .inequalities import (
     InequalityReport,
     _mono_ssa,
@@ -75,7 +70,6 @@ from .inequalities import (
 from .states import (
     State,
     _kron_state,
-    _phase_fixed,
     density_distance,
     entropy,
     is_even,
@@ -85,7 +79,7 @@ from .states import (
     tracial_state,
     vector_state,
 )
-from .tolerances import NONZERO_EIG_TOL, ODDNESS_MIN, OPERATOR_TOL, P_THETA_TOL, PURITY_TOL
+from .tolerances import ODDNESS_MIN, P_THETA_TOL, PURITY_TOL
 
 __all__ = [
     "ExtensionRecipe",
@@ -98,49 +92,35 @@ __all__ = [
 ]
 
 
-def _top_eigenvector(local: np.ndarray) -> np.ndarray:
-    """Phase-fixed eigenvector (one column) of the largest eigenvalue of ``local``."""
-    lam, u = np.linalg.eigh(local)
-    top = int(np.argmax(lam))
-    if abs(lam[top]) <= NONZERO_EIG_TOL:
-        raise ValueError("chosen eigenvalue is zero; the parity image would not be orthogonal")
-    return _phase_fixed(u[:, [top]])
-
-
 @functools.lru_cache(maxsize=None)
 def _default_odd_vector(k: int) -> np.ndarray:
-    """Top eigenvector of ``a_1 + a_1*`` on a ``k``-site local lattice (cached, read-only)."""
-    local = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2 ** (k - 1)))
-    return _readonly(_top_eigenvector(local))
+    """``(e_0 + e_(2^(k-1))) / sqrt(2)`` on a ``k``-site local lattice (cached, read-only).
+
+    The vacuum plus the first site filled.  ``a_1 + a_1*`` is
+    ``sigma_x (x) 1``, which swaps ``e_j`` and ``e_(j + 2^(k-1))``, so the
+    vector is a +1 eigenvector of it.  Its two entries have opposite
+    parity, so ``v_K`` negates one of them and the parity image
+    ``(e_0 - e_(2^(k-1))) / sqrt(2)`` is orthogonal to it.
+    """
+    vec = np.zeros((2 ** k, 1), dtype=complex)
+    vec[[0, 2 ** (k - 1)]] = 1 / math.sqrt(2)
+    return _readonly(vec)
 
 
-def odd_eigenvector_state(
-    ctx: AlgebraContext,
-    K: Region,
-    operator: OperatorElement | None = None,
-) -> State:
-    """Vector state of an eigenvector of an odd self-adjoint element of ``A(K)``.
+def odd_eigenvector_state(ctx: AlgebraContext, K: Region) -> State:
+    """Vector state of ``(e_0 + e_(2^(|K|-1))) / sqrt(2)`` on ``A(K)``.
 
-    ``operator`` is an element of ``A(K)`` (its ``2^|K|`` image); it
-    defaults to ``a_k + a_k*`` for the first site ``k`` of ``K``, whose
-    eigenvector is built once per ``|K|``.  The largest eigenvalue is taken
-    (+1 for the default).  The result is pure, noneven, and maximally odd:
-    any eigenvector with nonzero eigenvalue is orthogonal to its parity
-    image, so ``p_theta = 0``.
+    The vector is a +1 eigenvector of ``a_k + a_k*`` for the first site
+    ``k`` of ``K`` and is built once per ``|K|``.  The state is pure,
+    noneven, and maximally odd: the vector is orthogonal to its parity
+    image, so ``p_theta = 0``.  Another maximally odd vector goes through
+    :func:`~carentropy.states.vector_state` and :class:`ExtensionRecipe`,
+    which checks it.
     """
     ctx.check_region(K)
     if not K.sites:
         raise ValueError("K must be nonempty")
-    if operator is None:
-        return vector_state(ctx, K, _default_odd_vector(len(K)))
-    if operator.region != K:
-        raise ValueError(f"operator lives on {operator.region.sites}, expected {K.sites}")
-    local = operator.matrix
-    if np.abs(local - local.conj().T).max() > OPERATOR_TOL:
-        raise ValueError("operator must be self-adjoint")
-    if np.abs(local + theta(ctx, operator).matrix).max() > OPERATOR_TOL:
-        raise ValueError("operator must be odd")
-    return vector_state(ctx, K, _top_eigenvector(local))
+    return vector_state(ctx, K, _default_odd_vector(len(K)))
 
 
 def symmetrize(state: State) -> State:
@@ -195,14 +175,14 @@ def _validate_recipe(recipe: ExtensionRecipe) -> None:
     ):
         if state.region != region:
             raise ValueError(f"{name} lives on {state.region.sites}, expected {region.sites}")
-    if p_theta(recipe.rho1) > P_THETA_TOL:
+    if not p_theta(recipe.rho1) <= P_THETA_TOL:
         raise ValueError(
             "rho1 must be maximally odd (p_theta = 0); the functional formula "
             "is not a state extension otherwise"
         )
-    if entropy(recipe.rho1) > PURITY_TOL:
+    if not entropy(recipe.rho1) <= PURITY_TOL:
         raise ValueError("rho1 must be pure")
-    if density_distance(recipe.rho2_tilde, recipe.rho2_tilde.theta_image()) <= ODDNESS_MIN:
+    if not density_distance(recipe.rho2_tilde, recipe.rho2_tilde.theta_image()) > ODDNESS_MIN:
         raise ValueError("rho2_tilde must differ from its parity image")
 
 

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .car_algebra import OperatorElement, Region, conditional_expectation
+from .errors import CarError
 from .states import State, entropy, is_even, restrict
 from .tolerances import COMMUTING_SQUARE_TOL, HOLD_TOL, VIOLATION_TOL
 
@@ -70,8 +71,11 @@ def classify_gap(kind: str, gap: float) -> str:
     """Map a gap value to ``holds`` / ``violated`` / ``indeterminate``.
 
     ``ssa`` holds on the nonpositive side; ``triangle`` and ``mono_ssa``
-    hold on the nonnegative side.
+    hold on the nonnegative side; a gap that is not finite raises
+    :class:`CarError`.
     """
+    if not math.isfinite(gap):
+        raise CarError(f"{kind} gap is {gap}, not a finite number")
     signed = -gap if kind == "ssa" else gap
     if signed >= -HOLD_TOL:
         return "holds"

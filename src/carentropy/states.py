@@ -119,6 +119,11 @@ class State:
     region: Region
     factor: np.ndarray
 
+    def __post_init__(self) -> None:
+        d = 2 ** len(self.region)
+        if self.factor.ndim != 2 or self.factor.shape[0] != d:
+            raise ValueError(f"factor must have {d} rows for region {self.region.sites}")
+
     def intrinsic(self) -> np.ndarray:
         """Region-intrinsic trace-one density matrix ``X X*`` (``2^|R| x 2^|R|``)."""
         return _hermitize(self.factor @ self.factor.conj().T)
@@ -157,11 +162,11 @@ def state_from_intrinsic(ctx: AlgebraContext, region: Region, density: np.ndarra
     d = 2 ** len(region)
     if density.shape != (d, d):
         raise ValueError(f"density must be {d}x{d} for region {region.sites}")
-    if abs(np.trace(density).real - 1.0) > TRACE_TOL:
+    if not abs(np.trace(density).real - 1.0) <= TRACE_TOL:
         raise NotAStateError(f"Tr(density) = {np.trace(density).real:.12f}, expected 1")
     lam_min, factor = _psd_factor(density)
-    if lam_min < -NEGATIVE_EIG_TOL:
-        raise NotAStateError(f"density has negative eigenvalue {lam_min:.3e}")
+    if not lam_min >= -NEGATIVE_EIG_TOL:
+        raise NotAStateError(f"density has smallest eigenvalue {lam_min:.3e}")
     return State(ctx, region, factor)
 
 
@@ -179,7 +184,7 @@ def vector_state(ctx: AlgebraContext, region: Region, vec: np.ndarray) -> State:
     if vec.size != 2 ** len(region):
         raise ValueError(f"vector must have length {2 ** len(region)} for region {region.sites}")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"vector norm {norm:.12f} is not 1")
     return State(ctx, region, vec[:, None])
 

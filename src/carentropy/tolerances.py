@@ -28,10 +28,8 @@ RANK_TOL = 1e-8  # eigen- and singular values at or below it are zero when count
 NULLSPACE_RESIDUAL_TOL = 1e-8  # the candidate commutant must meet the stacked constraints to this
 ODD_WITNESS_MIN = 1e-6  # an odd monomial of A(J) must fail to commute with A(I) by more than this
 COMMUTING_SQUARE_TOL = 1e-10  # entrywise residual of the commuting-square identities
-OPERATOR_TOL = 1e-10  # entrywise residual of an exact identity (x* = x, u^2 = 1, ...) of a matrix
 
 # The noneven joint extension
 P_THETA_TOL = 1e-8  # p_theta (a square root of a fidelity) up to which rho1 is maximally odd
 PURITY_TOL = 1e-10  # entropy up to which rho1 is pure
-NONZERO_EIG_TOL = 1e-8  # the chosen eigenvalue must be nonzero for eta to be orthogonal to v_K eta
 ODDNESS_MIN = 1e-6  # rho2_tilde must differ from its parity image by more than this

@@ -23,9 +23,14 @@ import sys
 
 COMMANDS = """
 counterexample --seed 7
-counterexample --rhoJ tracial --J-sites 2 --seed 7 | counterexample --rhoJ tracial --J 3,4 --seed 7
-counterexample --K 2,4 --I 1 --J-sites 0 --format csv | counterexample --K 2,4 --I 1 --J= --format csv
-counterexample --K 1,3 --I 2 --J-sites 2 --rhoJ random --seed 5 | counterexample --K 1,3 --I 2 --J 4,5 --rhoJ random --seed 5
+counterexample --rhoJ tracial --J 3,4 --seed 7
+counterexample --K 2,4 --I 1 --J= --format csv
+counterexample --K 1,3 --I 2 --J 4,5 --rhoJ random --seed 5
+counterexample --K 1,2 --I 3 --J 4 --seed 7
+counterexample --K 1 --I 2,3 --J 4,5 --rhoJ random --seed 3
+counterexample --K 1,2,3 --I 4,5,6,7 --J 8 --seed 7
+counterexample --K 1,2,3,4,5 --I 6 --J 7 --seed 7
+counterexample --K 1 --I 2,3,4,5,6 --J 7 --seed 7
 counterexample --sites 12 --rhoJ random
 verify --suite all --sites 5 --trials 30
 verify --suite all --sites 5 --trials 30 --even --format csv

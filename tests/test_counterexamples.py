@@ -6,7 +6,6 @@ import pytest
 
 from carentropy import (
     ExtensionError,
-    OperatorElement,
     Region,
     State,
     build_recipe,
@@ -65,43 +64,40 @@ class TestOddEigenvectorState:
         assert p_theta(omega) <= 1e-8
         assert entropy(omega) <= 1e-10
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_default_vector_cached_read_only(self, ctx4, k):
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_default_vector_cached_read_only(self, k):
         from carentropy.counterexamples import _default_odd_vector
 
         cached = _default_odd_vector(k)
         assert cached is _default_odd_vector(k)
         assert not cached.flags.writeable
-        # the same a_1 + a_1* image passed as an operator takes the uncached path
-        K = Region(tuple(range(1, k + 1)))
-        sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
-        op = OperatorElement(K, np.kron(sigma_x, np.eye(2 ** (k - 1))))
-        uncached = odd_eigenvector_state(ctx4, K, operator=op)
-        assert np.array_equal(odd_eigenvector_state(ctx4, K).factor, uncached.factor)
-        assert np.array_equal(cached, uncached.factor)
+        # the vacuum plus the first site filled, both entries the bits of 1/sqrt(2)
+        assert cached.shape == (2 ** k, 1)
+        assert np.flatnonzero(cached).tolist() == [0, 2 ** (k - 1)]
+        assert cached[0, 0] == cached[2 ** (k - 1), 0] == 1 / math.sqrt(2)
+        if k <= 6:
+            a = jw_annihilators(k)[0]
+            eta = cached[:, 0]
+            assert np.array_equal((a + a.conj().T) @ eta, eta)
+            assert abs(np.vdot(eta, parity(k, tuple(range(1, k + 1))) @ eta)) <= 1e-15
 
-    # a custom operator is passed as its image, read off the global oracle
+    # another maximally odd vector goes through vector_state and the recipe's checks
     def test_custom_operator(self, ctx2):
         a = jw_annihilators(2)[1]
-        op = 1j * (a - a.conj().T)  # odd, self-adjoint
         K = Region((2,))
-        omega = odd_eigenvector_state(ctx2, K, OperatorElement(K, local_image(op, 2, K.sites)))
+        op = local_image(1j * (a - a.conj().T), 2, K.sites)  # odd, self-adjoint
+        omega = vector_state(ctx2, K, np.linalg.eigh(op)[1][:, -1])
+        recipe = replace(build_recipe(ctx2, K, Region((1,))), rho1=omega)
+        assert recipe.rho1 is omega
         assert p_theta(omega) <= 1e-8
-        with pytest.raises(ValueError):  # the operator must live on K
-            odd_eigenvector_state(ctx2, Region((1,)), OperatorElement(K, local_image(op, 2, (2,))))
 
     def test_even_operator_rejected(self, ctx2):
         a = jw_annihilators(2)[0]
         K = Region((1,))
-        num = OperatorElement(K, local_image(a.conj().T @ a, 2, K.sites))
-        with pytest.raises(ValueError):
-            odd_eigenvector_state(ctx2, K, num)
-
-    def test_non_selfadjoint_rejected(self, ctx2):
-        K = Region((1,))
-        a = OperatorElement(K, local_image(jw_annihilators(2)[0], 2, K.sites))
-        with pytest.raises(ValueError):
-            odd_eigenvector_state(ctx2, K, a)
+        num = local_image(a.conj().T @ a, 2, K.sites)  # even: its eigenvectors are even
+        recipe = build_recipe(ctx2, K, Region((2,)))
+        with pytest.raises(ValueError, match="maximally odd"):
+            replace(recipe, rho1=vector_state(ctx2, K, np.linalg.eigh(num)[1][:, -1]))
 
 
 class TestSymmetrize:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carentropy import (
+    CarError,
     OperatorElement,
     Region,
     build_context,
@@ -219,6 +220,11 @@ class TestVerdicts:
             assert classify_gap(kind, violation) == "indeterminate"
             assert classify_gap(kind, np.nextafter(violation, sign * np.inf)) == "violated"
 
+    def test_non_finite_gap_raises(self):
+        for gap in (math.nan, math.inf, -math.inf):
+            with pytest.raises(CarError, match="not a finite number"):
+                classify_gap("ssa", gap)
+
     def test_report_consistency(self, ctx3):
         s = random_state(ctx3, Region((1, 2, 3)), even=True, seed=13)
         report = inequality_report(s, Region((1,)), Region((2,)), Region((3,)))
@@ -281,7 +287,7 @@ class TestSharedEntropies:
 
 
 class TestBoundOnTriangleViolation:
-    def test_three_ln_two_bound_sampled(self, ctx3):
+    def test_two_ln_two_bound_sampled(self, ctx3):
         regions = [
             (Region((1,)), Region((2,))),
             (Region((1,)), Region((2, 3))),

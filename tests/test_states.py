@@ -77,6 +77,26 @@ class TestEntropy:
         assert abs(entropy(s.theta_image()) - entropy(s)) <= 1e-10
 
 
+class TestMalformedInput:
+    # a NaN compares False with every threshold, so each check rejects unless it passes
+    def test_nan_vector_rejected(self, ctx2):
+        with pytest.raises(ValueError, match="norm"):
+            vector_state(ctx2, Region((1, 2)), [np.nan, 0, 0, 0])
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_nan_density_entry_rejected(self, ctx1, entry):
+        # a diagonal NaN makes the trace NaN; an off-diagonal one keeps the
+        # trace finite, and eigh then returns NaNs and an empty factor
+        density = np.diag([0.5, 0.5]).astype(complex)
+        density[entry] = np.nan
+        with pytest.raises(NotAStateError):
+            state_from_intrinsic(ctx1, Region((1,)), density)
+
+    def test_factor_row_count_checked(self, ctx1):
+        with pytest.raises(ValueError, match="2 rows"):
+            State(ctx1, Region((1,)), np.ones((3, 1)) / math.sqrt(3))
+
+
 class TestSpectrumClamp:
     """A rank-r factor with 2^k rows and more columns than rows goes through
     ``X X*``; its 2^k - r round-off eigenvalues are exactly zero."""
