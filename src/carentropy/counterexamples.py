@@ -35,10 +35,11 @@ The construction takes three mutually disjoint regions K, I, J:
 * ``rhoJ`` on J: an arbitrary even state; the full demo state is the
   product extension ``psi o rhoJ``.
 
-An :class:`ExtensionRecipe` holds K, I, ``rho1`` and ``rho2_tilde`` and
-checks them on construction.  :func:`violation_demo` owns J and ``rhoJ``
-(tracial by default); :func:`carentropy.states.product_extension` refuses
-an overlapping J or a noneven ``rhoJ``.
+An :class:`ExtensionRecipe` holds the two states ``rho1`` and ``rho2_tilde``,
+reads K and I off their regions and checks them on construction.
+:func:`violation_demo` owns J and ``rhoJ`` (tracial by default);
+:func:`carentropy.states.product_extension` refuses an overlapping J or a
+noneven ``rhoJ``.
 
 With one site per region, ``rho2_tilde`` maximally odd pure, and ``rhoJ``
 tracial, the demo state has ``S(K) = S(K u I) = 0``,
@@ -46,9 +47,10 @@ tracial, the demo state has ``S(K) = S(K u I) = 0``,
 the monotonicity-form gap on (I, J; K) equal ``-ln 2`` while strong
 subadditivity still holds on the same state.
 
-:func:`violation_demo` restricts the demo state to each of its six regions
+:func:`violation_demo` reads the demo state through the marginal table of
+:mod:`carentropy.inequalities`, which restricts it to each of its six regions
 (K, I, J, K u I, K u J, K u I u J) once; the entropies and the K, I and J
-restriction residuals are read from those marginals.
+residuals share those marginals, and the report builder is the same.
 """
 
 from __future__ import annotations
@@ -60,22 +62,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .car_algebra import AlgebraContext, Region, _readonly
-from .inequalities import (
-    InequalityReport,
-    _mono_ssa,
-    _ssa,
-    _triangle,
-    classify_gap,
-)
+from .inequalities import InequalityReport, _Marginals, _mono_ssa, _report, _ssa, _triangle
 from .states import (
     State,
     _kron_state,
     density_distance,
     entropy,
-    is_even,
     p_theta,
     product_extension,
-    restrict,
     tracial_state,
     vector_state,
 )
@@ -134,21 +128,39 @@ def symmetrize(state: State) -> State:
 
 @dataclass(frozen=True)
 class ExtensionRecipe:
-    """The ingredients of the joint extension, checked on construction.
+    """The two states of the joint extension, checked on construction.
 
-    ``rho1`` is a maximally odd pure state on ``K`` and ``rho2_tilde`` a
-    state on ``I`` that differs from its parity image; ``K`` and ``I`` are
+    ``rho1`` is a maximally odd pure state and ``rho2_tilde`` a state that
+    differs from its parity image; their regions ``K`` and ``I`` are
     disjoint.  ``__post_init__`` raises ``ValueError`` otherwise, so
-    ``dataclasses.replace`` re-checks the ingredients it swaps in.
+    ``dataclasses.replace`` re-checks a state it swaps in, and moves its region.
     """
 
-    K: Region
-    I: Region
     rho1: State
     rho2_tilde: State
 
     def __post_init__(self) -> None:
-        _validate_recipe(self)
+        if not self.K.isdisjoint(self.I):
+            raise ValueError("K and I must be disjoint")
+        if not p_theta(self.rho1) <= P_THETA_TOL:
+            raise ValueError(
+                "rho1 must be maximally odd (p_theta = 0); the functional formula "
+                "is not a state extension otherwise"
+            )
+        if not entropy(self.rho1) <= PURITY_TOL:
+            raise ValueError("rho1 must be pure")
+        if not density_distance(self.rho2_tilde, self.rho2_tilde.theta_image()) > ODDNESS_MIN:
+            raise ValueError("rho2_tilde must differ from its parity image")
+
+    @property
+    def K(self) -> Region:
+        """The region of ``rho1``."""
+        return self.rho1.region
+
+    @property
+    def I(self) -> Region:
+        """The region of ``rho2_tilde``."""
+        return self.rho2_tilde.region
 
     @functools.cached_property
     def rho2(self) -> State:
@@ -166,33 +178,14 @@ class ViolationReport(InequalityReport):
     recipe: ExtensionRecipe | None = None
 
 
-def _validate_recipe(recipe: ExtensionRecipe) -> None:
-    """Check the recipe's regions and ingredients."""
-    if not recipe.K.isdisjoint(recipe.I):
-        raise ValueError("K and I must be disjoint")
-    for name, state, region in (
-        ("rho1", recipe.rho1, recipe.K), ("rho2_tilde", recipe.rho2_tilde, recipe.I)
-    ):
-        if state.region != region:
-            raise ValueError(f"{name} lives on {state.region.sites}, expected {region.sites}")
-    if not p_theta(recipe.rho1) <= P_THETA_TOL:
-        raise ValueError(
-            "rho1 must be maximally odd (p_theta = 0); the functional formula "
-            "is not a state extension otherwise"
-        )
-    if not entropy(recipe.rho1) <= PURITY_TOL:
-        raise ValueError("rho1 must be pure")
-    if not density_distance(recipe.rho2_tilde, recipe.rho2_tilde.theta_image()) > ODDNESS_MIN:
-        raise ValueError("rho2_tilde must differ from its parity image")
-
-
 def build_recipe(
     ctx: AlgebraContext, K: Region, I: Region, *, rho2_tilde: State | None = None
 ) -> ExtensionRecipe:
     """The recipe with the default ``rho1`` on ``K`` and the given or default ``rho2_tilde``.
 
-    Both defaults are :func:`odd_eigenvector_state` vector states; the
-    recipe checks itself on construction.
+    Both defaults are :func:`odd_eigenvector_state` vector states; a given
+    ``rho2_tilde`` must live on ``I``, and the recipe checks itself on
+    construction.
     """
     ctx.check_region(K)
     ctx.check_region(I)
@@ -201,7 +194,9 @@ def build_recipe(
     rho1 = odd_eigenvector_state(ctx, K)
     if rho2_tilde is None:
         rho2_tilde = odd_eigenvector_state(ctx, I)
-    return ExtensionRecipe(K=K, I=I, rho1=rho1, rho2_tilde=rho2_tilde)
+    elif rho2_tilde.region != I:
+        raise ValueError(f"rho2_tilde lives on {rho2_tilde.region.sites}, expected {I.sites}")
+    return ExtensionRecipe(rho1, rho2_tilde)
 
 
 def joint_extension(recipe: ExtensionRecipe) -> State:
@@ -248,38 +243,25 @@ def violation_demo(
         raise ValueError(f"rhoJ lives on {rhoJ.region.sites}, expected {J.sites}")
     full = product_extension(joint_extension(recipe), rhoJ)
 
-    regions = {
-        "K": K, "I": I, "J": J,
-        "KI": K.union(I), "KJ": K.union(J), "KIJ": K.union(I).union(J),
+    S = _Marginals(full)
+    KI, KJ = K.union(I), K.union(J)
+    regions = {"K": K, "I": I, "J": J, "KI": KI, "KJ": KJ, "KIJ": KI.union(J)}
+    # the K, I and J marginals are asked for first, so their entropies reuse them
+    residuals = {
+        "restriction_K": density_distance(S.state(K), recipe.rho1),
+        "restriction_I": density_distance(S.state(I), recipe.rho2),
+        "restriction_J": density_distance(S.state(J), rhoJ),
+        "entropy_vs_rho2_tilde": abs(S(KI) - entropy(recipe.rho2_tilde)),
+        "product_entropy": abs(S(KJ) - S(K) - S(J)),
     }
-    marginals = {name: restrict(full, reg) for name, reg in regions.items()}
-    # an empty J has S = 0.0; entropy() of its 1 x 1 marginal would give -0.0
-    entropies = {
-        name: entropy(m) if m.region.sites else 0.0 for name, m in marginals.items()
-    }
-    S = {regions[name]: s for name, s in entropies.items()}.__getitem__
-
     gaps = {
         "mono_ssa": _mono_ssa(S, I, J, K),
         "triangle": _triangle(S, I, K),
-        "ssa": _ssa(S, K.union(I), K.union(J)),
+        "ssa": _ssa(S, KI, KJ),
     }
-    residuals = {
-        "restriction_K": density_distance(marginals["K"], recipe.rho1),
-        "restriction_I": density_distance(marginals["I"], recipe.rho2),
-        "restriction_J": density_distance(marginals["J"], rhoJ),
-        "entropy_vs_rho2_tilde": abs(entropies["KI"] - entropy(recipe.rho2_tilde)),
-        "product_entropy": abs(entropies["KJ"] - entropies["K"] - entropies["J"]),
-    }
-    verdicts = {kind: classify_gap(kind, gap) for kind, gap in gaps.items()}
-    return ViolationReport(
-        regions={name: reg.sites for name, reg in regions.items()},
-        even_state=is_even(full),
-        ssa_gap=gaps["ssa"],
-        triangle_gap=gaps["triangle"],
-        mono_ssa_gap=gaps["mono_ssa"],
-        verdicts=verdicts,
-        entropies=entropies,
+    return _report(
+        ViolationReport, full, regions, gaps,
+        entropies={name: S(region) for name, region in regions.items()},
         residuals=residuals,
         recipe=recipe,
     )

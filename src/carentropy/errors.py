@@ -6,7 +6,8 @@ class CarError(ValueError):
 
 
 class NotAStateError(CarError):
-    """A matrix claimed to be a density has a genuinely negative eigenvalue."""
+    """A claimed density or factor is not a state: a genuinely negative
+    eigenvalue, or a trace that is not 1."""
 
 
 class CapacityError(CarError):

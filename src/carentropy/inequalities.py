@@ -16,6 +16,10 @@ Both of the latter hold for every even state and can fail for noneven
 states; entropy over the empty region is 0 (the trivial subalgebra has a
 unique state).
 
+Every gap reads the one marginal table of its state, ``_Marginals``, the
+only place that gives the empty region ``S = 0.0``; one builder assembles
+both reports, this module's and :mod:`carentropy.counterexamples`'s.
+
 No state violates either of them by more than ``2 ln 2``.  The average
 ``phi_bar = (phi + phi o Theta) / 2`` is even.  On every ``A(R)`` the
 grading ``Theta`` is conjugation by ``v_R``, so ``S(phi_R o Theta) =
@@ -42,7 +46,6 @@ the band); the band lives in :mod:`carentropy.tolerances`.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,32 +92,41 @@ def _contained(state: State, region: Region, name: str) -> None:
         raise ValueError(f"region {name}={region.sites} not contained in {state.region.sites}")
 
 
-def _entropies(state: State) -> Callable[[Region], float]:
-    """``S(R)`` of one state, each region restricted and diagonalized once.
-
-    The empty region carries the unique state of the scalars: ``S = 0.0``.
+class _Marginals:
+    """``S(R)``, the entropy of the marginal ``S.state(R)`` of one state; each
+    region is restricted once.  Only marginals that ``state`` asked for are
+    kept, so a report on a large lattice holds one at a time.  The empty
+    region has ``S = 0.0`` (``entropy`` of its 1 x 1 marginal gives ``-0.0``).
     """
-    cache: dict[Region, float] = {}
 
-    def S(region: Region) -> float:
+    def __init__(self, state: State):
+        self._state = state
+        self._marginals: dict[Region, State] = {}
+        self._entropies: dict[Region, float] = {}
+
+    def state(self, region: Region) -> State:
+        if region not in self._marginals:
+            self._marginals[region] = restrict(self._state, region)
+        return self._marginals[region]
+
+    def __call__(self, region: Region) -> float:
         if not region.sites:
             return 0.0
-        if region not in cache:
-            cache[region] = entropy(restrict(state, region))
-        return cache[region]
+        if region not in self._entropies:
+            marginal = self._marginals.get(region) or restrict(self._state, region)
+            self._entropies[region] = entropy(marginal)
+        return self._entropies[region]
 
-    return S
 
-
-def _ssa(S: Callable[[Region], float], I: Region, J: Region) -> float:
+def _ssa(S: _Marginals, I: Region, J: Region) -> float:
     return S(I.union(J)) - S(I) - S(J) + S(I.intersection(J))
 
 
-def _triangle(S: Callable[[Region], float], I: Region, J: Region) -> float:
+def _triangle(S: _Marginals, I: Region, J: Region) -> float:
     return S(I.union(J)) - abs(S(I) - S(J))
 
 
-def _mono_ssa(S: Callable[[Region], float], I: Region, J: Region, K: Region) -> float:
+def _mono_ssa(S: _Marginals, I: Region, J: Region, K: Region) -> float:
     return S(K.union(I)) + S(K.union(J)) - S(I) - S(J)
 
 
@@ -122,7 +134,7 @@ def ssa_gap(state: State, I: Region, J: Region) -> float:
     """Strong subadditivity gap; overlap between ``I`` and ``J`` is allowed."""
     _contained(state, I, "I")
     _contained(state, J, "J")
-    return _ssa(_entropies(state), I, J)
+    return _ssa(_Marginals(state), I, J)
 
 
 def triangle_gap(state: State, I: Region, J: Region) -> float:
@@ -131,7 +143,7 @@ def triangle_gap(state: State, I: Region, J: Region) -> float:
     _contained(state, J, "J")
     if not I.isdisjoint(J):
         raise ValueError(f"triangle inequality needs disjoint regions, got {I.sites}, {J.sites}")
-    return _triangle(_entropies(state), I, J)
+    return _triangle(_Marginals(state), I, J)
 
 
 def mono_ssa_gap(state: State, I: Region, J: Region, K: Region) -> float:
@@ -140,7 +152,7 @@ def mono_ssa_gap(state: State, I: Region, J: Region, K: Region) -> float:
         _contained(state, region, name)
     if not (I.isdisjoint(J) and I.isdisjoint(K) and J.isdisjoint(K)):
         raise ValueError("regions I, J, K must be mutually disjoint")
-    return _mono_ssa(_entropies(state), I, J, K)
+    return _mono_ssa(_Marginals(state), I, J, K)
 
 
 def monotonicity_curve(
@@ -155,7 +167,7 @@ def monotonicity_curve(
         if previous is not None and not previous.issubset(K):
             raise ValueError(f"chain is not nested at {K.sites}")
         previous = K
-    S = _entropies(state)
+    S = _Marginals(state)
     return [S(K.union(I)) + S(K.union(J)) for K in chain]
 
 
@@ -285,27 +297,26 @@ def inequality_report(
     _contained(state, J, "J")
     if K is not None:
         _contained(state, K, "K")
-    S = _entropies(state)  # shared by the three gaps: each region costs one entropy
+    S = _Marginals(state)  # shared by the three gaps: each region costs one entropy
     disjoint = I.isdisjoint(J)
-    gaps: dict[str, float | None] = {"ssa": _ssa(S, I, J)}
-    gaps["triangle"] = _triangle(S, I, J) if disjoint else None
+    gaps = {"ssa": _ssa(S, I, J), "triangle": _triangle(S, I, J) if disjoint else None}
     if K is not None and disjoint and K.isdisjoint(I) and K.isdisjoint(J):
         gaps["mono_ssa"] = _mono_ssa(S, I, J, K)
-    else:
-        gaps["mono_ssa"] = None
-    verdicts = {
-        kind: classify_gap(kind, gap)
-        for kind, gap in gaps.items()
-        if gap is not None
-    }
-    regions = {"I": I.sites, "J": J.sites}
-    if K is not None:
-        regions["K"] = K.sites
-    return InequalityReport(
-        regions=regions,
+    regions = {"I": I, "J": J} if K is None else {"I": I, "J": J, "K": K}
+    return _report(InequalityReport, state, regions, gaps)
+
+
+def _report(cls, state: State, regions: dict[str, Region], gaps: dict, **extra):
+    """A ``cls`` report of ``state``: the regions' sites, its parity, the three
+    gap fields (``None`` for a gap absent from ``gaps``) and the verdicts of
+    the present gaps, in the order of ``gaps``; ``extra`` fills the rest."""
+    verdicts = {kind: classify_gap(kind, gap) for kind, gap in gaps.items() if gap is not None}
+    return cls(
+        regions={name: region.sites for name, region in regions.items()},
         even_state=is_even(state),
-        ssa_gap=gaps["ssa"],
-        triangle_gap=gaps["triangle"],
-        mono_ssa_gap=gaps["mono_ssa"],
+        ssa_gap=gaps.get("ssa"),
+        triangle_gap=gaps.get("triangle"),
+        mono_ssa_gap=gaps.get("mono_ssa"),
         verdicts=verdicts,
+        **extra,
     )

@@ -71,7 +71,7 @@ def schmidt(vector: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     if vector.size != d1 * d2:
         raise ValueError(f"vector length {vector.size} != {d1} * {d2}")
     norm = float(np.linalg.norm(vector))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"vector norm {norm:.12f} is not 1")
     u, s, vh = np.linalg.svd(vector.reshape(d1, d2), full_matrices=False)
     keep = s > SCHMIDT_TOL

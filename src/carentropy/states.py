@@ -113,7 +113,8 @@ def _phase_fixed(vectors: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class State:
     """A state of ``A(region)``, stored as a factor ``X`` of its region-intrinsic
-    density ``D = X X*`` (``2^|R|`` rows, any number of columns)."""
+    density ``D = X X*`` (``2^|R|`` rows, any number of columns); a trace
+    ``|X|_F^2`` off 1 by more than ``TRACE_TOL``, or NaN, is a :class:`NotAStateError`."""
 
     ctx: AlgebraContext
     region: Region
@@ -123,6 +124,9 @@ class State:
         d = 2 ** len(self.region)
         if self.factor.ndim != 2 or self.factor.shape[0] != d:
             raise ValueError(f"factor must have {d} rows for region {self.region.sites}")
+        trace = np.vdot(self.factor, self.factor).real
+        if not abs(trace - 1.0) <= TRACE_TOL:
+            raise NotAStateError(f"Tr(density) = {trace:.12f}, expected 1")
 
     def intrinsic(self) -> np.ndarray:
         """Region-intrinsic trace-one density matrix ``X X*`` (``2^|R| x 2^|R|``)."""
@@ -155,15 +159,14 @@ def state_from_tau_form(ctx: AlgebraContext, region: Region, rep: np.ndarray) ->
 def state_from_intrinsic(ctx: AlgebraContext, region: Region, density: np.ndarray) -> State:
     """Build a state from its region-intrinsic trace-one density matrix.
 
-    One ``eigh`` both checks positivity and gives the factor ``V sqrt(lam)``.
+    One ``eigh`` both checks positivity and gives the factor ``V sqrt(lam)``
+    of the positive part, whose trace :class:`State` checks.
     """
     ctx.check_region(region)
     density = _hermitize(np.asarray(density, dtype=complex))
     d = 2 ** len(region)
     if density.shape != (d, d):
         raise ValueError(f"density must be {d}x{d} for region {region.sites}")
-    if not abs(np.trace(density).real - 1.0) <= TRACE_TOL:
-        raise NotAStateError(f"Tr(density) = {np.trace(density).real:.12f}, expected 1")
     lam_min, factor = _psd_factor(density)
     if not lam_min >= -NEGATIVE_EIG_TOL:
         raise NotAStateError(f"density has smallest eigenvalue {lam_min:.3e}")

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is built from scratch on purpose: plain Kronecker products,
-plain partial traces, expectation values of Jordan-Wigner monomials, and a
-direct representation-based evaluation of the joint-extension functional.
+plain partial traces (and their factor form, :func:`spin_restrict`),
+expectation values of Jordan-Wigner monomials, and a direct
+representation-based evaluation of the joint-extension functional.
 The global ``2^n x 2^n`` Jordan-Wigner picture of operators and states lives
 here only: :func:`lift` and :func:`local_image` map between it and the
 ``2^|R|`` images the package works with, by matching monomial coefficients.
@@ -45,6 +46,21 @@ def partial_trace(rho, dims, keep):
         rho = np.trace(rho, axis1=axis, axis2=axis + rho.ndim // 2)
     d = int(np.prod([dims[i] for i in keep])) if keep else 1
     return rho.reshape(d, d)
+
+
+def spin_restrict(factor, sites, region):
+    """Factor of the marginal on ``region`` of the same density read as qubits.
+
+    The rows of ``factor`` are indexed by the occupations of ``sites``, the
+    first site on the leading axis.  The region's axes move to the front and
+    the rest join the columns: the plain tensor-product partial trace, with
+    no fermionic sign.
+    """
+    k = len(sites)
+    axes = [sites.index(s) for s in region]
+    axes += [i for i in range(k) if i not in axes] + [k]
+    tensor = factor.reshape((2,) * k + (factor.shape[1],))
+    return np.transpose(tensor, axes).reshape(2 ** len(region), -1)
 
 
 def vn_entropy(rho):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -150,13 +150,15 @@ class TestRecipeValidation:
             violation_demo(ctx3, Region((2,)), Region((1,)), Region((3,)), rhoJ=rho_j)
 
     def test_replace_checks_regions(self, ctx3):
-        # ingredients that are valid on their own but live on a third region
+        # K and I are the states' regions: a state swapped in moves its region
         recipe = build_recipe(ctx3, Region((2,)), Region((1,)))
+        assert [f.name for f in fields(recipe)] == ["rho1", "rho2_tilde"]
         elsewhere = odd_eigenvector_state(ctx3, Region((3,)))
-        with pytest.raises(ValueError, match="rho2_tilde lives on"):
-            replace(recipe, rho2_tilde=elsewhere)
-        with pytest.raises(ValueError, match="rho1 lives on"):
-            replace(recipe, rho1=elsewhere)
+        moved = replace(recipe, rho1=elsewhere)
+        assert (moved.K, moved.I) == (Region((3,)), Region((1,)))
+        assert joint_extension(moved).region == Region((1, 3))
+        with pytest.raises(ValueError, match="K and I must be disjoint"):
+            replace(recipe, rho2_tilde=odd_eigenvector_state(ctx3, Region((2,))))
 
     def test_oddness_of_rho1_enforced(self, ctx2):
         recipe = build_recipe(ctx2, Region((2,)), Region((1,)))
@@ -300,18 +302,17 @@ class TestViolationDemo:
         import carentropy.counterexamples as module
 
         calls = []
-        original = module._validate_recipe
+        original = module.ExtensionRecipe.__post_init__
 
         def counting(recipe):
             calls.append(recipe)
             return original(recipe)
 
-        monkeypatch.setattr(module, "_validate_recipe", counting)
+        monkeypatch.setattr(module.ExtensionRecipe, "__post_init__", counting)
         violation_demo(ctx3, Region((2,)), Region((1,)), Region((3,)))
         assert len(calls) == 1
 
     def test_each_region_restricted_once(self, ctx5, monkeypatch):
-        import carentropy.counterexamples as module
         import carentropy.inequalities as inequalities
 
         calls = []
@@ -321,7 +322,6 @@ class TestViolationDemo:
             return restrict(state, region)
 
         monkeypatch.setattr(inequalities, "restrict", counting)
-        monkeypatch.setattr(module, "restrict", counting)
         K, I, J = Region((2, 4)), Region((1,)), Region((3, 5))
         rhoJ = random_state(ctx5, J, even=True, seed=4)
         report = violation_demo(ctx5, K, I, J, rhoJ=rhoJ)

@@ -73,6 +73,12 @@ class TestSchmidt:
         with pytest.raises(ValueError):
             schmidt(np.array([1.0, 0.0]), (2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        # a NaN norm fails every comparison; the check must reject it before the SVD
+        with pytest.raises(ValueError, match="vector norm"):
+            schmidt(np.array([bad, 0.0, 0.0, 0.0]), (2, 2))
+
 
 class TestPureExtension:
     def test_restriction_recovers_input(self, ctx3):

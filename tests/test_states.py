@@ -96,6 +96,43 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match="2 rows"):
             State(ctx1, Region((1,)), np.ones((3, 1)) / math.sqrt(3))
 
+    def test_unnormalized_factor_rejected(self, ctx2):
+        # trace 4: its inequality_report once called SSA "violated" with gap 5.55
+        with pytest.raises(NotAStateError, match="Tr"):
+            State(ctx2, Region((1, 2)), np.eye(4))
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0 - 2e-8, 1.0 + 2e-8, 2.0])
+    def test_scaled_factor_rejected(self, ctx2, scale):
+        s = random_state(ctx2, Region((1, 2)), seed=3)
+        with pytest.raises(NotAStateError):
+            State(ctx2, s.region, math.sqrt(scale) * s.factor)
+
+    @pytest.mark.parametrize("scale", [1.0 - 5e-9, 1.0 + 5e-9])
+    def test_trace_within_tolerance_accepted(self, ctx2, scale):
+        s = random_state(ctx2, Region((1, 2)), seed=3)
+        State(ctx2, s.region, math.sqrt(scale) * s.factor)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor_rejected(self, ctx1, bad):
+        # a NaN one-site factor once had entropy -0.0
+        with pytest.raises(NotAStateError):
+            State(ctx1, Region((1,)), np.array([[bad], [0.0]]))
+
+    @pytest.mark.parametrize("negative, accepted", [(4e-9, True), (9e-9, False)])
+    def test_positive_part_trace_decides(self, ctx2, negative, accepted):
+        # each eigenvalue passes the -1e-8 floor and the density has trace 1,
+        # but the kept positive part has trace 1 + 2 * negative: the factor's
+        # trace check of State is the one that decides
+        u = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 4)))[0]
+        lam = np.array([0.7 + 2 * negative, 0.3, -negative, -negative])
+        density = (u * lam) @ u.T
+        if accepted:
+            s = state_from_intrinsic(ctx2, ctx2.lattice, density)
+            assert abs(np.vdot(s.factor, s.factor).real - 1.0 - 2 * negative) <= 1e-14
+        else:
+            with pytest.raises(NotAStateError, match="Tr"):
+                state_from_intrinsic(ctx2, ctx2.lattice, density)
+
 
 class TestSpectrumClamp:
     """A rank-r factor with 2^k rows and more columns than rows goes through
