@@ -46,6 +46,7 @@ the band); the band lives in :mod:`carentropy.tolerances`.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,15 +119,15 @@ class _Marginals:
         return self._entropies[region]
 
 
-def _ssa(S: _Marginals, I: Region, J: Region) -> float:
+def _ssa(S: Callable[[Region], float], I: Region, J: Region) -> float:
     return S(I.union(J)) - S(I) - S(J) + S(I.intersection(J))
 
 
-def _triangle(S: _Marginals, I: Region, J: Region) -> float:
+def _triangle(S: Callable[[Region], float], I: Region, J: Region) -> float:
     return S(I.union(J)) - abs(S(I) - S(J))
 
 
-def _mono_ssa(S: _Marginals, I: Region, J: Region, K: Region) -> float:
+def _mono_ssa(S: Callable[[Region], float], I: Region, J: Region, K: Region) -> float:
     return S(K.union(I)) + S(K.union(J)) - S(I) - S(J)
 
 

@@ -88,14 +88,6 @@ def _hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def _psd_factor(density: np.ndarray) -> tuple[float, np.ndarray]:
-    """The smallest eigenvalue of a Hermitian matrix and ``V sqrt(lam)`` over
-    its positive eigenpairs, a factor of its positive part."""
-    lam, v = np.linalg.eigh(density)
-    keep = lam > 0.0
-    return float(lam[0]), v[:, keep] * np.sqrt(lam[keep])
-
-
 def _spectrum(factor: np.ndarray) -> np.ndarray:
     """Eigenvalues of ``X X*`` from the smaller Gram, round-off zeros clamped."""
     xh = factor.conj().T
@@ -160,17 +152,21 @@ def state_from_intrinsic(ctx: AlgebraContext, region: Region, density: np.ndarra
     """Build a state from its region-intrinsic trace-one density matrix.
 
     One ``eigh`` both checks positivity and gives the factor ``V sqrt(lam)``
-    of the positive part, whose trace :class:`State` checks.
+    of the positive part, whose trace :class:`State` checks.  A density with
+    a non-finite entry is refused before ``eigh``.
     """
     ctx.check_region(region)
-    density = _hermitize(np.asarray(density, dtype=complex))
+    density = np.asarray(density, dtype=complex)
     d = 2 ** len(region)
     if density.shape != (d, d):
         raise ValueError(f"density must be {d}x{d} for region {region.sites}")
-    lam_min, factor = _psd_factor(density)
-    if not lam_min >= -NEGATIVE_EIG_TOL:
-        raise NotAStateError(f"density has smallest eigenvalue {lam_min:.3e}")
-    return State(ctx, region, factor)
+    if not np.isfinite(density).all():
+        raise NotAStateError("density has a non-finite entry")
+    lam, v = np.linalg.eigh(_hermitize(density))
+    if not lam[0] >= -NEGATIVE_EIG_TOL:
+        raise NotAStateError(f"density has smallest eigenvalue {lam[0]:.3e}")
+    keep = lam > 0.0
+    return State(ctx, region, v[:, keep] * np.sqrt(lam[keep]))
 
 
 def tracial_state(ctx: AlgebraContext, region: Region) -> State:
@@ -435,10 +431,14 @@ def _kron_state(first: State, last: State) -> State:
     ahead of ``last``'s, is the Kronecker product of the two factors.
 
     The rows are then reordered to the sorted union.  Callers check that the
-    regions are disjoint and that the product is the state they mean.
+    regions are disjoint and that the product is the state they mean.  Its
+    trace is the product of theirs; one off 1 by more than ``TRACE_TOL``
+    is scaled back to 1.
     """
     region = first.region.union(last.region)
-    factor = np.kron(first.factor, last.factor)
+    trace = np.vdot(first.factor, first.factor).real * np.vdot(last.factor, last.factor).real
+    scale = 1.0 if abs(trace - 1.0) <= TRACE_TOL else 1.0 / math.sqrt(trace)
+    factor = np.kron(first.factor, scale * last.factor)
     order = first.region.sites + last.region.sites
     return State(first.ctx, region, _reorder_rows(factor, order, region.sites))
 

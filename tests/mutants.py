@@ -122,9 +122,19 @@ MUTANTS = (
     ),
     Mutant(
         "negative_eigenvalue_check_nan_unsafe", "states.py",
-        "if not lam_min >= -NEGATIVE_EIG_TOL:", "if lam_min < -NEGATIVE_EIG_TOL:",
+        "if not lam[0] >= -NEGATIVE_EIG_TOL:", "if lam[0] < -NEGATIVE_EIG_TOL:",
         ("tests/test_states.py::TestMalformedInput",),
-        equivalent="a NaN eigh leaves a NaN or empty factor, whose trace State refuses",
+        equivalent="a non-finite density is refused before eigh, so lam[0] is never NaN",
+    ),
+    Mutant(
+        "density_finite_check_dropped", "states.py",
+        "    if not np.isfinite(density).all():\n"
+        '        raise NotAStateError("density has a non-finite entry")\n',
+        "",
+        (
+            "tests/test_states.py::TestMalformedInput::test_nan_density_entry_rejected",
+            "tests/test_states.py::TestMalformedInput::test_infinite_density_entry_rejected",
+        ),
     ),
     Mutant(
         "vector_norm_check_nan_unsafe", "states.py",
@@ -157,6 +167,20 @@ MUTANTS = (
         "state_trace_check_nan_unsafe", "states.py",
         "if not abs(trace - 1.0) <= TRACE_TOL:", "if abs(trace - 1.0) > TRACE_TOL:",
         ("tests/test_states.py::TestMalformedInput::test_non_finite_factor_rejected",),
+    ),
+    Mutant(
+        "kron_product_never_rescaled", "states.py",
+        "scale = 1.0 if abs(trace - 1.0) <= TRACE_TOL else 1.0 / math.sqrt(trace)", "scale = 1.0",
+        (
+            "tests/test_states.py::TestProductExtension::test_factors_near_trace_edge_accepted",
+            "tests/test_counterexamples.py::TestViolationDemo::test_inputs_near_trace_edge_accepted",
+        ),
+    ),
+    Mutant(
+        "kron_product_always_rescaled", "states.py",
+        "scale = 1.0 if abs(trace - 1.0) <= TRACE_TOL else 1.0 / math.sqrt(trace)",
+        "scale = 1.0 / math.sqrt(trace)",
+        ("tests/test_states.py::TestProductExtension::test_product_near_trace_one_kept_exact",),
     ),
     Mutant(
         "schmidt_norm_check_nan_unsafe", "purification.py",

@@ -298,6 +298,26 @@ class TestViolationDemo:
         }
         assert max(report.residuals.values()) <= 1e-9
 
+    def test_inputs_near_trace_edge_accepted(self, ctx3):
+        # rho2_tilde is the factor state_from_intrinsic keeps of a trace-one
+        # density with eigenvalues 1 + 5e-9 and -5e-9 (trace 1 + 5e-9), rhoJ
+        # a factor of trace 1 + 6e-9; each passes the trace check of State,
+        # and the demo state, whose trace is their product, is scaled back to 1
+        from carentropy import state_from_intrinsic
+
+        u = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        tilde = state_from_intrinsic(ctx3, Region((1,)), (u * [1.0 + 5e-9, -5e-9]) @ u.T)
+        rhoJ = tracial_state(ctx3, Region((3,)))
+        rhoJ = State(ctx3, rhoJ.region, math.sqrt(1.0 + 6e-9) * rhoJ.factor)
+        report = violation_demo(
+            ctx3, Region((2,)), Region((1,)), Region((3,)), rhoJ=rhoJ, rho2_tilde=tilde
+        )
+        assert report.verdicts == {
+            "mono_ssa": "violated", "triangle": "violated", "ssa": "holds",
+        }
+        assert abs(report.triangle_gap + LN2) <= 1e-7
+        assert abs(report.mono_ssa_gap + LN2) <= 1e-7
+
     def test_recipe_validated_once(self, ctx3, monkeypatch):
         import carentropy.counterexamples as module
 

@@ -85,11 +85,17 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
     def test_nan_density_entry_rejected(self, ctx1, entry):
-        # a diagonal NaN makes the trace NaN; an off-diagonal one keeps the
-        # trace finite, and eigh then returns NaNs and an empty factor
+        # refused before eigh, whose answer to a NaN depends on the LAPACK build
         density = np.diag([0.5, 0.5]).astype(complex)
         density[entry] = np.nan
-        with pytest.raises(NotAStateError):
+        with pytest.raises(NotAStateError, match="non-finite"):
+            state_from_intrinsic(ctx1, Region((1,)), density)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_density_entry_rejected(self, ctx1, bad):
+        density = np.diag([0.5, 0.5]).astype(complex)
+        density[0, 1] = bad
+        with pytest.raises(NotAStateError, match="non-finite"):
             state_from_intrinsic(ctx1, Region((1,)), density)
 
     def test_factor_row_count_checked(self, ctx1):
@@ -694,6 +700,25 @@ class TestProductExtension:
         a = random_state(ctx3, Region((1, 3)), seed=34)
         b = random_state(ctx3, Region((2,)), even=True, seed=35)
         assert density_distance(product_extension(a, b), product_extension(b, a)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0 - 6e-9, 1.0 + 6e-9])
+    def test_factors_near_trace_edge_accepted(self, ctx3, scale):
+        # each factor passes the trace check of State, but their product
+        # misses trace 1 by 1.2e-8 before it is scaled back
+        a = random_state(ctx3, Region((1, 3)), seed=34)
+        b = random_state(ctx3, Region((2,)), even=True, seed=35)
+        exact = product_extension(a, b)
+        a, b = (State(ctx3, s.region, math.sqrt(scale) * s.factor) for s in (a, b))
+        ext = product_extension(a, b)
+        assert abs(np.vdot(ext.factor, ext.factor).real - 1.0) <= 1e-14
+        assert density_distance(ext, exact) <= 1e-14
+
+    def test_product_near_trace_one_kept_exact(self, ctx3):
+        # only a product the trace check would refuse is scaled, so the product
+        # of two states built to round-off is their Kronecker product, bit for bit
+        a = random_state(ctx3, Region((1,)), seed=34)
+        b = random_state(ctx3, Region((2, 3)), even=True, seed=35)
+        assert np.array_equal(product_extension(a, b).factor, np.kron(a.factor, b.factor))
 
     def test_neither_factor_even_rejected(self, ctx2):
         a = odd_eigenvector_state(ctx2, Region((1,)))
