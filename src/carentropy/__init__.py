@@ -16,20 +16,7 @@ fixed normalization convention, and provides:
 * a CLI (``carentropy``) for verification campaigns and reports.
 """
 
-from .car_algebra import (
-    AlgebraContext,
-    CommutantCheck,
-    MonomialBasis,
-    OperatorElement,
-    Region,
-    build_context,
-    conditional_expectation,
-    grade_split,
-    monomial_basis,
-    parity_unitary,
-    relative_commutant_check,
-    theta,
-)
+from .car_algebra import AlgebraContext, MonomialBasis, Region, build_context
 from .counterexamples import (
     ExtensionRecipe,
     build_recipe,
@@ -40,17 +27,27 @@ from .counterexamples import (
 )
 from .errors import CapacityError, CarError, ExtensionError, NotAStateError
 from .inequalities import (
-    CommutingSquareReport,
     InequalityReport,
     MixingBoundsReport,
     classify_gap,
-    commuting_square_check,
     inequality_report,
     mixing_bounds_check,
     mono_ssa_gap,
     monotonicity_curve,
     ssa_gap,
     triangle_gap,
+)
+from .operators import (
+    CommutantCheck,
+    CommutingSquareReport,
+    OperatorElement,
+    commuting_square_check,
+    conditional_expectation,
+    grade_split,
+    monomial_basis,
+    parity_unitary,
+    relative_commutant_check,
+    theta,
 )
 from .purification import (
     SchmidtDecomposition,

@@ -38,7 +38,6 @@ import numpy as np
 
 from .car_algebra import Region, build_context
 from .counterexamples import violation_demo
-from .errors import CarError
 from .inequalities import InequalityReport, inequality_report
 from .states import random_state, tracial_state
 from .tolerances import HOLD_TOL
@@ -442,10 +441,7 @@ def main(argv=None) -> int:
             output_format=args.output_format, output_path=args.output,
         )
         return cmd_table1(config)
-    except CarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # every CarError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

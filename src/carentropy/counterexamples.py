@@ -211,6 +211,12 @@ def joint_extension(recipe: ExtensionRecipe) -> State:
     ``|K|``, so its factor is the Kronecker product of the two factors,
     reordered to the sorted sites of ``K u I``.  The recipe was checked
     when it was built.
+
+    That product is a state for every ``rho1``; maximal oddness is what
+    makes its I-marginal the even ``rho2``.  In general the I-marginal is
+    ``((1+c)/2) rho2_tilde + ((1-c)/2) rho2_tilde o Theta`` with
+    ``c = +Tr(D1 v_K)``, the expectation of ``rho1`` on the parity unitary of
+    ``K``; the recipe's ``rho1`` has ``c = 0``.
     """
     tilde = recipe.rho2_tilde
     second = tilde if len(recipe.K) % 2 == 0 else tilde.theta_image()

@@ -1,4 +1,4 @@
-"""Entropy inequality gaps, monotonicity, mixing bounds, commuting square.
+"""Entropy inequality gaps, monotonicity and mixing bounds.
 
 Gap conventions (all entropies in nats, computed from restrictions of one
 state ``phi``):
@@ -41,6 +41,8 @@ Verdicts separate float noise from genuine violations: a gap on the good
 side of ``-1e-9`` "holds", one below ``-1e-6`` is "violated", the band in
 between is "indeterminate" (constructed violations are O(ln 2), far from
 the band); the band lives in :mod:`carentropy.tolerances`.
+
+The commuting-square check acts on operator images: :mod:`carentropy.operators`.
 """
 
 from __future__ import annotations
@@ -51,22 +53,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .car_algebra import OperatorElement, Region, conditional_expectation
+from .car_algebra import Region
 from .errors import CarError
 from .states import State, entropy, is_even, restrict
-from .tolerances import COMMUTING_SQUARE_TOL, HOLD_TOL, VIOLATION_TOL
+from .tolerances import HOLD_TOL, VIOLATION_TOL
 
 __all__ = [
     "InequalityReport",
     "MixingBoundsReport",
-    "CommutingSquareReport",
     "classify_gap",
     "ssa_gap",
     "triangle_gap",
     "mono_ssa_gap",
     "monotonicity_curve",
     "mixing_bounds_check",
-    "commuting_square_check",
     "inequality_report",
 ]
 
@@ -210,62 +210,6 @@ def mixing_bounds_check(phi: State, psi: State, lam: float) -> MixingBoundsRepor
         mixture_entropy=s_mix,
         concavity_slack=s_mix - avg,
         convexity_slack=avg + h - s_mix,
-    )
-
-
-@dataclass(frozen=True)
-class CommutingSquareReport:
-    """Residuals of the conditional-expectation compatibility identities.
-
-    On random elements ``x`` of ``A(I u J)``, with ``F = E_{I n J}``:
-    ``E_I E_J x = E_I F x``, ``E_J E_I x = E_J F x``, and
-    ``F E_I x = F E_J x = F x``; plus the state-level counterpart
-    ``restrict(restrict(phi, I), I n J) = restrict(phi, I n J)``.
-    """
-
-    I: Region
-    J: Region
-    trials: int
-    operator_residual: float
-    state_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.operator_residual <= COMMUTING_SQUARE_TOL
-            and self.state_residual <= COMMUTING_SQUARE_TOL
-        )
-
-
-def commuting_square_check(
-    state: State, I: Region, J: Region, *, trials: int = 8, seed=0
-) -> CommutingSquareReport:
-    """Verify the commuting-square property on operators and on the state."""
-    _contained(state, I, "I")
-    _contained(state, J, "J")
-    ctx = state.ctx
-    inter = I.intersection(J)
-    union = I.union(J)
-
-    rng = np.random.default_rng(seed)
-    d = 2 ** len(union)
-    worst = 0.0
-    for _ in range(trials):
-        x = OperatorElement(union, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        on_inter = conditional_expectation(ctx, x, inter)
-        for first, second in ((J, I), (I, J), (I, inter), (J, inter)):
-            two_step = conditional_expectation(ctx, conditional_expectation(ctx, x, first), second)
-            target = conditional_expectation(ctx, on_inter, second)
-            worst = max(worst, float(np.abs(two_step.matrix - target.matrix).max()))
-
-    s_target = restrict(state, inter)
-    s_resid = 0.0
-    for mid in (I, J):
-        two_step = restrict(restrict(state, mid), inter)
-        s_resid = max(s_resid, float(np.abs(two_step.intrinsic() - s_target.intrinsic()).max()))
-
-    return CommutingSquareReport(
-        I=I, J=J, trials=trials, operator_residual=worst, state_residual=s_resid
     )
 
 

@@ -16,7 +16,7 @@ entropies are in nats and the tracial state on ``|R|`` sites has entropy
 ``|R| ln 2``.
 
 A state and an operator of ``A(R)`` share that picture: an
-:class:`~carentropy.car_algebra.OperatorElement` holds the ``2^|R|`` image
+:class:`~carentropy.operators.OperatorElement` holds the ``2^|R|`` image
 of an element, and ``phi(x) = Tr(D x)`` for the image ``x``.  The
 *tracial representative* ``W = 2^|R| D`` (``phi(x) = tau(W x)`` with
 ``tau`` the normalized trace of ``M(2^|R|)``, ``W = 1`` for the tracial
@@ -105,18 +105,21 @@ def _phase_fixed(vectors: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class State:
     """A state of ``A(region)``, stored as a factor ``X`` of its region-intrinsic
-    density ``D = X X*`` (``2^|R|`` rows, any number of columns); a trace
-    ``|X|_F^2`` off 1 by more than ``TRACE_TOL``, or NaN, is a :class:`NotAStateError`."""
+    density ``D = X X*`` (a 2-D ``ndarray`` with ``2^|R|`` rows, any number of
+    columns); the region must lie on ``ctx``'s lattice, and a trace ``|X|_F^2``
+    off 1 by more than ``TRACE_TOL``, or NaN, is a :class:`NotAStateError`."""
 
     ctx: AlgebraContext
     region: Region
     factor: np.ndarray
 
     def __post_init__(self) -> None:
+        self.ctx.check_region(self.region)
         d = 2 ** len(self.region)
-        if self.factor.ndim != 2 or self.factor.shape[0] != d:
+        factor = self.factor
+        if not isinstance(factor, np.ndarray) or factor.ndim != 2 or factor.shape[0] != d:
             raise ValueError(f"factor must have {d} rows for region {self.region.sites}")
-        trace = np.vdot(self.factor, self.factor).real
+        trace = np.vdot(factor, factor).real
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise NotAStateError(f"Tr(density) = {trace:.12f}, expected 1")
 

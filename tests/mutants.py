@@ -77,6 +77,44 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "conditional_expectation_unnormalized", "operators.py",
+        "local / 2 ** (len(x.region) + len(rest) - len(region))", "local",
+        ("tests/test_car_algebra.py::test_conditional_expectation_matches_projection_oracle",),
+    ),
+    Mutant(
+        "trace_out_wrong_axis_pair", "operators.py",
+        "axis1=1, axis2=3)", "axis1=0, axis2=2)",
+        (
+            "tests/test_car_algebra.py::TestMonomialBasis::test_local_iso_roundtrip_and_products",
+            "tests/test_car_algebra.py::test_conditional_expectation_matches_projection_oracle",
+        ),
+    ),
+    Mutant(
+        "commutant_candidate_without_v_I_twist", "operators.py",
+        "twisted = v_I[None, :, None] * bJ.mats", "twisted = bJ.mats",
+        ("tests/test_car_algebra.py::TestRelativeCommutant",),
+    ),
+    Mutant(
+        "commutant_v_I_bits_reversed", "operators.py",
+        ">> (local.n - np.array(pos_I))", ">> (np.array(pos_I) - 1)",
+        ("tests/test_car_algebra.py::TestRelativeCommutant",),
+    ),
+    Mutant(
+        "region_sites_truncated_by_int", "car_algebra.py",
+        "operator.index(s) for s in self.sites", "int(s) for s in self.sites",
+        ("tests/test_car_algebra.py::TestRegion::test_non_integer_sites_rejected",),
+    ),
+    Mutant(
+        "state_region_lattice_check_dropped", "states.py",
+        "        self.ctx.check_region(self.region)\n", "",
+        ("tests/test_states.py::TestMalformedInput::test_region_off_the_lattice_rejected",),
+    ),
+    Mutant(
+        "state_factor_array_check_dropped", "states.py",
+        "not isinstance(factor, np.ndarray) or ", "",
+        ("tests/test_states.py::TestMalformedInput::test_non_array_factor_rejected",),
+    ),
+    Mutant(
         "is_even_early_return_on_not_all_mixed", "states.py",
         "if not mixed.any():\n        return True", "if not mixed.all():\n        return True",
         ("tests/test_states.py::TestIsEvenParityColumns",),

@@ -17,15 +17,8 @@ from carentropy import (
     theta,
 )
 
-from carentropy.car_algebra import (
-    _embed,
-    _local_context,
-    _local_parity_diag,
-    _reorder,
-    _reorder_plan,
-    _reorder_rows,
-    _trace_out,
-)
+from carentropy.car_algebra import _local_parity_diag, _reorder_plan, _reorder_rows
+from carentropy.operators import _local_context, _reorder, _trace_out
 
 import oracles
 from oracles import conditional_expectation_oracle, jw_annihilators, lift, local_image, monomials_on
@@ -50,6 +43,17 @@ class TestRegion:
     def test_not_increasing_rejected(self):
         with pytest.raises(ValueError):
             Region((3, 1))
+
+    @pytest.mark.parametrize("sites", [(1.5,), (2.7, 2), ("1",)])
+    def test_non_integer_sites_rejected(self, sites):
+        # (1.5,) once became (1,) silently, and (2.7, 2) failed as "not increasing"
+        with pytest.raises(ValueError, match="integers"):
+            Region(sites)
+
+    def test_numpy_integer_sites_accepted(self):
+        region = Region((np.int64(1), np.int32(3)))
+        assert region.sites == (1, 3)
+        assert all(type(s) is int for s in region.sites)
 
     def test_set_operations(self):
         a, b = Region((1, 2)), Region((2, 3))
@@ -173,7 +177,7 @@ class TestBuildContext:
 
 
 class TestParityUnitary:
-    # images are compared, through _embed, with the global Jordan-Wigner oracle
+    # images are compared, through oracles.lift, with the global Jordan-Wigner oracle
     def test_single_site_formula(self, ctx1):
         a = ctx1.annihilator(1)
         v = parity_unitary(ctx1, Region((1,)))
@@ -187,11 +191,11 @@ class TestParityUnitary:
         assert v.shape == (d, d)
         assert np.abs(v - v.conj().T).max() <= 1e-12
         assert np.abs(v @ v - np.eye(d)).max() <= 1e-12
-        glob = _embed(v, sites, ctx3.lattice.sites)
+        glob = lift(v, 3, sites)
         assert np.abs(glob - oracles.parity(3, sites)).max() <= 1e-12
 
     def test_conjugation_flips_inside_fixes_outside(self, ctx2):
-        v = _embed(parity_unitary(ctx2, Region((1,))).matrix, (1,), ctx2.lattice.sites)
+        v = lift(parity_unitary(ctx2, Region((1,))).matrix, 2, (1,))
         a1, a2 = jw_annihilators(2)
         assert np.abs(v @ a1 @ v + a1).max() <= 1e-12
         assert np.abs(v @ a2 @ v - a2).max() <= 1e-12
@@ -203,7 +207,7 @@ class TestParityUnitary:
         for elem, oracle in zip(monomial_basis(ctx3, region), glob):
             graded = theta(ctx3, elem).matrix
             assert np.abs(v @ elem.matrix @ v - graded).max() <= 1e-12
-            lifted = _embed(graded, region.sites, ctx3.lattice.sites)
+            lifted = lift(graded, 3, region.sites)
             assert np.abs(lifted - oracles.theta(oracle, 3)).max() <= 1e-12
 
     def test_empty_region_flagged(self, ctx2):
@@ -232,7 +236,7 @@ class TestTheta:
                 out = theta(ctx3, OperatorElement(Region((i,)), g))
                 assert np.abs(out.matrix + g).max() <= 1e-12
                 glob = oracle[i - 1] if g is LOWER else oracle[i - 1].conj().T
-                lifted = _embed(out.matrix, (i,), ctx3.lattice.sites)
+                lifted = lift(out.matrix, 3, (i,))
                 assert np.abs(lifted + glob).max() <= 1e-12
                 assert np.abs(lifted - oracles.theta(glob, 3)).max() <= 1e-12
 
@@ -293,7 +297,7 @@ class TestGradeSplit:
         assert np.abs(even.matrix + odd.matrix - x.matrix).max() <= 1e-12
         glob = lift(x.matrix, 3, region.sites)
         glob_even = (glob + oracles.theta(glob, 3)) / 2.0
-        lifted = _embed(even.matrix, region.sites, ctx3.lattice.sites)
+        lifted = lift(even.matrix, 3, region.sites)
         assert np.abs(lifted - glob_even).max() <= 1e-12
 
 
@@ -314,7 +318,7 @@ class TestMonomialBasis:
         assert np.diag(gram).real.min() > 0
         glob = monomials_on(jw_annihilators(3), [s - 1 for s in sites])
         for e, oracle in zip(elems, glob):
-            assert np.abs(_embed(e.matrix, sites, ctx3.lattice.sites) - oracle).max() <= 1e-12
+            assert np.abs(lift(e.matrix, 3, sites) - oracle).max() <= 1e-12
 
     @pytest.mark.parametrize("sites", [(1,), (1, 2), (1, 2, 3), (1, 3)])
     def test_parity_split_half_and_half(self, ctx3, sites):
@@ -332,9 +336,8 @@ class TestMonomialBasis:
         glob = lift(inside.matrix, 3, region.sites)
         assert np.abs(local_image(glob, 3, region.sites) - inside.matrix).max() <= 1e-10
         outside = OperatorElement(Region((3,)), LOWER)
-        moved = _embed(conditional_expectation(ctx3, outside, region).matrix, region.sites,
-                       ctx3.lattice.sites)
-        assert np.linalg.norm(_embed(LOWER, (3,), ctx3.lattice.sites) - moved) > 1e-3
+        moved = lift(conditional_expectation(ctx3, outside, region).matrix, 3, region.sites)
+        assert np.linalg.norm(lift(LOWER, 3, (3,)) - moved) > 1e-3
         with pytest.raises(ValueError):
             local_image(jw_annihilators(3)[2], 3, region.sites)
 
@@ -353,7 +356,7 @@ class TestMonomialBasis:
         x = np.tensordot(c1, b.mats, axes=1)
         y = np.tensordot(c2, b.mats, axes=1)
         lx, ly = local_image(x, 3, order), local_image(y, 3, order)
-        assert np.abs(_embed(lx, order, ctx3.lattice.sites) - x).max() <= 1e-10
+        assert np.abs(lift(lx, 3, order) - x).max() <= 1e-10
         assert np.abs(_trace_out(x @ y, ctx3.lattice.sites, order) / 2 - lx @ ly).max() <= 1e-10
 
     def test_oversized_basis_rejected_before_allocating(self):
@@ -399,7 +402,7 @@ def expectation_cases(draw):
 @example((4, [2], [1, 4], 1))
 def test_conditional_expectation_matches_projection_oracle(case):
     # x in A(S) maps to A(R), R not necessarily inside S; the local result,
-    # lifted by _embed, must be the projection of the global oracle matrix
+    # lifted by oracles.lift, must be the projection of the global oracle matrix
     n, source, sites, seed = case
     ctx = build_context(n)
     rng = np.random.default_rng(seed)
@@ -409,7 +412,7 @@ def test_conditional_expectation_matches_projection_oracle(case):
     got = conditional_expectation(ctx, x, Region(tuple(sites)))
     assert got.region == Region(tuple(sites))
     want = conditional_expectation_oracle(lift(x.matrix, n, source), n, sites)
-    assert np.abs(_embed(got.matrix, tuple(sites), ctx.lattice.sites) - want).max() <= 1e-12
+    assert np.abs(lift(got.matrix, n, sites) - want).max() <= 1e-12
 
 
 class TestRelativeCommutant:

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from carentropy import cli
+from carentropy import CapacityError, cli
 from carentropy.cli import RunConfig, _unexpected_violations, build_parser, main
 
 LN2 = math.log(2.0)
@@ -120,6 +120,15 @@ class TestVerify:
         argv = ["verify", "--suite", "ssa", "--sites", "3", "--trials", "1",
                 "--I", "1,2", "--J", "2,3", "--K", "9"]
         assert main(argv) == 2
+
+    def test_domain_error_in_command_exit_two(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise CapacityError("x")
+
+        monkeypatch.setattr(cli, "violation_demo", refuse)
+        code, _ = run(["counterexample"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: x\n"
 
     @pytest.mark.parametrize(
         "args",

@@ -3,11 +3,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from carentropy import (
     ExtensionError,
     Region,
     State,
+    build_context,
     build_recipe,
     density_distance,
     entropy,
@@ -27,6 +29,8 @@ from carentropy import (
     vector_state,
     violation_demo,
 )
+from carentropy.states import _kron_state
+from carentropy.tolerances import HOLD_TOL
 
 from oracles import (
     joint_extension_functional,
@@ -280,6 +284,66 @@ class TestJointExtension:
             lam_oracle = np.sort(np.linalg.eigvalsh(oracle_density))
             assert np.abs(lam_mine - lam_oracle).max() <= 1e-10
             assert abs(entropy(psi) - vn_entropy(oracle_density)) <= 1e-10
+
+
+def twisted_product(rho1, rho2_tilde):
+    """The Kronecker product of ``joint_extension``, for any ``rho1`` on K."""
+    second = rho2_tilde if len(rho1.region) % 2 == 0 else rho2_tilde.theta_image()
+    return _kron_state(rho1, second)
+
+
+@st.composite
+def twisted_cases(draw):
+    """K, I and J drawn from a shuffle of 6 sites, so K falls before, after or
+    between I's sites; the states are random, of any parity and rank."""
+    sites = draw(st.permutations(range(1, 7)))
+    k, i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    j = draw(st.integers(0, 6 - k - i))
+    K, I, J = (tuple(sorted(sites[a:b])) for a, b in ((0, k), (k, k + i), (k + i, k + i + j)))
+    return K, I, J, draw(st.integers(0, 63)), draw(st.integers(0, 63)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestTwistedProduct:
+    """``joint_extension``'s product for a ``rho1`` that is not maximally odd.
+
+    The I-marginal is ``((1+c)/2) rho2~ + ((1-c)/2) rho2~ o Theta`` with
+    ``c = +Tr(D1 v_K)``; with an even ``rhoJ`` the MONO-SSA gap on (I, J; K)
+    is ``2 S(rho1) + S(rho2~) - S(mixture)``, at least ``-ln 2``.
+    """
+
+    @staticmethod
+    def states(case):
+        K, I, J, rank1, rank2, seed = case
+        ctx = build_context(6)
+        rho1 = random_state(ctx, Region(K), rank=1 + rank1 % 2 ** len(K), seed=seed)
+        tilde = random_state(ctx, Region(I), rank=1 + rank2 % 2 ** len(I), seed=seed + 1)
+        c = float(np.trace(rho1.intrinsic() @ parity_unitary(ctx, rho1.region).matrix).real)
+        mixture = (1 + c) / 2 * tilde.intrinsic() + (1 - c) / 2 * tilde.theta_image().intrinsic()
+        return ctx, rho1, tilde, mixture
+
+    @settings(max_examples=60, deadline=None)
+    @given(twisted_cases())
+    @example(((1,), (2, 3), (4,), 0, 3, 0))  # K before I
+    @example(((5, 6), (1, 3), (2,), 1, 2, 1))  # K after I
+    @example(((2, 4), (1, 3, 5), (6,), 3, 7, 2))  # K between I's sites
+    def test_i_marginal_is_the_parity_mixture(self, case):
+        ctx, rho1, tilde, mixture = self.states(case)
+        marginal = restrict(twisted_product(rho1, tilde), tilde.region)
+        assert np.abs(marginal.intrinsic() - mixture).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(twisted_cases())
+    @example(((1,), (2, 3), (4,), 0, 3, 0))
+    @example(((5, 6), (1, 3), (2,), 1, 2, 1))
+    @example(((2, 4), (1, 3, 5), (6,), 3, 7, 2))
+    def test_mono_ssa_gap_closed_form(self, case):
+        ctx, rho1, tilde, mixture = self.states(case)
+        rhoJ = random_state(ctx, Region(case[2]), even=True, seed=case[5] + 2)
+        full = product_extension(twisted_product(rho1, tilde), rhoJ)
+        gap = mono_ssa_gap(full, tilde.region, rhoJ.region, rho1.region)
+        closed = 2 * entropy(rho1) + entropy(tilde) - vn_entropy(mixture)
+        assert abs(gap - closed) <= 1e-12
+        assert gap >= -LN2 - HOLD_TOL
 
 
 class TestViolationDemo:

@@ -27,9 +27,8 @@ from carentropy import (
 )
 
 import carentropy.inequalities as inequalities
-from carentropy.car_algebra import _embed
 
-from oracles import jw_annihilators, monomials_on, rep
+from oracles import jw_annihilators, lift, monomials_on, rep
 
 LN2 = math.log(2.0)
 
@@ -192,12 +191,12 @@ class TestCommutingSquare:
 
     def test_elements_of_intersection_fixed(self, ctx3):
         # E onto a larger region leaves an element of the intersection as it
-        # is: its image there, lifted by _embed, is the global oracle matrix
+        # is: its image there, lifted by oracles.lift, is the global oracle matrix
         inter = Region((2,))
         for elem, glob in zip(monomial_basis(ctx3, inter), monomials_on(jw_annihilators(3), [1])):
             for outer in (Region((1, 2)), Region((2, 3))):
                 out = conditional_expectation(ctx3, elem, outer)
-                lifted = _embed(out.matrix, outer.sites, ctx3.lattice.sites)
+                lifted = lift(out.matrix, 3, outer.sites)
                 assert np.abs(lifted - glob).max() <= 1e-12
                 back = conditional_expectation(ctx3, out, inter)
                 assert np.abs(back.matrix - elem.matrix).max() <= 1e-12

@@ -102,6 +102,15 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match="2 rows"):
             State(ctx1, Region((1,)), np.ones((3, 1)) / math.sqrt(3))
 
+    def test_region_off_the_lattice_rejected(self, ctx3):
+        with pytest.raises(ValueError, match="exceeds"):
+            State(ctx3, Region((7,)), np.array([[1.0], [0.0]]))
+
+    def test_non_array_factor_rejected(self, ctx1):
+        # a nested list once ended in AttributeError: 'list' object has no attribute 'ndim'
+        with pytest.raises(ValueError, match="2 rows"):
+            State(ctx1, Region((1,)), [[1.0], [0.0]])
+
     def test_unnormalized_factor_rejected(self, ctx2):
         # trace 4: its inequality_report once called SSA "violated" with gap 5.55
         with pytest.raises(NotAStateError, match="Tr"):
