@@ -41,8 +41,8 @@ print("v1 a1 v1 + a1       :", np.abs(v1 @ a1 @ v1 + a1).max())
 print("v1 a2 v1 - a2       :", np.abs(v1 @ a2 @ v1 - a2).max())
 
 # The grading negates every generator; even/odd parts split any element.
-print("Theta(a1) + a1      :", np.abs(theta(ctx, OperatorElement(whole, a1)).matrix + a1).max())
-even, odd = grade_split(ctx, OperatorElement(whole, a1 + a1.conj().T @ a1))
+print("Theta(a1) + a1      :", np.abs(theta(OperatorElement(whole, a1)).matrix + a1).max())
+even, odd = grade_split(OperatorElement(whole, a1 + a1.conj().T @ a1))
 print("odd part is a1      :", np.abs(odd.matrix - a1).max())
 
 # Region subalgebras carry an orthogonal monomial basis, half even half odd.

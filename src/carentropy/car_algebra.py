@@ -48,9 +48,10 @@ def _readonly(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Region:
-    """Subset of lattice sites, stored as a strictly increasing 1-based tuple."""
+    """Subset of lattice sites, stored as a strictly increasing tuple in
+    ``[1, MAX_SITES]``, so a union of regions fits the largest lattice."""
 
     sites: tuple[int, ...] = ()
 
@@ -60,8 +61,8 @@ class Region:
         except TypeError:
             raise ValueError(f"sites must be integers, got {self.sites}") from None
         object.__setattr__(self, "sites", sites)
-        if any(s < 1 for s in sites):
-            raise ValueError(f"sites must be >= 1, got {sites}")
+        if not all(1 <= s <= MAX_SITES for s in sites):
+            raise ValueError(f"sites must be in [1, {MAX_SITES}], got {sites}")
         if any(a >= b for a, b in zip(sites, sites[1:])):
             raise ValueError(f"sites must be strictly increasing, got {sites}")
 
@@ -219,10 +220,8 @@ class AlgebraContext:
 
     def basis(self, order: tuple[int, ...]) -> MonomialBasis:
         """The monomials of the sites ``order`` of this lattice, as ``2^n`` matrices."""
-        order = tuple(int(s) for s in order)
-        if len(set(order)) != len(order):
-            raise ValueError(f"repeated sites in order {order}")
-        self.check_region(Region(tuple(sorted(order))))
+        self.check_region(Region.of(*order))
+        order = tuple(map(operator.index, order))  # Region.of has checked them
         if order not in self._bases:
             need = 4 ** len(order) * self.dim ** 2 * 16
             if need > MAX_BASIS_BYTES:

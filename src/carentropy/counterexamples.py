@@ -111,7 +111,6 @@ def odd_eigenvector_state(ctx: AlgebraContext, K: Region) -> State:
     :func:`~carentropy.states.vector_state` and :class:`ExtensionRecipe`,
     which checks it.
     """
-    ctx.check_region(K)
     if not K.sites:
         raise ValueError("K must be nonempty")
     return vector_state(ctx, K, _default_odd_vector(len(K)))
@@ -123,7 +122,7 @@ def symmetrize(state: State) -> State:
     Its factor stacks the two factors' columns, each scaled by ``1/sqrt(2)``.
     """
     factor = np.hstack([state.factor, state.theta_image().factor]) / math.sqrt(2.0)
-    return State(state.ctx, state.region, factor)
+    return State(state.region, factor)
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,6 @@ def build_recipe(
     ``rho2_tilde`` must live on ``I``, and the recipe checks itself on
     construction.
     """
-    ctx.check_region(K)
     ctx.check_region(I)
     if not I.sites:
         raise ValueError("I must be nonempty")
@@ -233,8 +231,9 @@ def violation_demo(
 ) -> ViolationReport:
     """Build ``psi o rhoJ`` and report its gaps, entropies, residuals and recipe.
 
-    The recipe comes from :func:`build_recipe`; ``rhoJ`` defaults to the
-    tracial state on ``J`` and must live on ``J``.
+    The recipe comes from :func:`build_recipe`; ``J`` must lie on ``ctx``'s
+    lattice, and ``rhoJ`` defaults to the tracial state on ``J`` and must
+    live on ``J``.
 
     Expected pattern: the monotonicity-form gap on (I, J; K) and the
     triangle gap on (I, K) are negative (``-ln 2`` with the defaults) while
@@ -245,7 +244,7 @@ def violation_demo(
     recipe = build_recipe(ctx, K, I, rho2_tilde=rho2_tilde)
     if rhoJ is None:
         rhoJ = tracial_state(ctx, J)
-    elif rhoJ.region != J:
+    elif rhoJ.region != ctx.check_region(J):
         raise ValueError(f"rhoJ lives on {rhoJ.region.sites}, expected {J.sites}")
     full = product_extension(joint_extension(recipe), rhoJ)
 

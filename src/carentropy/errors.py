@@ -6,8 +6,9 @@ class CarError(ValueError):
 
 
 class NotAStateError(CarError):
-    """A claimed density or factor is not a state: a genuinely negative
-    eigenvalue, or a trace that is not 1."""
+    """A claimed density or factor is not a state: a non-finite entry, a
+    non-Hermitian density, a genuinely negative eigenvalue, or a trace that
+    is not 1."""
 
 
 class CapacityError(CarError):

@@ -198,7 +198,7 @@ def mixing_bounds_check(phi: State, psi: State, lam: float) -> MixingBoundsRepor
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
     stacked = np.hstack([math.sqrt(lam) * phi.factor, math.sqrt(1.0 - lam) * psi.factor])
-    mixture = State(phi.ctx, phi.region, stacked)
+    mixture = State(phi.region, stacked)
     s_mix = entropy(mixture)
     avg = lam * entropy(phi) + (1.0 - lam) * entropy(psi)
     h = 0.0

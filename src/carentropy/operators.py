@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import AlgebraContext, Region, _local_parity_diag, _reorder_rows
+from .car_algebra import MAX_SITES, AlgebraContext, Region, _local_parity_diag, _reorder_rows
 from .inequalities import _contained
 from .states import State, restrict
 from .tolerances import (
@@ -94,19 +94,18 @@ def parity_unitary(ctx: AlgebraContext, region: Region) -> OperatorElement:
     return OperatorElement(region, np.diag(_local_parity_diag(len(region))))
 
 
-def theta(ctx: AlgebraContext, x: OperatorElement) -> OperatorElement:
+def theta(x: OperatorElement) -> OperatorElement:
     """The grading automorphism, ``a_i -> -a_i`` for every site.
 
     It maps each ``A(R)`` onto itself, so the region is preserved.
     """
-    ctx.check_region(x.region)
     par = _local_parity_diag(len(x.region))
     return OperatorElement(x.region, par[:, None] * x.matrix * par[None, :])
 
 
-def grade_split(ctx: AlgebraContext, x: OperatorElement) -> tuple[OperatorElement, OperatorElement]:
+def grade_split(x: OperatorElement) -> tuple[OperatorElement, OperatorElement]:
     """Split into (even, odd) parts: ``x_+/- = (x +/- Theta(x)) / 2``."""
-    tm = theta(ctx, x).matrix
+    tm = theta(x).matrix
     return (
         OperatorElement(x.region, (x.matrix + tm) / 2.0),
         OperatorElement(x.region, (x.matrix - tm) / 2.0),
@@ -289,7 +288,7 @@ def commuting_square_check(
     """Verify the commuting-square property on operators and on the state."""
     _contained(state, I, "I")
     _contained(state, J, "J")
-    ctx = state.ctx
+    ctx = _local_context(MAX_SITES)  # a state has no lattice; every region fits this one
     inter = I.intersection(J)
     union = I.union(J)
 

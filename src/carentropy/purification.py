@@ -111,7 +111,7 @@ def _purify(rho1: State, J: Region, rows: np.ndarray, partners: np.ndarray) -> S
     xi[rows[block].T, partners[block, col]] = vectors
     vector = _phase_fixed(xi.reshape(-1, 1) / np.linalg.norm(xi))
     region = I.union(J)
-    return State(rho1.ctx, region, _reorder_rows(vector, I.sites + J.sites, region.sites))
+    return State(region, _reorder_rows(vector, I.sites + J.sites, region.sites))
 
 
 def pure_extension(rho1: State, J: Region) -> State:
@@ -120,7 +120,6 @@ def pure_extension(rho1: State, J: Region) -> State:
     One block: every row of the factor, every partner column.  Needs
     ``2^|J|`` at least as large as the rank of ``rho1``.
     """
-    rho1.ctx.check_region(J)
     if not rho1.region.isdisjoint(J):
         raise ValueError(f"regions overlap: {rho1.region.sites} and {J.sites}")
     rows, partners = np.arange(2 ** len(rho1.region)), np.arange(2 ** len(J))
@@ -138,7 +137,6 @@ def symmetric_purification(rho1: State, J: Region) -> State:
     parities the factor's columns mix.  This cannot run out of partners
     when ``|J| >= |I|``.
     """
-    rho1.ctx.check_region(J)
     if not rho1.region.isdisjoint(J):
         raise ValueError(f"regions overlap: {rho1.region.sites} and {J.sites}")
     if not is_even(rho1):

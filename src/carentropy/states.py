@@ -15,6 +15,13 @@ entropies and fidelities are those of ``D``.  Logarithms are natural, so
 entropies are in nats and the tracial state on ``|R|`` sites has entropy
 ``|R| ln 2``.
 
+A state is its region and its factor, with no lattice: ``A(R)`` is the
+same algebra on every lattice that holds ``R``.  A region is checked
+against a lattice only where it enters, in the constructors that take an
+:class:`AlgebraContext`.  :class:`Region` keeps every site in
+``[1, MAX_SITES]``, so a union, product or purification of disjoint
+regions fits the largest lattice.
+
 A state and an operator of ``A(R)`` share that picture: an
 :class:`~carentropy.operators.OperatorElement` holds the ``2^|R|`` image
 of an element, and ``phi(x) = Tr(D x)`` for the image ``x``.  The
@@ -33,13 +40,14 @@ join the ancilla, so no partial trace is taken.  A spectrum is that of the small
 ``X X*`` and ``X* X``, which share their nonzero eigenvalues.  Eigenvalues
 below ``1e-12`` are round-off zeros, clamped before logarithms.  A factor
 built from a density keeps every positive eigenpair, so ``X X*`` is the
-given density up to rounding; a density with an eigenvalue below ``-1e-8``
-raises :class:`NotAStateError`.
+given density up to rounding; a density with an eigenvalue below ``-1e-8``,
+or an entry of ``D - D*`` above ``1e-8``, raises :class:`NotAStateError`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +64,7 @@ from .tolerances import (
     CLUSTER_TOL,
     EIG_FLOOR,
     EVEN_TOL,
+    HERMITICITY_TOL,
     NEGATIVE_EIG_TOL,
     NORM_TOL,
     SUPPORT_TOL,
@@ -102,19 +111,18 @@ def _phase_fixed(vectors: np.ndarray) -> np.ndarray:
     return vectors * (top / np.abs(top)).conj()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """A state of ``A(region)``, stored as a factor ``X`` of its region-intrinsic
     density ``D = X X*`` (a 2-D ``ndarray`` with ``2^|R|`` rows, any number of
-    columns); the region must lie on ``ctx``'s lattice, and a trace ``|X|_F^2``
-    off 1 by more than ``TRACE_TOL``, or NaN, is a :class:`NotAStateError`."""
+    columns); a trace ``|X|_F^2`` off 1 by more than ``TRACE_TOL``, or NaN, is a
+    :class:`NotAStateError`.  A state has no lattice: ``A(R)`` is the same
+    algebra on every lattice that holds ``R``."""
 
-    ctx: AlgebraContext
     region: Region
     factor: np.ndarray
 
     def __post_init__(self) -> None:
-        self.ctx.check_region(self.region)
         d = 2 ** len(self.region)
         factor = self.factor
         if not isinstance(factor, np.ndarray) or factor.ndim != 2 or factor.shape[0] != d:
@@ -130,7 +138,7 @@ class State:
     def theta_image(self) -> "State":
         """The state ``phi o Theta``: the parity-odd rows of ``X`` change sign."""
         par = _local_parity_diag(len(self.region))
-        return State(self.ctx, self.region, par[:, None] * self.factor)
+        return State(self.region, par[:, None] * self.factor)
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,8 @@ def state_from_intrinsic(ctx: AlgebraContext, region: Region, density: np.ndarra
 
     One ``eigh`` both checks positivity and gives the factor ``V sqrt(lam)``
     of the positive part, whose trace :class:`State` checks.  A density with
-    a non-finite entry is refused before ``eigh``.
+    a non-finite entry, or one off Hermitian by more than ``HERMITICITY_TOL``,
+    is refused before ``eigh``; a smaller asymmetry is averaged away.
     """
     ctx.check_region(region)
     density = np.asarray(density, dtype=complex)
@@ -165,18 +174,21 @@ def state_from_intrinsic(ctx: AlgebraContext, region: Region, density: np.ndarra
         raise ValueError(f"density must be {d}x{d} for region {region.sites}")
     if not np.isfinite(density).all():
         raise NotAStateError("density has a non-finite entry")
+    residual = float(np.abs(density - density.conj().T).max())
+    if not residual <= HERMITICITY_TOL:
+        raise NotAStateError(f"density is not Hermitian: max |D - D*| = {residual:.3e}")
     lam, v = np.linalg.eigh(_hermitize(density))
     if not lam[0] >= -NEGATIVE_EIG_TOL:
         raise NotAStateError(f"density has smallest eigenvalue {lam[0]:.3e}")
     keep = lam > 0.0
-    return State(ctx, region, v[:, keep] * np.sqrt(lam[keep]))
+    return State(region, v[:, keep] * np.sqrt(lam[keep]))
 
 
 def tracial_state(ctx: AlgebraContext, region: Region) -> State:
     """The unique tracial state: ``W = 1``; entropy ``|R| ln 2``."""
     ctx.check_region(region)
     d = 2 ** len(region)
-    return State(ctx, region, np.eye(d, dtype=complex) / math.sqrt(d))
+    return State(region, np.eye(d, dtype=complex) / math.sqrt(d))
 
 
 def vector_state(ctx: AlgebraContext, region: Region, vec: np.ndarray) -> State:
@@ -188,7 +200,7 @@ def vector_state(ctx: AlgebraContext, region: Region, vec: np.ndarray) -> State:
     norm = np.linalg.norm(vec)
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"vector norm {norm:.12f} is not 1")
-    return State(ctx, region, vec[:, None])
+    return State(region, vec[:, None])
 
 
 def entropy(state: State) -> float:
@@ -231,10 +243,10 @@ def restrict(state: State, region: Region) -> State:
     if region == state.region:
         return state
     if not region.sites:
-        return tracial_state(state.ctx, region)
+        return State(region, np.ones((1, 1), dtype=complex))
     rest = tuple(s for s in state.region.sites if s not in region.sites)
     rows = _reorder_rows(state.factor, state.region.sites, region.sites + rest)
-    return State(state.ctx, region, rows.reshape(2 ** len(region), -1))
+    return State(region, rows.reshape(2 ** len(region), -1))
 
 
 def is_even(state: State) -> bool:
@@ -384,8 +396,10 @@ def random_state(
     """
     ctx.check_region(region)
     d = 2 ** len(region)
-    if rank is None:
-        rank = d
+    try:
+        rank = d if rank is None else operator.index(rank)
+    except TypeError:
+        raise ValueError(f"rank must be an integer, got {rank!r}") from None
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
@@ -406,7 +420,7 @@ def random_state(
     else:
         factor = _haar_columns(rng, 1, d, rank)[0]
     factor *= np.sqrt(weights)
-    return State(ctx, region, factor)
+    return State(region, factor)
 
 
 def product_extension(state_a: State, state_b: State) -> State:
@@ -416,8 +430,6 @@ def product_extension(state_a: State, state_b: State) -> State:
     factor is even; with the even factor's modes last, its factor is the
     Kronecker product of the two factors.
     """
-    if state_a.ctx is not state_b.ctx:
-        raise ValueError("states live on different lattice contexts")
     if not state_a.region.isdisjoint(state_b.region):
         raise ValueError("product extension requires disjoint regions")
     b_even = is_even(state_b)
@@ -443,7 +455,7 @@ def _kron_state(first: State, last: State) -> State:
     scale = 1.0 if abs(trace - 1.0) <= TRACE_TOL else 1.0 / math.sqrt(trace)
     factor = np.kron(first.factor, scale * last.factor)
     order = first.region.sites + last.region.sites
-    return State(first.ctx, region, _reorder_rows(factor, order, region.sites))
+    return State(region, _reorder_rows(factor, order, region.sites))
 
 
 def density_distance(a: State, b: State) -> float:

@@ -16,6 +16,7 @@ VIOLATION_TOL = 1e-6  # beyond -VIOLATION_TOL a gap is violated; constructed vio
 EIG_FLOOR = 1e-12  # eigenvalues below it are round-off zeros, clamped before taking logarithms
 NEGATIVE_EIG_TOL = 1e-8  # an eigenvalue below -NEGATIVE_EIG_TOL is genuine: NotAStateError
 TRACE_TOL = 1e-8  # |Tr D - 1| (or |tau(W) - 1|) an input density may carry from its producer
+HERMITICITY_TOL = 1e-8  # largest |D - D*| entry an input density may carry; more is not round-off
 NORM_TOL = 1e-10  # | |v| - 1 | an input unit vector may carry
 EVEN_TOL = 1e-10  # |D - Theta(D)| up to which a density is even; noneven ones sit O(1) away
 CLUSTER_TOL = 1e-9  # eigenvalues this close form one multiplicity; degenerate ones agree to ~1e-15

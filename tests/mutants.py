@@ -105,9 +105,40 @@ MUTANTS = (
         ("tests/test_car_algebra.py::TestRegion::test_non_integer_sites_rejected",),
     ),
     Mutant(
-        "state_region_lattice_check_dropped", "states.py",
-        "        self.ctx.check_region(self.region)\n", "",
-        ("tests/test_states.py::TestMalformedInput::test_region_off_the_lattice_rejected",),
+        "region_upper_bound_dropped", "car_algebra.py",
+        "1 <= s <= MAX_SITES for s in sites", "1 <= s for s in sites",
+        ("tests/test_car_algebra.py::TestRegion::test_sites_outside_max_sites_rejected",),
+    ),
+    Mutant(
+        "basis_sites_truncated_by_int", "car_algebra.py",
+        "        self.check_region(Region.of(*order))\n"
+        "        order = tuple(map(operator.index, order))",
+        "        order = tuple(int(s) for s in order)\n"
+        "        self.check_region(Region.of(*order))",
+        (
+            "tests/test_car_algebra.py::TestMonomialBasis"
+            "::test_basis_sites_converted_through_region",
+        ),
+    ),
+    Mutant(
+        "check_region_off_by_one", "car_algebra.py",
+        "region.sites[-1] > self.n:", "region.sites[-1] > self.n + 1:",
+        ("tests/test_states.py::TestMalformedInput::test_drawn_region_off_the_lattice_refused",),
+    ),
+    Mutant(
+        "density_hermiticity_check_dropped", "states.py",
+        "    if not residual <= HERMITICITY_TOL:\n"
+        '        raise NotAStateError(f"density is not Hermitian: max |D - D*| = {residual:.3e}")\n',
+        "",
+        (
+            "tests/test_states.py::TestMalformedInput::test_non_hermitian_density_refused",
+            "tests/test_states.py::TestMalformedInput::test_drawn_non_hermitian_density_refused",
+        ),
+    ),
+    Mutant(
+        "random_state_rank_not_converted", "states.py",
+        "rank = d if rank is None else operator.index(rank)", "rank = d if rank is None else rank",
+        ("tests/test_states.py::TestMalformedInput::test_drawn_bad_rank_refused",),
     ),
     Mutant(
         "state_factor_array_check_dropped", "states.py",

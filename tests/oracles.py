@@ -234,15 +234,16 @@ def theta(x, n):
     return v @ x @ v
 
 
-def rep(state):
-    """Tracial representative ``W`` of a state on the full lattice (``phi = tau(W .)``)."""
+def rep(state, n):
+    """Tracial representative ``W`` of a state on the ``n``-site lattice (``phi = tau(W .)``)."""
     scaled = state.intrinsic() * 2 ** len(state.region)
-    return lift(scaled, state.ctx.n, state.region.sites)
+    return lift(scaled, n, state.region.sites)
 
 
 def value(state, x):
-    """The functional ``phi(x) = tau(W x)`` of a state for a global matrix ``x``."""
-    return complex(np.einsum("ij,ji->", rep(state), x) / 2 ** state.ctx.n)
+    """The functional ``phi(x) = tau(W x)`` of a state for a global ``2^n`` matrix ``x``."""
+    n = len(x).bit_length() - 1
+    return complex(np.einsum("ij,ji->", rep(state, n), x) / 2 ** n)
 
 
 def sqrt_psd(x):

@@ -17,7 +17,7 @@ from carentropy import (
     theta,
 )
 
-from carentropy.car_algebra import _local_parity_diag, _reorder_plan, _reorder_rows
+from carentropy.car_algebra import MAX_SITES, _local_parity_diag, _reorder_plan, _reorder_rows
 from carentropy.operators import _local_context, _reorder, _trace_out
 
 import oracles
@@ -49,6 +49,13 @@ class TestRegion:
         # (1.5,) once became (1,) silently, and (2.7, 2) failed as "not increasing"
         with pytest.raises(ValueError, match="integers"):
             Region(sites)
+
+    @pytest.mark.parametrize("site", [0, MAX_SITES + 1])
+    def test_sites_outside_max_sites_rejected(self, site):
+        # so every union of regions fits the largest lattice
+        with pytest.raises(ValueError, match=rf"\[1, {MAX_SITES}\]"):
+            Region((site,))
+        assert Region((1, MAX_SITES)).sites == (1, MAX_SITES)
 
     def test_numpy_integer_sites_accepted(self):
         region = Region((np.int64(1), np.int32(3)))
@@ -205,7 +212,7 @@ class TestParityUnitary:
         v = parity_unitary(ctx3, region).matrix
         glob = monomials_on(jw_annihilators(3), [0, 2])
         for elem, oracle in zip(monomial_basis(ctx3, region), glob):
-            graded = theta(ctx3, elem).matrix
+            graded = theta(elem).matrix
             assert np.abs(v @ elem.matrix @ v - graded).max() <= 1e-12
             lifted = lift(graded, 3, region.sites)
             assert np.abs(lifted - oracles.theta(oracle, 3)).max() <= 1e-12
@@ -218,7 +225,7 @@ class TestParityUnitary:
 
     def test_lies_in_even_part(self, ctx3):
         v = parity_unitary(ctx3, Region((1, 2)))
-        even, odd = grade_split(ctx3, v)
+        even, odd = grade_split(v)
         assert np.abs(odd.matrix).max() <= 1e-12
         assert np.abs(even.matrix - v.matrix).max() <= 1e-12
 
@@ -233,7 +240,7 @@ class TestTheta:
         oracle = jw_annihilators(3)
         for i in (1, 2, 3):
             for g in (LOWER, LOWER.conj().T):
-                out = theta(ctx3, OperatorElement(Region((i,)), g))
+                out = theta(OperatorElement(Region((i,)), g))
                 assert np.abs(out.matrix + g).max() <= 1e-12
                 glob = oracle[i - 1] if g is LOWER else oracle[i - 1].conj().T
                 lifted = lift(out.matrix, 3, (i,))
@@ -242,24 +249,24 @@ class TestTheta:
 
     def test_fixes_even_monomial(self, ctx2):
         x = ctx2.creator(1) @ ctx2.annihilator(2)
-        assert np.abs(theta(ctx2, whole(ctx2, x)).matrix - x).max() <= 1e-12
+        assert np.abs(theta(whole(ctx2, x)).matrix - x).max() <= 1e-12
 
     def test_involution_on_random(self, ctx3):
         rng = np.random.default_rng(11)
         x = whole(ctx3, rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        assert np.abs(theta(ctx3, theta(ctx3, x)).matrix - x.matrix).max() <= 1e-12
+        assert np.abs(theta(theta(x)).matrix - x.matrix).max() <= 1e-12
 
     def test_is_automorphism(self, ctx3):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         y = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        lhs = theta(ctx3, whole(ctx3, x @ y)).matrix
-        rhs = theta(ctx3, whole(ctx3, x)).matrix @ theta(ctx3, whole(ctx3, y)).matrix
+        lhs = theta(whole(ctx3, x @ y)).matrix
+        rhs = theta(whole(ctx3, x)).matrix @ theta(whole(ctx3, y)).matrix
         assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_preserves_region_of_element(self, ctx3):
         elem = OperatorElement(Region((2,)), LOWER)
-        assert theta(ctx3, elem).region == Region((2,))
+        assert theta(elem).region == Region((2,))
 
     def test_image_shape_checked(self):
         with pytest.raises(ValueError):
@@ -269,20 +276,20 @@ class TestTheta:
 class TestGradeSplit:
     def test_even_input(self, ctx2):
         x = ctx2.creator(1) @ ctx2.annihilator(1)
-        even, odd = grade_split(ctx2, whole(ctx2, x))
+        even, odd = grade_split(whole(ctx2, x))
         assert np.abs(even.matrix - x).max() <= 1e-12
         assert np.abs(odd.matrix).max() <= 1e-12
 
     def test_odd_input(self, ctx2):
         a = ctx2.annihilator(1)
-        even, odd = grade_split(ctx2, whole(ctx2, a))
+        even, odd = grade_split(whole(ctx2, a))
         assert np.abs(even.matrix).max() <= 1e-12
         assert np.abs(odd.matrix - a).max() <= 1e-12
 
     def test_linearity_mixed_input(self, ctx2):
         a = ctx2.annihilator(1)
         num = ctx2.creator(1) @ a
-        even, odd = grade_split(ctx2, whole(ctx2, a + num))
+        even, odd = grade_split(whole(ctx2, a + num))
         assert np.abs(even.matrix - num).max() <= 1e-12
         assert np.abs(odd.matrix - a).max() <= 1e-12
 
@@ -291,9 +298,9 @@ class TestGradeSplit:
         rng = np.random.default_rng(5)
         region = Region((1, 3))
         x = OperatorElement(region, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        even, odd = grade_split(ctx3, x)
-        assert np.abs(theta(ctx3, even).matrix - even.matrix).max() <= 1e-12
-        assert np.abs(theta(ctx3, odd).matrix + odd.matrix).max() <= 1e-12
+        even, odd = grade_split(x)
+        assert np.abs(theta(even).matrix - even.matrix).max() <= 1e-12
+        assert np.abs(theta(odd).matrix + odd.matrix).max() <= 1e-12
         assert np.abs(even.matrix + odd.matrix - x.matrix).max() <= 1e-12
         glob = lift(x.matrix, 3, region.sites)
         glob_even = (glob + oracles.theta(glob, 3)) / 2.0
@@ -319,6 +326,12 @@ class TestMonomialBasis:
         glob = monomials_on(jw_annihilators(3), [s - 1 for s in sites])
         for e, oracle in zip(elems, glob):
             assert np.abs(lift(e.matrix, 3, sites) - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("order", [(1.5,), (3, 1.0)])
+    def test_basis_sites_converted_through_region(self, order):
+        # (1.5,) once built and cached the basis of (1,)
+        with pytest.raises(ValueError, match="integers"):
+            build_context(3).basis(order)
 
     @pytest.mark.parametrize("sites", [(1,), (1, 2), (1, 2, 3), (1, 3)])
     def test_parity_split_half_and_half(self, ctx3, sites):

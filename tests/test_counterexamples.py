@@ -177,7 +177,7 @@ class TestRecipeValidation:
         K = Region((1, 2))
         recipe = build_recipe(ctx3, K, Region((3,)))
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
-        mixed = State(ctx3, K, np.kron(plus[:, None], np.eye(2)) / math.sqrt(2))
+        mixed = State(K, np.kron(plus[:, None], np.eye(2)) / math.sqrt(2))
         assert p_theta(mixed) <= 1e-8
         with pytest.raises(ValueError, match="rho1 must be pure"):
             joint_extension(replace(recipe, rho1=mixed))
@@ -372,7 +372,7 @@ class TestViolationDemo:
         u = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         tilde = state_from_intrinsic(ctx3, Region((1,)), (u * [1.0 + 5e-9, -5e-9]) @ u.T)
         rhoJ = tracial_state(ctx3, Region((3,)))
-        rhoJ = State(ctx3, rhoJ.region, math.sqrt(1.0 + 6e-9) * rhoJ.factor)
+        rhoJ = State(rhoJ.region, math.sqrt(1.0 + 6e-9) * rhoJ.factor)
         report = violation_demo(
             ctx3, Region((2,)), Region((1,)), Region((3,)), rhoJ=rhoJ, rho2_tilde=tilde
         )

@@ -49,7 +49,7 @@ class TestSsaGap:
         a = random_state(ctx2, Region((1,)), rank=1, seed=1)
         ext = state_from_tau_form(
             ctx2, Region((1, 2)),
-            (rep(a) @ rep(random_state(ctx2, Region((2,)), even=True, rank=1, seed=2))),
+            (rep(a, 2) @ rep(random_state(ctx2, Region((2,)), even=True, rank=1, seed=2), 2)),
         )
         assert abs(ssa_gap(ext, Region((1,)), Region((2,)))) <= 1e-9
 
@@ -73,7 +73,7 @@ class TestTriangleGap:
     def test_product_of_pure_states_zero(self, ctx2):
         up = vector_state(ctx2, Region((1,)), np.array([1.0, 0.0]))
         even_pure = random_state(ctx2, Region((2,)), even=True, rank=1, seed=3)
-        ext = state_from_tau_form(ctx2, Region((1, 2)), rep(up) @ rep(even_pure))
+        ext = state_from_tau_form(ctx2, Region((1, 2)), rep(up, 2) @ rep(even_pure, 2))
         assert abs(triangle_gap(ext, Region((1,)), Region((2,)))) <= 1e-9
 
 

@@ -45,7 +45,7 @@ def spin_entropies(state):
         if not region.sites:
             return 0.0
         factor = spin_restrict(state.factor, state.region.sites, region.sites)
-        return entropy(State(state.ctx, region, factor))
+        return entropy(State(region, factor))
 
     return S
 
@@ -59,7 +59,7 @@ def factor_state(n, rank, seed, even):
         odd_rows = np.array([bin(i).count("1") % 2 for i in range(2 ** n)])
         factor[odd_rows[:, None] != rng.integers(0, 2, size=rank)] = 0.0
     ctx = build_context(n)
-    return State(ctx, ctx.lattice, factor / np.linalg.norm(factor))
+    return State(ctx.lattice, factor / np.linalg.norm(factor))
 
 
 def contiguous(n):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from carentropy import (
     NotAStateError,
@@ -22,6 +22,7 @@ from carentropy import (
     spectral_data,
     state_from_intrinsic,
     state_from_tau_form,
+    symmetric_purification,
     tracial_state,
     transition_probability,
     vector_state,
@@ -100,38 +101,34 @@ class TestMalformedInput:
 
     def test_factor_row_count_checked(self, ctx1):
         with pytest.raises(ValueError, match="2 rows"):
-            State(ctx1, Region((1,)), np.ones((3, 1)) / math.sqrt(3))
-
-    def test_region_off_the_lattice_rejected(self, ctx3):
-        with pytest.raises(ValueError, match="exceeds"):
-            State(ctx3, Region((7,)), np.array([[1.0], [0.0]]))
+            State(Region((1,)), np.ones((3, 1)) / math.sqrt(3))
 
     def test_non_array_factor_rejected(self, ctx1):
         # a nested list once ended in AttributeError: 'list' object has no attribute 'ndim'
         with pytest.raises(ValueError, match="2 rows"):
-            State(ctx1, Region((1,)), [[1.0], [0.0]])
+            State(Region((1,)), [[1.0], [0.0]])
 
     def test_unnormalized_factor_rejected(self, ctx2):
         # trace 4: its inequality_report once called SSA "violated" with gap 5.55
         with pytest.raises(NotAStateError, match="Tr"):
-            State(ctx2, Region((1, 2)), np.eye(4))
+            State(Region((1, 2)), np.eye(4))
 
     @pytest.mark.parametrize("scale", [0.5, 1.0 - 2e-8, 1.0 + 2e-8, 2.0])
     def test_scaled_factor_rejected(self, ctx2, scale):
         s = random_state(ctx2, Region((1, 2)), seed=3)
         with pytest.raises(NotAStateError):
-            State(ctx2, s.region, math.sqrt(scale) * s.factor)
+            State(s.region, math.sqrt(scale) * s.factor)
 
     @pytest.mark.parametrize("scale", [1.0 - 5e-9, 1.0 + 5e-9])
     def test_trace_within_tolerance_accepted(self, ctx2, scale):
         s = random_state(ctx2, Region((1, 2)), seed=3)
-        State(ctx2, s.region, math.sqrt(scale) * s.factor)
+        State(s.region, math.sqrt(scale) * s.factor)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_factor_rejected(self, ctx1, bad):
         # a NaN one-site factor once had entropy -0.0
         with pytest.raises(NotAStateError):
-            State(ctx1, Region((1,)), np.array([[bad], [0.0]]))
+            State(Region((1,)), np.array([[bad], [0.0]]))
 
     @pytest.mark.parametrize("negative, accepted", [(4e-9, True), (9e-9, False)])
     def test_positive_part_trace_decides(self, ctx2, negative, accepted):
@@ -147,6 +144,113 @@ class TestMalformedInput:
         else:
             with pytest.raises(NotAStateError, match="Tr"):
                 state_from_intrinsic(ctx2, ctx2.lattice, density)
+
+
+    def test_non_hermitian_density_refused(self, ctx1):
+        # averaged with its adjoint, this was once taken for a pure state
+        with pytest.raises(NotAStateError, match=r"Hermitian: max \|D - D\*\| = 1.000e\+00"):
+            state_from_intrinsic(ctx1, Region((1,)), [[0.5, 1.0], [0.0, 0.5]])
+
+    def test_round_off_asymmetry_accepted(self, ctx1):
+        density = np.array([[0.5, 0.25 + 1e-12], [0.25, 0.5]])
+        s = state_from_intrinsic(ctx1, Region((1,)), density)
+        assert np.abs(s.intrinsic() - (density + density.T) / 2).max() <= 1e-14
+
+    # Drawn inputs for every public constructor: a density or factor that is
+    # not a state raises NotAStateError, any other bad input ValueError.
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 2), bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+    def test_drawn_non_finite_entry_refused(self, ctx2, k, bad, data):
+        region, d = Region(tuple(range(1, k + 1))), 2 ** k
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        matrix = np.eye(d, dtype=complex) / math.sqrt(d)
+        matrix[i, j] = bad
+        with pytest.raises(NotAStateError):
+            State(region, matrix)
+        for build in (state_from_intrinsic, state_from_tau_form):
+            with pytest.raises(NotAStateError, match="non-finite"):
+                build(ctx2, region, matrix)
+        with pytest.raises(ValueError, match="norm"):
+            vector_state(ctx2, region, matrix[:, j])
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(0, 2), shape=st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    def test_drawn_wrong_shape_refused(self, ctx2, k, shape):
+        region, d = Region(tuple(range(1, k + 1))), 2 ** k
+        x = np.ones(shape, dtype=complex)
+        if len(shape) != 2 or shape[0] != d:
+            with pytest.raises(ValueError, match="rows"):
+                State(region, x)
+        if tuple(shape) != (d, d):
+            for build in (state_from_intrinsic, state_from_tau_form):
+                with pytest.raises(ValueError, match=f"{d}x{d}"):
+                    build(ctx2, region, x)
+        if x.size != d:
+            with pytest.raises(ValueError, match="length"):
+                vector_state(ctx2, region, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(0, 2),
+        scale=st.floats(1e-3, 1e3).filter(lambda t: abs(t - 1.0) > 1e-7),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_drawn_unnormalized_input_refused(self, ctx2, k, scale, seed):
+        region = Region(tuple(range(1, k + 1)))
+        s = random_state(ctx2, region, seed=seed)
+        with pytest.raises(NotAStateError, match="Tr"):
+            State(region, math.sqrt(scale) * s.factor)
+        with pytest.raises(NotAStateError, match="Tr"):
+            state_from_intrinsic(ctx2, region, scale * s.intrinsic())
+        with pytest.raises(NotAStateError, match="Tr"):
+            state_from_tau_form(ctx2, region, scale * 2 ** k * s.intrinsic())
+        pure = random_state(ctx2, region, rank=1, seed=seed)
+        with pytest.raises(ValueError, match="norm"):
+            vector_state(ctx2, region, math.sqrt(scale) * pure.factor)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 2),
+        asymmetry=st.floats(2e-8, 1.0),
+        phase=st.sampled_from([1.0, -1.0, 1j, -1j]),
+        data=st.data(),
+    )
+    def test_drawn_non_hermitian_density_refused(self, ctx2, k, asymmetry, phase, data):
+        region, d = Region(tuple(range(1, k + 1))), 2 ** k
+        i = data.draw(st.integers(0, d - 1))
+        j = data.draw(st.integers(0, d - 1).filter(lambda j: j != i))
+        density = np.eye(d, dtype=complex) / d
+        density[i, j] += phase * asymmetry
+        for build, scale in ((state_from_intrinsic, 1), (state_from_tau_form, d)):
+            with pytest.raises(NotAStateError, match="Hermitian"):
+                build(ctx2, region, scale * density)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rank=st.one_of(st.integers(-3, 0), st.integers(5, 9), st.floats(), st.just("2")))
+    @example(rank=1.5)
+    def test_drawn_bad_rank_refused(self, ctx2, rank):
+        # rank=1.5 once ended in numpy's TypeError
+        with pytest.raises(ValueError, match="rank"):
+            random_state(ctx2, ctx2.lattice, rank=rank, seed=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), extra=st.integers(1, 8))
+    @example(n=1, extra=1)
+    def test_drawn_region_off_the_lattice_refused(self, n, extra):
+        # the lattice is checked where a region enters: by each constructor
+        ctx, region = build_context(n), Region((n + extra,))
+        builds = (
+            tracial_state,
+            random_state,
+            odd_eigenvector_state,
+            lambda c, r: vector_state(c, r, [1.0, 0.0]),
+            lambda c, r: state_from_intrinsic(c, r, np.eye(2) / 2),
+            lambda c, r: state_from_tau_form(c, r, np.eye(2)),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match="exceeds"):
+                build(ctx, region)
 
 
 class TestSpectrumClamp:
@@ -171,10 +275,10 @@ class TestNormalizationConvention:
         s = random_state(ctx3, Region((1, 3)), seed=5)
         back = state_from_tau_form(ctx3, Region((1, 3)), 4 * s.intrinsic())
         assert np.abs(back.intrinsic() - s.intrinsic()).max() <= 1e-12
-        assert np.abs(rep(back) - rep(s)).max() <= 1e-10
+        assert np.abs(rep(back, 3) - rep(s, 3)).max() <= 1e-10
         # W of the whole lattice is the global oracle representative itself
         full = random_state(ctx3, ctx3.lattice, seed=5)
-        again = state_from_tau_form(ctx3, ctx3.lattice, rep(full))
+        again = state_from_tau_form(ctx3, ctx3.lattice, rep(full, 3))
         assert density_distance(again, full) <= 1e-10
 
     def test_small_eigenvalues_kept(self, ctx2):
@@ -224,7 +328,7 @@ class TestRestrict:
         s = random_state(ctx3, Region((1, 2, 3)), seed=9)
         one_step = restrict(s, Region((1,)))
         two_step = restrict(restrict(s, Region((1, 2))), Region((1,)))
-        assert np.abs(rep(one_step) - rep(two_step)).max() <= 1e-10
+        assert np.abs(rep(one_step, 3) - rep(two_step, 3)).max() <= 1e-10
 
     def test_functional_agreement_on_subalgebra(self, ctx3):
         s = random_state(ctx3, Region((1, 2, 3)), seed=10)
@@ -288,7 +392,7 @@ class TestIsEven:
     def test_symmetrized_even(self, ctx2):
         s = random_state(ctx2, Region((1, 2)), seed=13)
         sym = state_from_tau_form(
-            ctx2, ctx2.lattice, (rep(s) + oracles.theta(rep(s), 2)) / 2.0
+            ctx2, ctx2.lattice, (rep(s, 2) + oracles.theta(rep(s, 2), 2)) / 2.0
         )
         assert is_even(sym)
 
@@ -306,17 +410,17 @@ class TestIsEvenParityColumns:
         return factor / np.linalg.norm(factor)
 
     def test_parity_pure_columns_even(self, ctx3):
-        assert is_even(State(ctx3, ctx3.lattice, self.parity_pure_factor(ctx3)))
+        assert is_even(State(ctx3.lattice, self.parity_pure_factor(ctx3)))
 
     def test_round_off_entry_in_other_parity_even(self, ctx3):
         factor = self.parity_pure_factor(ctx3)
         factor[np.flatnonzero(_local_parity_diag(3) < 0)[1], 0] = 1e-30
-        assert is_even(State(ctx3, ctx3.lattice, factor))
+        assert is_even(State(ctx3.lattice, factor))
 
     def test_mixed_column_beside_parity_pure_ones_noneven(self, ctx3):
         factor = self.parity_pure_factor(ctx3)
         factor[:, 4] = 0.4  # both parities, next to four parity-pure columns
-        state = State(ctx3, ctx3.lattice, factor / np.linalg.norm(factor))
+        state = State(ctx3.lattice, factor / np.linalg.norm(factor))
         assert 2 * np.linalg.norm(oracles.odd_block(state.intrinsic()), 2) > EVEN_TOL
         assert not is_even(state)
 
@@ -397,7 +501,7 @@ class TestIsEvenBracket:
                 v[rows, j] = rng.normal(size=8) + 1j * rng.normal(size=8)
             v, _ = np.linalg.qr(v)  # columns keep their parity
             u, _ = np.linalg.qr(rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank)))
-            state = State(ctx4, ctx4.lattice, v @ u / np.sqrt(rank))
+            state = State(ctx4.lattice, v @ u / np.sqrt(rank))
             assert np.abs(state.factor[par < 0]).max() > 0.05
             assert np.abs(state.factor[par > 0]).max() > 0.05
             assert is_even(state)
@@ -600,7 +704,7 @@ class TestPTheta:
         region = Region((1,))
         omega = odd_eigenvector_state(ctx1, region)
         mix = state_from_tau_form(
-            ctx1, region, 0.5 * rep(omega) + 0.5 * rep(tracial_state(ctx1, region))
+            ctx1, region, 0.5 * rep(omega, 1) + 0.5 * rep(tracial_state(ctx1, region), 1)
         )
         value = p_theta(mix)
         assert 0.0 < value < 1.0
@@ -717,7 +821,7 @@ class TestProductExtension:
         a = random_state(ctx3, Region((1, 3)), seed=34)
         b = random_state(ctx3, Region((2,)), even=True, seed=35)
         exact = product_extension(a, b)
-        a, b = (State(ctx3, s.region, math.sqrt(scale) * s.factor) for s in (a, b))
+        a, b = (State(s.region, math.sqrt(scale) * s.factor) for s in (a, b))
         ext = product_extension(a, b)
         assert abs(np.vdot(ext.factor, ext.factor).real - 1.0) <= 1e-14
         assert density_distance(ext, exact) <= 1e-14
@@ -740,6 +844,30 @@ class TestProductExtension:
         b = tracial_state(ctx2, Region((1, 2)))
         with pytest.raises(ValueError):
             product_extension(a, b)
+
+
+class TestLatticeFree:
+    """A state is its region and its factor, whatever lattice it was drawn on."""
+
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("sites", [(2,), (1, 3)])
+    def test_random_state_same_on_every_lattice(self, ctx3, ctx5, sites, even):
+        a = random_state(ctx3, Region(sites), even=even, seed=4)
+        b = random_state(ctx5, Region(sites), even=even, seed=4)
+        assert np.array_equal(a.factor, b.factor)
+
+    def test_extensions_accept_states_of_different_lattices(self, ctx3, ctx5):
+        # each result is the factor of the computation on one lattice, bit for bit
+        a3 = random_state(ctx3, Region((1, 3)), seed=36)
+        b5 = random_state(ctx5, Region((4, 5)), even=True, seed=37)
+        a5 = random_state(ctx5, Region((1, 3)), seed=36)
+        assert np.array_equal(product_extension(a3, b5).factor, product_extension(a5, b5).factor)
+        rho3 = random_state(ctx3, Region((1, 2)), even=True, seed=38)
+        rho5 = random_state(ctx5, Region((1, 2)), even=True, seed=38)
+        J = Region((4, 5))  # off the lattice rho3 was drawn on
+        assert np.array_equal(
+            symmetric_purification(rho3, J).factor, symmetric_purification(rho5, J).factor
+        )
 
 
 class TestSpectralData:
