@@ -14,120 +14,20 @@ fixed normalization convention, and provides:
   state breaks the triangle and monotonicity-form inequalities by ln 2
   while strong subadditivity keeps holding;
 * a CLI (``carentropy``) for verification campaigns and reports.
+
+The package re-exports the ``__all__`` of each module but ``cli`` and ``tolerances``.
 """
 
-from .car_algebra import AlgebraContext, MonomialBasis, Region, build_context
-from .counterexamples import (
-    ExtensionRecipe,
-    build_recipe,
-    joint_extension,
-    odd_eigenvector_state,
-    symmetrize,
-    violation_demo,
-)
-from .errors import CapacityError, CarError, ExtensionError, NotAStateError
-from .inequalities import (
-    InequalityReport,
-    MixingBoundsReport,
-    classify_gap,
-    inequality_report,
-    mixing_bounds_check,
-    mono_ssa_gap,
-    monotonicity_curve,
-    ssa_gap,
-    triangle_gap,
-)
-from .operators import (
-    CommutantCheck,
-    CommutingSquareReport,
-    OperatorElement,
-    commuting_square_check,
-    conditional_expectation,
-    grade_split,
-    monomial_basis,
-    parity_unitary,
-    relative_commutant_check,
-    theta,
-)
-from .purification import (
-    SchmidtDecomposition,
-    pure_extension,
-    schmidt,
-    symmetric_purification,
-)
-from .states import (
-    SpectralData,
-    State,
-    density_distance,
-    entropy,
-    is_even,
-    p_theta,
-    product_extension,
-    random_state,
-    relative_entropy,
-    restrict,
-    spectral_data,
-    state_from_intrinsic,
-    state_from_tau_form,
-    tracial_state,
-    transition_probability,
-    vector_state,
-)
+from . import car_algebra, counterexamples, errors, inequalities, operators, purification, states
+from .car_algebra import *
+from .counterexamples import *
+from .errors import *
+from .inequalities import *
+from .operators import *
+from .purification import *
+from .states import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraContext",
-    "CapacityError",
-    "CarError",
-    "CommutantCheck",
-    "CommutingSquareReport",
-    "ExtensionError",
-    "ExtensionRecipe",
-    "InequalityReport",
-    "MixingBoundsReport",
-    "MonomialBasis",
-    "NotAStateError",
-    "OperatorElement",
-    "Region",
-    "SchmidtDecomposition",
-    "SpectralData",
-    "State",
-    "build_context",
-    "build_recipe",
-    "classify_gap",
-    "commuting_square_check",
-    "conditional_expectation",
-    "density_distance",
-    "entropy",
-    "grade_split",
-    "inequality_report",
-    "is_even",
-    "joint_extension",
-    "mixing_bounds_check",
-    "mono_ssa_gap",
-    "monomial_basis",
-    "monotonicity_curve",
-    "odd_eigenvector_state",
-    "p_theta",
-    "parity_unitary",
-    "product_extension",
-    "pure_extension",
-    "random_state",
-    "relative_commutant_check",
-    "relative_entropy",
-    "restrict",
-    "schmidt",
-    "spectral_data",
-    "ssa_gap",
-    "state_from_intrinsic",
-    "state_from_tau_form",
-    "symmetric_purification",
-    "symmetrize",
-    "theta",
-    "tracial_state",
-    "transition_probability",
-    "triangle_gap",
-    "vector_state",
-    "violation_demo",
-]
+_MODULES = (car_algebra, counterexamples, errors, inequalities, operators, purification, states)
+__all__ = [name for module in _MODULES for name in module.__all__]

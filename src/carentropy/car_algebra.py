@@ -95,6 +95,11 @@ class Region:
         return site in self.sites
 
 
+def _require_region(region) -> None:
+    if not isinstance(region, Region):
+        raise ValueError(f"a region must be a Region, got {type(region).__name__}")
+
+
 @functools.lru_cache(maxsize=None)
 def _local_parity_diag(k: int) -> np.ndarray:
     """Diagonal of the parity ``v`` of a ``k``-site local lattice (cached, read-only)."""
@@ -198,6 +203,7 @@ class AlgebraContext:
         return f"AlgebraContext(n={self.n})"
 
     def check_region(self, region: Region) -> Region:
+        _require_region(region)
         if region.sites and region.sites[-1] > self.n:
             raise ValueError(f"region {region.sites} exceeds lattice of {self.n} sites")
         return region

@@ -111,7 +111,7 @@ def odd_eigenvector_state(ctx: AlgebraContext, K: Region) -> State:
     :func:`~carentropy.states.vector_state` and :class:`ExtensionRecipe`,
     which checks it.
     """
-    if not K.sites:
+    if not ctx.check_region(K).sites:
         raise ValueError("K must be nonempty")
     return vector_state(ctx, K, _default_odd_vector(len(K)))
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["CarError", "NotAStateError", "CapacityError", "ExtensionError"]
+
 
 class CarError(ValueError):
     """Base class for domain errors raised by carentropy."""

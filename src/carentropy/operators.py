@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import MAX_SITES, AlgebraContext, Region, _local_parity_diag, _reorder_rows
+from .car_algebra import (
+    MAX_SITES, AlgebraContext, Region, _local_parity_diag, _reorder_rows, _require_region,
+)
 from .inequalities import _contained
 from .states import State, restrict
 from .tolerances import (
@@ -54,6 +56,7 @@ class OperatorElement:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _require_region(self.region)
         d = 2 ** len(self.region)
         if np.shape(self.matrix) != (d, d):
             raise ValueError(

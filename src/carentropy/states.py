@@ -36,12 +36,15 @@ the permuted order of their tensor axes, then a ``+-1`` sign per basis
 state, ``(-1)^(crossed occupied pairs)``), applied to the rows of ``X``
 only.  Once ``R`` is moved to the front, the restriction to ``A(R)`` is
 the same rows regrouped as ``2^|R| x (2^|rest| m)``: the traced-out modes
-join the ancilla, so no partial trace is taken.  A spectrum is that of the smaller of the Grams
-``X X*`` and ``X* X``, which share their nonzero eigenvalues.  Eigenvalues
-below ``1e-12`` are round-off zeros, clamped before logarithms.  A factor
-built from a density keeps every positive eigenpair, so ``X X*`` is the
-given density up to rounding; a density with an eigenvalue below ``-1e-8``,
-or an entry of ``D - D*`` above ``1e-8``, raises :class:`NotAStateError`.
+join the ancilla, so no partial trace is taken.  The one spectrum of a state,
+read by :func:`entropy` and :func:`spectral_data`, is that of the smaller of
+the Grams ``X X*`` and ``X* X``, which share their nonzero eigenvalues, with
+eigenvalues below ``1e-12`` clamped to zero; only :func:`relative_entropy`
+forms a density for a spectrum, ``sigma``'s, whose eigenvectors it needs.  A
+factor built from a density keeps every positive eigenpair, so ``X X*`` is
+the given density up to rounding; a density with an eigenvalue below
+``-1e-8``, or an entry of ``D - D*`` above ``1e-8``, raises
+:class:`NotAStateError`.
 """
 
 from __future__ import annotations
@@ -58,10 +61,10 @@ from .car_algebra import (
     _local_parity_diag,
     _parity_rows,
     _reorder_rows,
+    _require_region,
 )
 from .errors import ExtensionError, NotAStateError
 from .tolerances import (
-    CLUSTER_TOL,
     EIG_FLOOR,
     EVEN_TOL,
     HERMITICITY_TOL,
@@ -123,6 +126,7 @@ class State:
     factor: np.ndarray
 
     def __post_init__(self) -> None:
+        _require_region(self.region)
         d = 2 ** len(self.region)
         factor = self.factor
         if not isinstance(factor, np.ndarray) or factor.ndim != 2 or factor.shape[0] != d:
@@ -143,11 +147,9 @@ class State:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Descending eigenvalues of an intrinsic density with grouped multiplicities."""
+    """The ``2^|R|`` descending eigenvalues of an intrinsic density."""
 
     eigenvalues: np.ndarray
-    multiplicities: tuple[int, ...]
-    eigenvectors: np.ndarray  # columns, matching eigenvalue order
 
 
 def state_from_tau_form(ctx: AlgebraContext, region: Region, rep: np.ndarray) -> State:
@@ -156,7 +158,9 @@ def state_from_tau_form(ctx: AlgebraContext, region: Region, rep: np.ndarray) ->
     ``phi = tau(W .)`` with ``tau`` the normalized trace, so ``D = W / 2^|R|``
     and ``tau(W) = Tr(D)`` must be 1.
     """
-    return state_from_intrinsic(ctx, region, np.asarray(rep, dtype=complex) / 2 ** len(region))
+    with np.errstate(invalid="ignore"):  # a non-finite entry stays one, and is refused
+        density = np.asarray(rep, dtype=complex) / 2 ** len(region)
+    return state_from_intrinsic(ctx, region, density)
 
 
 def state_from_intrinsic(ctx: AlgebraContext, region: Region, density: np.ndarray) -> State:
@@ -211,21 +215,9 @@ def entropy(state: State) -> float:
 
 
 def spectral_data(state: State) -> SpectralData:
-    """Descending intrinsic spectrum with multiplicities grouped at ``CLUSTER_TOL``.
-
-    The eigenpairs are ``eigh``'s ascending order reversed, so tied
-    eigenvalues keep the reverse of ``eigh``'s order and no CPU-dependent
-    sort reorders their eigenvectors.
-    """
-    lam, u = np.linalg.eigh(state.factor @ state.factor.conj().T)
-    lam, u = lam[::-1], u[:, ::-1]
-    mult: list[int] = []
-    for i, x in enumerate(lam):
-        if mult and abs(x - lam[i - 1]) <= CLUSTER_TOL:
-            mult[-1] += 1
-        else:
-            mult.append(1)
-    return SpectralData(lam, tuple(mult), u)
+    """The spectrum :func:`entropy` reads, descending, padded with zeros to ``2^|R|`` values."""
+    lam = _spectrum(state.factor)[::-1]
+    return SpectralData(np.concatenate([lam, np.zeros(2 ** len(state.region) - lam.size)]))
 
 
 def restrict(state: State, region: Region) -> State:
@@ -329,7 +321,6 @@ def relative_entropy(omega: State, sigma: State) -> float:
     """
     if omega.region != sigma.region:
         raise ValueError("relative entropy requires a common region")
-    lam_w = _spectrum(omega.factor)
     lam_s, u_s = np.linalg.eigh(sigma.intrinsic())
     support = lam_s > EIG_FLOOR
     # <u_i, D_omega u_i> = |X_omega* u_i|^2
@@ -337,10 +328,8 @@ def relative_entropy(omega: State, sigma: State) -> float:
     outside = float(weights[~support].sum())
     if outside > SUPPORT_TOL:
         return math.inf
-    nz = lam_w[lam_w > 0.0]
-    term_w = float((nz * np.log(nz)).sum())
     term_s = float((weights[support] * np.log(lam_s[support])).sum())
-    return term_w - term_s
+    return -entropy(omega) - term_s
 
 
 def _gaussian_columns(

@@ -19,7 +19,6 @@ TRACE_TOL = 1e-8  # |Tr D - 1| (or |tau(W) - 1|) an input density may carry from
 HERMITICITY_TOL = 1e-8  # largest |D - D*| entry an input density may carry; more is not round-off
 NORM_TOL = 1e-10  # | |v| - 1 | an input unit vector may carry
 EVEN_TOL = 1e-10  # |D - Theta(D)| up to which a density is even; noneven ones sit O(1) away
-CLUSTER_TOL = 1e-9  # eigenvalues this close form one multiplicity; degenerate ones agree to ~1e-15
 SUPPORT_TOL = 1e-10  # weight of omega outside supp(sigma) beyond which S(omega | sigma) is infinite
 SCHMIDT_TOL = 1e-10  # Schmidt coefficients at or below it are round-off zeros
 

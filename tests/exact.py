@@ -94,13 +94,15 @@ def default_density(k):
 class DemoState:
     """``psi o rhoJ`` on disjoint 1-based regions K, I, J, with tracial ``rhoJ``.
 
-    ``rho1`` is the default vector state on K.  ``rho2_tilde`` is a sparse
-    density on the ``|I|``-site lattice, by default the default vector state.
+    ``rho1`` and ``rho2_tilde`` are sparse densities on the ``|K|``- and
+    ``|I|``-site lattices, by default the default vector states.  The
+    monomial formula defines a state for any ``rho1``; only a maximally odd
+    one makes the I-marginal the even ``rho2``.
     """
 
-    def __init__(self, K, I, J, rho2_tilde=None):
+    def __init__(self, K, I, J, rho2_tilde=None, rho1=None):
         self.parts = (tuple(K), tuple(I), tuple(J))
-        self.rho1 = default_density(len(K))
+        self.rho1 = rho1 if rho1 is not None else default_density(len(K))
         self.rho2_tilde = rho2_tilde if rho2_tilde is not None else default_density(len(I))
         self.v_K = monomial([PARITY] * len(K))
         self.group = {s: g for g, part in enumerate(self.parts) for s in part}

@@ -126,6 +126,53 @@ MUTANTS = (
         ("tests/test_states.py::TestMalformedInput::test_drawn_region_off_the_lattice_refused",),
     ),
     Mutant(
+        "check_region_type_check_dropped", "car_algebra.py",
+        "        _require_region(region)\n        if region.sites", "        if region.sites",
+        ("tests/test_states.py::TestMalformedInput::test_plain_tuple_region_refused",),
+    ),
+    Mutant(
+        "state_region_type_check_dropped", "states.py",
+        "        _require_region(self.region)\n        d = 2 ** len(self.region)\n        factor",
+        "        d = 2 ** len(self.region)\n        factor",
+        ("tests/test_states.py::TestMalformedInput::test_plain_tuple_region_refused",),
+    ),
+    Mutant(
+        "operator_element_region_type_check_dropped", "operators.py",
+        "        _require_region(self.region)\n", "",
+        ("tests/test_states.py::TestMalformedInput::test_plain_tuple_region_refused",),
+    ),
+    Mutant(
+        "odd_eigenvector_state_region_unchecked", "counterexamples.py",
+        "if not ctx.check_region(K).sites:", "if not K.sites:",
+        ("tests/test_states.py::TestMalformedInput::test_plain_tuple_region_refused",),
+    ),
+    Mutant(
+        "tau_form_division_warns", "states.py",
+        '    with np.errstate(invalid="ignore"):  # a non-finite entry stays one, and is refused\n'
+        "        density = np.asarray(rep, dtype=complex) / 2 ** len(region)\n",
+        "    density = np.asarray(rep, dtype=complex) / 2 ** len(region)\n",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_non_finite_tau_form_refused_without_warning",
+        ),
+    ),
+    Mutant(
+        "spectral_data_not_padded", "states.py",
+        "np.concatenate([lam, np.zeros(2 ** len(state.region) - lam.size)])", "lam",
+        (
+            "tests/test_states.py::TestSpectralData",
+            "tests/test_states.py::test_factored_marginal_matches_oracle",
+        ),
+    ),
+    Mutant(
+        "spectral_data_not_reversed", "states.py",
+        "lam = _spectrum(state.factor)[::-1]", "lam = _spectrum(state.factor)",
+        (
+            "tests/test_states.py::TestSpectralData",
+            "tests/test_states.py::test_factored_marginal_matches_oracle",
+        ),
+    ),
+    Mutant(
         "density_hermiticity_check_dropped", "states.py",
         "    if not residual <= HERMITICITY_TOL:\n"
         '        raise NotAStateError(f"density is not Hermitian: max |D - D*| = {residual:.3e}")\n',

@@ -15,10 +15,12 @@ from carentropy import (
     product_extension,
     restrict,
     tracial_state,
+    vector_state,
     violation_demo,
 )
 
 import exact
+from test_counterexamples import twisted_product
 
 # (K; I; J): one site each, then |K| = 2, |I| = 2 and |J| = 2, interleaved
 CASES = [
@@ -76,3 +78,34 @@ def test_rational_point():
     h = exact.entropy(Counter({Fraction(9, 25): 1, Fraction(16, 25): 1}))
     minus_h = exact.combine((-1, h))
     assert gaps == {"triangle": minus_h, "mono_ssa": minus_h, "ssa": {}}
+
+
+@pytest.mark.parametrize("K, I, J", [((2,), (1,), (3,)), ((1,), (2,), (3,))], ids=["2;1;3", "1;2;3"])
+def test_rational_twisted_product(K, I, J):
+    # rho1 and rho2~ are both the vector state (3/5, 4/5): rho1 is not maximally
+    # odd, and the I-marginal is the parity mixture of rho2~ with
+    # c = Tr(D1 v_K) = 16/25 - 9/25 (v = a* a - a a* is +1 on the occupied state)
+    vec = [Fraction(3, 5), Fraction(4, 5)]
+    rho1 = tilde = exact.vector_density(vec)
+    marginal = exact.DemoState(K, I, J, rho2_tilde=tilde, rho1=rho1).density(I)
+    v_K = exact.monomial([exact.PARITY])
+    c = exact.expectation(rho1, v_K)
+    assert c == Fraction(7, 25)
+    # Theta negates the entries between basis states of opposite parity
+    tilde_theta = {(i, j): v * (-1) ** bin(i ^ j).count("1") for (i, j), v in tilde.items()}
+    mixture = Counter()
+    for weight, density in (((1 + c) / 2, tilde), ((1 - c) / 2, tilde_theta)):
+        for key, v in density.items():
+            mixture[key] += weight * v
+    assert marginal == {key: v for key, v in mixture.items() if v}
+    assert marginal[(0, 1)] == marginal[(1, 0)] == Fraction(84, 625)
+    # the package's Kronecker product agrees with the certificate
+    ctx = build_context(3)
+    floats = [float(x) for x in vec]
+    full = twisted_product(
+        vector_state(ctx, Region(K), floats), vector_state(ctx, Region(I), floats)
+    )
+    certified = np.zeros((2, 2))
+    for (i, j), v in marginal.items():
+        certified[i, j] = v
+    assert np.abs(restrict(full, Region(I)).intrinsic() - certified).max() <= 1e-15
