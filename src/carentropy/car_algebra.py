@@ -16,13 +16,16 @@ The generators and monomial bases (``AlgebraContext.annihilator``,
 ``perfbench/spans.py`` binds ``AlgebraContext.basis``; they are cached
 read-only, and a basis over ``MAX_BASIS_BYTES`` raises
 :class:`CapacityError` before anything is allocated.
+
+A :class:`Region` is its sites and their bit mask.  Its set algebra is one
+mask operation, and :func:`_of_mask` checks a derived region once per mask.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +53,12 @@ def _readonly(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class Region:
-    """Subset of lattice sites, stored as a strictly increasing tuple in
-    ``[1, MAX_SITES]``, so a union of regions fits the largest lattice."""
+    """Subset of lattice sites: ``sites`` strictly increasing in ``[1, MAX_SITES]``
+    (so a union of regions fits the largest lattice), and ``mask`` with bit
+    ``s - 1`` for each site ``s``, which equality, hashing and set algebra read."""
 
-    sites: tuple[int, ...] = ()
+    sites: tuple[int, ...] = field(default=(), compare=False)
+    mask: int = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -65,25 +70,26 @@ class Region:
             raise ValueError(f"sites must be in [1, {MAX_SITES}], got {sites}")
         if any(a >= b for a, b in zip(sites, sites[1:])):
             raise ValueError(f"sites must be strictly increasing, got {sites}")
+        object.__setattr__(self, "mask", sum(1 << (s - 1) for s in sites))
 
     @classmethod
     def of(cls, *sites: int) -> "Region":
-        ordered = tuple(sorted(sites))
-        if len(set(ordered)) != len(ordered):
-            raise ValueError(f"duplicate sites in {sites}")
-        return cls(ordered)
+        return cls(tuple(sorted(sites)))
 
     def union(self, other: "Region") -> "Region":
-        return Region(tuple(sorted(set(self.sites) | set(other.sites))))
+        return _of_mask(self.mask | other.mask)
 
     def intersection(self, other: "Region") -> "Region":
-        return Region(tuple(sorted(set(self.sites) & set(other.sites))))
+        return _of_mask(self.mask & other.mask)
+
+    def difference(self, other: "Region") -> "Region":
+        return _of_mask(self.mask & ~other.mask)
 
     def isdisjoint(self, other: "Region") -> bool:
-        return not set(self.sites) & set(other.sites)
+        return not self.mask & other.mask
 
     def issubset(self, other: "Region") -> bool:
-        return set(self.sites) <= set(other.sites)
+        return not self.mask & ~other.mask
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -93,6 +99,12 @@ class Region:
 
     def __contains__(self, site: int) -> bool:
         return site in self.sites
+
+
+@functools.lru_cache(maxsize=2 ** MAX_SITES)
+def _of_mask(mask: int) -> Region:
+    """The region of the sites whose bits ``mask`` sets, built once per mask."""
+    return Region(tuple(s for s in range(1, MAX_SITES + 1) if mask >> (s - 1) & 1))
 
 
 def _require_region(region) -> None:
@@ -204,7 +216,7 @@ class AlgebraContext:
 
     def check_region(self, region: Region) -> Region:
         _require_region(region)
-        if region.sites and region.sites[-1] > self.n:
+        if not region.issubset(self.lattice):
             raise ValueError(f"region {region.sites} exceeds lattice of {self.n} sites")
         return region
 

@@ -76,10 +76,10 @@ class RunConfig:
 
 def _parse_region(text: str) -> Region:
     try:
-        sites = tuple(sorted(int(tok) for tok in text.split(",") if tok.strip()))
+        sites = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"bad region spec {text!r}: {exc}") from None
-    return Region(sites)
+    return Region.of(*sites)
 
 
 def _region_str(sites: tuple[int, ...]) -> str:
@@ -135,7 +135,7 @@ def _csv_text(rows: list[dict]) -> str:
 
 def _random_subset(rng: np.random.Generator, pool: list[int], size: int) -> Region:
     picked = rng.choice(np.array(pool), size=size, replace=False)
-    return Region(tuple(sorted(int(x) for x in picked)))
+    return Region.of(*picked)
 
 
 def _trial_regions(rng: np.random.Generator, n: int, suite: str) -> dict[str, Region]:
@@ -152,13 +152,13 @@ def _trial_regions(rng: np.random.Generator, n: int, suite: str) -> dict[str, Re
     max_j = n - size_i - reserve
     size_j = 1 if max_j <= 1 else int(rng.integers(1, max_j + 1))
     out = {
-        "I": Region(tuple(sorted(perm[:size_i]))),
-        "J": Region(tuple(sorted(perm[size_i:size_i + size_j]))),
+        "I": Region.of(*perm[:size_i]),
+        "J": Region.of(*perm[size_i:size_i + size_j]),
     }
     rest = perm[size_i + size_j:]
     if rest:
         size_k = int(rng.integers(1, len(rest) + 1))
-        out["K"] = Region(tuple(sorted(rest[:size_k])))
+        out["K"] = Region.of(*rest[:size_k])
     return out
 
 
@@ -396,26 +396,24 @@ def main(argv=None) -> int:
                 parser.error("verify needs at least 2 sites")
             if args.suite == "mono-ssa" and args.sites < 3:
                 parser.error("the mono-ssa suite needs three disjoint regions (>= 3 sites)")
-            regions = {}
-            for name in ("I", "J", "K"):
-                raw = getattr(args, name)
-                if raw is not None:
-                    regions[name] = _parse_region(raw).sites
+            texts = {name: getattr(args, name) for name in ("I", "J", "K")}
+            regions = {name: _parse_region(text) for name, text in texts.items() if text is not None}
             if regions and not {"I", "J"} <= set(regions):
                 parser.error("fixed regions require at least --I and --J")
             # fixed regions must leave the chosen suite its own gap to evaluate
             if regions:
-                I, J = set(regions["I"]), set(regions["J"])
-                if set(regions.get("K", ())) & (I | J):
+                I, J = regions["I"], regions["J"]
+                if not regions.get("K", Region()).isdisjoint(I.union(J)):
                     parser.error("a fixed --K must be disjoint from --I and --J")
-                if args.suite != "ssa" and I & J:
+                if args.suite != "ssa" and not I.isdisjoint(J):
                     parser.error(f"--suite {args.suite} needs disjoint --I and --J")
                 if args.suite == "mono-ssa" and "K" not in regions:
                     parser.error("the mono-ssa suite needs a --K")
             config = RunConfig(
                 command="verify", sites=args.sites, trials=args.trials, seed=args.seed,
                 output_format=args.output_format, output_path=args.output,
-                suite=args.suite, even=args.even, regions=regions or None,
+                suite=args.suite, even=args.even,
+                regions={name: region.sites for name, region in regions.items()} or None,
             )
             return cmd_verify(config)
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .car_algebra import Region
+from .car_algebra import Region, _require_region
 from .errors import CarError
 from .states import State, entropy, is_even, restrict
 from .tolerances import HOLD_TOL, VIOLATION_TOL
@@ -88,9 +88,11 @@ def classify_gap(kind: str, gap: float) -> str:
     return "indeterminate"
 
 
-def _contained(state: State, region: Region, name: str) -> None:
-    if not region.issubset(state.region):
-        raise ValueError(f"region {name}={region.sites} not contained in {state.region.sites}")
+def _contained(state: State, **regions: Region) -> None:
+    for name, region in regions.items():
+        _require_region(region)
+        if not region.issubset(state.region):
+            raise ValueError(f"region {name}={region.sites} not contained in {state.region.sites}")
 
 
 class _Marginals:
@@ -133,15 +135,13 @@ def _mono_ssa(S: Callable[[Region], float], I: Region, J: Region, K: Region) -> 
 
 def ssa_gap(state: State, I: Region, J: Region) -> float:
     """Strong subadditivity gap; overlap between ``I`` and ``J`` is allowed."""
-    _contained(state, I, "I")
-    _contained(state, J, "J")
+    _contained(state, I=I, J=J)
     return _ssa(_Marginals(state), I, J)
 
 
 def triangle_gap(state: State, I: Region, J: Region) -> float:
     """Triangle gap for disjoint regions; negative means violation."""
-    _contained(state, I, "I")
-    _contained(state, J, "J")
+    _contained(state, I=I, J=J)
     if not I.isdisjoint(J):
         raise ValueError(f"triangle inequality needs disjoint regions, got {I.sites}, {J.sites}")
     return _triangle(_Marginals(state), I, J)
@@ -149,8 +149,7 @@ def triangle_gap(state: State, I: Region, J: Region) -> float:
 
 def mono_ssa_gap(state: State, I: Region, J: Region, K: Region) -> float:
     """Monotonicity-form gap for mutually disjoint I, J, K; negative = violation."""
-    for name, region in (("I", I), ("J", J), ("K", K)):
-        _contained(state, region, name)
+    _contained(state, I=I, J=J, K=K)
     if not (I.isdisjoint(J) and I.isdisjoint(K) and J.isdisjoint(K)):
         raise ValueError("regions I, J, K must be mutually disjoint")
     return _mono_ssa(_Marginals(state), I, J, K)
@@ -160,9 +159,10 @@ def monotonicity_curve(
     state: State, I: Region, J: Region, chain: list[Region]
 ) -> list[float]:
     """Values of ``K -> S(K u I) + S(K u J)`` along a nested chain of K's."""
+    _contained(state, I=I, J=J)
     previous: Region | None = None
     for K in chain:
-        _contained(state, K, "K")
+        _contained(state, K=K)
         if not (K.isdisjoint(I) and K.isdisjoint(J)):
             raise ValueError(f"chain element {K.sites} overlaps I or J")
         if previous is not None and not previous.issubset(K):
@@ -238,10 +238,9 @@ def inequality_report(
     mutually disjoint region K.  Every given region, K included, must lie
     in the state's region.
     """
-    _contained(state, I, "I")
-    _contained(state, J, "J")
+    _contained(state, I=I, J=J)
     if K is not None:
-        _contained(state, K, "K")
+        _contained(state, K=K)
     S = _Marginals(state)  # shared by the three gaps: each region costs one entropy
     disjoint = I.isdisjoint(J)
     gaps = {"ssa": _ssa(S, I, J), "triangle": _triangle(S, I, J) if disjoint else None}

@@ -139,9 +139,9 @@ def conditional_expectation(
     """
     ctx.check_region(x.region)
     ctx.check_region(region)
-    rest = tuple(s for s in region.sites if s not in x.region.sites)
+    rest = region.difference(x.region)
     lifted = np.kron(x.matrix, np.eye(2 ** len(rest)))
-    local = _trace_out(lifted, x.region.sites + rest, region.sites)
+    local = _trace_out(lifted, x.region.sites + rest.sites, region.sites)
     return OperatorElement(region, local / 2 ** (len(x.region) + len(rest) - len(region)))
 
 
@@ -289,8 +289,7 @@ def commuting_square_check(
     state: State, I: Region, J: Region, *, trials: int = 8, seed=0
 ) -> CommutingSquareReport:
     """Verify the commuting-square property on operators and on the state."""
-    _contained(state, I, "I")
-    _contained(state, J, "J")
+    _contained(state, I=I, J=J)
     ctx = _local_context(MAX_SITES)  # a state has no lattice; every region fits this one
     inter = I.intersection(J)
     union = I.union(J)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import Region, _parity_rows, _reorder_rows
+from .car_algebra import Region, _parity_rows, _reorder_rows, _require_region
 from .errors import CapacityError
 from .states import State, _phase_fixed, is_even
 from .tolerances import EIG_FLOOR, NORM_TOL, SCHMIDT_TOL
@@ -120,6 +120,7 @@ def pure_extension(rho1: State, J: Region) -> State:
     One block: every row of the factor, every partner column.  Needs
     ``2^|J|`` at least as large as the rank of ``rho1``.
     """
+    _require_region(J)
     if not rho1.region.isdisjoint(J):
         raise ValueError(f"regions overlap: {rho1.region.sites} and {J.sites}")
     rows, partners = np.arange(2 ** len(rho1.region)), np.arange(2 ** len(J))
@@ -137,6 +138,7 @@ def symmetric_purification(rho1: State, J: Region) -> State:
     parities the factor's columns mix.  This cannot run out of partners
     when ``|J| >= |I|``.
     """
+    _require_region(J)
     if not rho1.region.isdisjoint(J):
         raise ValueError(f"regions overlap: {rho1.region.sites} and {J.sites}")
     if not is_even(rho1):

@@ -230,14 +230,15 @@ def restrict(state: State, region: Region) -> State:
     identity, and the empty region carries the unique (entropy-zero) state
     of the scalars.
     """
+    _require_region(region)
     if not region.issubset(state.region):
         raise ValueError(f"region {region.sites} not contained in {state.region.sites}")
     if region == state.region:
         return state
     if not region.sites:
         return State(region, np.ones((1, 1), dtype=complex))
-    rest = tuple(s for s in state.region.sites if s not in region.sites)
-    rows = _reorder_rows(state.factor, state.region.sites, region.sites + rest)
+    rest = state.region.difference(region)
+    rows = _reorder_rows(state.factor, state.region.sites, region.sites + rest.sites)
     return State(region, rows.reshape(2 ** len(region), -1))
 
 

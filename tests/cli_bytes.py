@@ -12,14 +12,26 @@ one runs in ``OLD_ROOT`` and the new one in ``NEW_ROOT``; once ``OLD_ROOT``
 takes only the new spelling, a pair keeps only its new half.  One line is
 printed per command, and the exit status is 1 when any stdout or exit code
 differs.  The file has no ``test_`` prefix, so pytest does not collect it.
+
+When a command's stdout differs, both outputs are read as numbers and the
+text between them (so JSON, CSV and text alike, JSON inside a CSV cell
+included), and a second line says whether every number agrees within
+``NUMBER_TOL`` and everything else is identical: verdicts, exit codes, keys
+and strings.  That is the gap-level check for a change that moves gaps in
+their last bits; the bytes still count as differing.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+
+NUMBER_TOL = 1e-12
+_NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 COMMANDS = """
 counterexample --seed 7
@@ -57,6 +69,16 @@ def run(root: str, argv: list[str]) -> tuple[bytes, int]:
     return done.stdout, done.returncode
 
 
+def number_difference(old_out: bytes, old_code: int, new_out: bytes, new_code: int) -> float:
+    """The largest difference between the numbers in the same place of two
+    outputs, or ``inf`` when their exit codes or any text between their
+    numbers differ: verdicts, keys and strings."""
+    if old_code != new_code or _NUMBER.split(old_out) != _NUMBER.split(new_out):
+        return math.inf
+    pairs = zip(_NUMBER.findall(old_out), _NUMBER.findall(new_out))
+    return max((abs(float(a) - float(b)) for a, b in pairs), default=0.0)
+
+
 def main(args: list[str]) -> int:
     if len(args) != 2:
         print(__doc__, file=sys.stderr)
@@ -74,6 +96,10 @@ def main(args: list[str]) -> int:
         differ += 1
         what = "stdout" if old_out != new_out else f"exit {old_code} -> {new_code}"
         print(f"DIFF  {what}  {line}")
+        worst = number_difference(old_out, old_code, new_out, new_code)
+        agree = "yes" if worst <= NUMBER_TOL else "no"
+        print(f"      numbers within {NUMBER_TOL:g} and all else identical: {agree} "
+              f"(largest number difference {worst:.1e})")
     print(f"{differ} of {len(lines)} commands differ")
     return 1 if differ else 0
 

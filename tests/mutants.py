@@ -122,13 +122,67 @@ MUTANTS = (
     ),
     Mutant(
         "check_region_off_by_one", "car_algebra.py",
-        "region.sites[-1] > self.n:", "region.sites[-1] > self.n + 1:",
+        "if not region.issubset(self.lattice):", "if region.mask >> (self.n + 1):",
         ("tests/test_states.py::TestMalformedInput::test_drawn_region_off_the_lattice_refused",),
     ),
     Mutant(
         "check_region_type_check_dropped", "car_algebra.py",
-        "        _require_region(region)\n        if region.sites", "        if region.sites",
+        "        _require_region(region)\n        if not region.issubset",
+        "        if not region.issubset",
         ("tests/test_states.py::TestMalformedInput::test_plain_tuple_region_refused",),
+    ),
+    Mutant(
+        "region_issubset_without_complement", "car_algebra.py",
+        "return not self.mask & ~other.mask", "return not self.mask & other.mask",
+        ("tests/test_car_algebra.py::TestRegion::test_set_algebra_matches_frozenset",),
+    ),
+    Mutant(
+        "of_mask_stops_before_max_sites", "car_algebra.py",
+        "range(1, MAX_SITES + 1) if mask", "range(1, MAX_SITES) if mask",
+        ("tests/test_car_algebra.py::TestRegion::test_set_algebra_matches_frozenset",),
+    ),
+    Mutant(
+        "region_mask_bit_s", "car_algebra.py",
+        "1 << (s - 1) for s in sites", "1 << s for s in sites",
+        ("tests/test_car_algebra.py::TestRegion::test_set_algebra_matches_frozenset",),
+    ),
+    Mutant(
+        "restrict_region_type_check_dropped", "states.py",
+        "    _require_region(region)\n    if not region.issubset(state.region):\n",
+        "    if not region.issubset(state.region):\n",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_plain_tuple_region_refused_past_the_constructors[restrict]",
+        ),
+    ),
+    Mutant(
+        "contained_region_type_check_dropped", "inequalities.py",
+        "        _require_region(region)\n", "",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_plain_tuple_region_refused_past_the_constructors",
+        ),
+    ),
+    Mutant(
+        "monotonicity_curve_I_J_unchecked", "inequalities.py",
+        "    _contained(state, I=I, J=J)\n    previous", "    previous",
+        ("tests/test_inequalities.py::TestMonotonicityCurve::test_J_outside_the_state_named",),
+    ),
+    Mutant(
+        "pure_extension_region_type_check_dropped", "purification.py",
+        'rank of ``rho1``.\n    """\n    _require_region(J)\n', 'rank of ``rho1``.\n    """\n',
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_plain_tuple_region_refused_past_the_constructors[pure_extension]",
+        ),
+    ),
+    Mutant(
+        "symmetric_purification_region_type_check_dropped", "purification.py",
+        '``|J| >= |I|``.\n    """\n    _require_region(J)\n', '``|J| >= |I|``.\n    """\n',
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_plain_tuple_region_refused_past_the_constructors[symmetric_purification]",
+        ),
     ),
     Mutant(
         "state_region_type_check_dropped", "states.py",

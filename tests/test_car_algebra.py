@@ -70,6 +70,33 @@ class TestRegion:
         assert Region((1,)).issubset(a)
         assert len(a) == 2 and 2 in a
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(1, MAX_SITES)), st.sets(st.integers(1, MAX_SITES)))
+    @example({MAX_SITES}, {1, MAX_SITES})
+    @example(set(range(1, MAX_SITES + 1)), set())
+    def test_set_algebra_matches_frozenset(self, a, b):
+        a, b = frozenset(a), frozenset(b)
+        ra, rb = Region.of(*a), Region.of(*b)
+        assert ra.mask == sum(2 ** (s - 1) for s in a)
+        for derived, expected in (
+            (ra.union(rb), a | b), (ra.intersection(rb), a & b), (ra.difference(rb), a - b)
+        ):
+            plain = Region(tuple(sorted(expected)))
+            assert derived.sites == plain.sites
+            assert all(type(s) is int for s in derived.sites)
+            assert derived == plain and hash(derived) == hash(plain)
+        assert ra.isdisjoint(rb) == a.isdisjoint(b)
+        assert ra.issubset(rb) == (a <= b)
+        assert rb.issubset(ra) == (b <= a)
+        assert ra.union(rb) is rb.union(ra)  # one region per mask
+
+    @given(st.lists(st.integers(1, MAX_SITES), min_size=1, unique=True), st.data())
+    def test_of_sorts_and_rejects_repeats(self, sites, data):
+        assert Region.of(*sites).sites == tuple(sorted(sites))
+        repeated = data.draw(st.sampled_from(sites))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Region.of(*sites, repeated)
+
 
 class TestCachedPlans:
     def test_reorder_sign_is_read_only(self):

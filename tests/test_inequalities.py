@@ -129,6 +129,12 @@ class TestMonotonicityCurve:
         with pytest.raises(ValueError):
             monotonicity_curve(s, Region((1,)), Region((2,)), [Region((1,))])
 
+    def test_J_outside_the_state_named(self, ctx2):
+        # once refused inside restrict, with the sites of K u J and no name
+        s = tracial_state(ctx2, Region((1, 2)))
+        with pytest.raises(ValueError, match=r"region J=\(3, 4\) not contained in \(1, 2\)"):
+            monotonicity_curve(s, Region((1,)), Region((3, 4)), [Region(())])
+
 
 class TestMixingBounds:
     def test_lambda_zero_slacks_vanish(self, ctx2):

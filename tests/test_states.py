@@ -12,21 +12,28 @@ from carentropy import (
     Region,
     State,
     build_context,
+    commuting_square_check,
     density_distance,
     entropy,
+    inequality_report,
     is_even,
     monomial_basis,
+    mono_ssa_gap,
+    monotonicity_curve,
     p_theta,
     product_extension,
+    pure_extension,
     random_state,
     relative_entropy,
     restrict,
     spectral_data,
+    ssa_gap,
     state_from_intrinsic,
     state_from_tau_form,
     symmetric_purification,
     tracial_state,
     transition_probability,
+    triangle_gap,
     vector_state,
 )
 from carentropy.car_algebra import _local_parity_diag
@@ -277,6 +284,44 @@ class TestMalformedInput:
         # or, for State and OperatorElement, was accepted and failed later
         with pytest.raises(ValueError, match="must be a Region, got tuple"):
             build(ctx2, (1, 2))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda s, r, A, B, C: restrict(s, (1,)), id="restrict"),
+            pytest.param(lambda s, r, A, B, C: ssa_gap(s, (1,), B), id="ssa_gap-I"),
+            pytest.param(lambda s, r, A, B, C: ssa_gap(s, A, (2,)), id="ssa_gap-J"),
+            pytest.param(lambda s, r, A, B, C: triangle_gap(s, (1,), B), id="triangle_gap-I"),
+            pytest.param(lambda s, r, A, B, C: triangle_gap(s, A, (2,)), id="triangle_gap-J"),
+            pytest.param(lambda s, r, A, B, C: mono_ssa_gap(s, (1,), B, C), id="mono_ssa_gap-I"),
+            pytest.param(lambda s, r, A, B, C: mono_ssa_gap(s, A, (2,), C), id="mono_ssa_gap-J"),
+            pytest.param(lambda s, r, A, B, C: mono_ssa_gap(s, A, B, (3,)), id="mono_ssa_gap-K"),
+            pytest.param(lambda s, r, A, B, C: inequality_report(s, (1,), B, C), id="report-I"),
+            pytest.param(lambda s, r, A, B, C: inequality_report(s, A, (2,), C), id="report-J"),
+            pytest.param(lambda s, r, A, B, C: inequality_report(s, A, B, (3,)), id="report-K"),
+            pytest.param(lambda s, r, A, B, C: monotonicity_curve(s, (1,), B, [C]), id="curve-I"),
+            pytest.param(lambda s, r, A, B, C: monotonicity_curve(s, A, (2,), [C]), id="curve-J"),
+            pytest.param(
+                lambda s, r, A, B, C: monotonicity_curve(s, A, B, [(3,)]), id="curve-chain"
+            ),
+            pytest.param(lambda s, r, A, B, C: pure_extension(r, (2,)), id="pure_extension"),
+            pytest.param(
+                lambda s, r, A, B, C: symmetric_purification(r, (2,)), id="symmetric_purification"
+            ),
+            pytest.param(
+                lambda s, r, A, B, C: commuting_square_check(s, (1,), B), id="commuting_square-I"
+            ),
+            pytest.param(
+                lambda s, r, A, B, C: commuting_square_check(s, A, (2,)), id="commuting_square-J"
+            ),
+        ],
+    )
+    def test_plain_tuple_region_refused_past_the_constructors(self, ctx4, call):
+        # each once ended in AttributeError on the tuple's missing .issubset or .sites
+        phi = random_state(ctx4, ctx4.lattice, seed=1)
+        rho1 = random_state(ctx4, Region((1,)), even=True, seed=1)
+        with pytest.raises(ValueError, match="must be a Region, got tuple"):
+            call(phi, rho1, Region((1,)), Region((2,)), Region((3,)))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(np.inf, 1.0), np.nan])
     def test_non_finite_tau_form_refused_without_warning(self, ctx1, bad):
