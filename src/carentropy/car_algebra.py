@@ -61,10 +61,7 @@ class Region:
     mask: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            sites = tuple(operator.index(s) for s in self.sites)
-        except TypeError:
-            raise ValueError(f"sites must be integers, got {self.sites}") from None
+        sites = _integer_sites(self.sites)
         object.__setattr__(self, "sites", sites)
         if not all(1 <= s <= MAX_SITES for s in sites):
             raise ValueError(f"sites must be in [1, {MAX_SITES}], got {sites}")
@@ -74,7 +71,7 @@ class Region:
 
     @classmethod
     def of(cls, *sites: int) -> "Region":
-        return cls(tuple(sorted(sites)))
+        return cls(tuple(sorted(_integer_sites(sites))))
 
     def union(self, other: "Region") -> "Region":
         return _of_mask(self.mask | other.mask)
@@ -99,6 +96,13 @@ class Region:
 
     def __contains__(self, site: int) -> bool:
         return site in self.sites
+
+
+def _integer_sites(sites) -> tuple[int, ...]:
+    try:
+        return tuple(operator.index(s) for s in sites)
+    except TypeError:
+        raise ValueError(f"sites must be integers, got {sites}") from None
 
 
 @functools.lru_cache(maxsize=2 ** MAX_SITES)

@@ -19,7 +19,10 @@ Environment: ``CARENTROPY_OUTDIR`` is prepended to relative ``--output``
 paths.
 
 The argument parser is built once per process, on the first :func:`main`
-call, and reused by every later call in the same process.
+call, and reused by every later call in the same process.  :func:`main`
+checks the arguments and builds one :class:`RunConfig`, whose ``regions``
+are :class:`Region` values, for the command it runs; each command renders
+its report as one text and writes it once, through :func:`_emit`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +50,8 @@ __all__ = ["main", "RunConfig", "cmd_verify", "cmd_counterexample", "cmd_table1"
 SUITES = ("ssa", "triangle", "mono-ssa", "all")
 MAX_VIOLATION_MAGNITUDE = 2.0 * math.log(2.0)  # proved for every state: see carentropy.inequalities
 # table1's rows: (name, verify suite, even states, gap kind) for the campaigns
-# and (name, gap kind, expected verdict) for the counterexample state
+# and (name, gap kind, expected verdict) for the counterexample state, whose
+# verdicts also set the exit code of the counterexample command
 TABLE1_CAMPAIGNS = (
     ("ssa_all_states", "ssa", False, "ssa"),
     ("triangle_even_states", "triangle", True, "triangle"),
@@ -70,7 +74,7 @@ class RunConfig:
     output_path: str | None
     suite: str | None = None
     even: bool = False
-    regions: dict[str, tuple[int, ...]] | None = None
+    regions: dict[str, Region] | None = None
     rhoJ: str | None = None
 
 
@@ -82,27 +86,16 @@ def _parse_region(text: str) -> Region:
     return Region.of(*sites)
 
 
-def _region_str(sites: tuple[int, ...]) -> str:
-    return ",".join(str(s) for s in sites)
-
-
-def _resolve_output(path: str | None) -> str | None:
-    if path is None or path == "-":
-        return None
-    outdir = os.environ.get("CARENTROPY_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
-
-
 def _emit(text: str, path: str | None) -> None:
-    resolved = _resolve_output(path)
-    if resolved is None:
+    """Write a command's report to stdout (no path or ``-``) or to ``path``,
+    under ``CARENTROPY_OUTDIR`` when it is set and ``path`` is relative."""
+    if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        os.makedirs(os.path.dirname(os.path.abspath(resolved)), exist_ok=True)
-        with open(resolved, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return
+    path = os.path.join(os.environ.get("CARENTROPY_OUTDIR", ""), path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _json_text(payload) -> str:
@@ -112,9 +105,10 @@ def _json_text(payload) -> str:
 def _config_payload(config: RunConfig) -> dict:
     # output_path is where the report goes, not part of what it says;
     # keeping it out makes reruns byte-identical regardless of destination.
-    return {
-        k: v for k, v in asdict(config).items() if v is not None and k != "output_path"
-    }
+    payload = {k: v for k, v in vars(config).items() if v is not None and k != "output_path"}
+    if config.regions:
+        payload["regions"] = {name: region.sites for name, region in config.regions.items()}
+    return payload
 
 
 CSV_HEADER = [
@@ -166,23 +160,12 @@ def _report_row(config: RunConfig, index: int, report: InequalityReport) -> dict
     """One trial row: the report's regions, parity, gaps and verdicts."""
     row = {"trial": index, "seed": config.seed, "sites": config.sites}
     for name in ("I", "J", "K"):
-        row[name] = _region_str(report.regions.get(name, ()))
+        row[name] = ",".join(map(str, report.regions.get(name, ())))
     row["parity"] = "even" if report.even_state else "noneven"
     for kind in ("ssa", "triangle", "mono_ssa"):
         row[f"{kind}_gap"] = getattr(report, f"{kind}_gap")
         row[f"{kind}_verdict"] = report.verdicts.get(kind, "")
     return row
-
-
-def _verify_trial(ctx, config: RunConfig, fixed, index: int, child) -> dict:
-    rng = np.random.default_rng(child)
-    regions = fixed or _trial_regions(rng, config.sites, config.suite)
-    rank = int(rng.integers(1, ctx.dim + 1))
-    state = random_state(
-        ctx, ctx.lattice, even=config.even, rank=rank, seed=rng.integers(0, 2 ** 63)
-    )
-    report = inequality_report(state, regions["I"], regions["J"], regions.get("K"))
-    return _report_row(config, index, report)
 
 
 def _unexpected_violations(config: RunConfig, rows: list[dict]) -> list[str]:
@@ -207,9 +190,16 @@ def _unexpected_violations(config: RunConfig, rows: list[dict]) -> list[str]:
 
 def _run_suite(config: RunConfig) -> tuple[list[dict], dict]:
     ctx = build_context(config.sites)
-    fixed = config.regions and {key: Region(val) for key, val in config.regions.items()}
-    children = np.random.SeedSequence(config.seed).spawn(config.trials)
-    rows = [_verify_trial(ctx, config, fixed, i, child) for i, child in enumerate(children)]
+    rows = []
+    for index, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.trials)):
+        rng = np.random.default_rng(child)
+        regions = config.regions or _trial_regions(rng, config.sites, config.suite)
+        rank = int(rng.integers(1, ctx.dim + 1))
+        state = random_state(
+            ctx, ctx.lattice, even=config.even, rank=rank, seed=rng.integers(0, 2 ** 63)
+        )
+        report = inequality_report(state, regions["I"], regions["J"], regions.get("K"))
+        rows.append(_report_row(config, index, report))
 
     summary: dict = {"trials": config.trials}
     for kind in ("ssa", "triangle", "mono_ssa"):
@@ -229,16 +219,16 @@ def _run_suite(config: RunConfig) -> tuple[list[dict], dict]:
 def cmd_verify(config: RunConfig) -> int:
     rows, summary = _run_suite(config)
     problems = _unexpected_violations(config, rows)
-    payload = {
-        "config": _config_payload(config),
-        "summary": summary,
-        "unexpected": problems,
-        "trials": rows,
-    }
     if config.output_format == "csv":
-        _emit(_csv_text(rows), config.output_path)
+        text = _csv_text(rows)
     else:
-        _emit(_json_text(payload), config.output_path)
+        text = _json_text({
+            "config": _config_payload(config),
+            "summary": summary,
+            "unexpected": problems,
+            "trials": rows,
+        })
+    _emit(text, config.output_path)
     return 1 if problems else 0
 
 
@@ -251,18 +241,17 @@ def _complex_matrix_payload(mat: np.ndarray) -> dict:
 
 def cmd_counterexample(config: RunConfig) -> int:
     ctx = build_context(config.sites)
-    regions = {key: Region(val) for key, val in (config.regions or {}).items()}
-    K, I, J = regions["K"], regions["I"], regions["J"]
+    K, I, J = config.regions["K"], config.regions["I"], config.regions["J"]
     if config.rhoJ == "random":
         rho_j = random_state(ctx, J, even=True, seed=config.seed)
     else:
         rho_j = tracial_state(ctx, J)
     report = violation_demo(ctx, K, I, J, rhoJ=rho_j)
     if config.output_format == "csv":
-        _emit(_csv_text([_report_row(config, 0, report)]), config.output_path)
+        text = _csv_text([_report_row(config, 0, report)])
     else:
         recipe = report.recipe
-        payload = {
+        text = _json_text({
             "config": _config_payload(config),
             "regions": {k: list(v) for k, v in report.regions.items()},
             "entropies": report.entropies,
@@ -280,15 +269,10 @@ def cmd_counterexample(config: RunConfig) -> int:
                 "rhoJ_density": _complex_matrix_payload(rho_j.intrinsic()),
                 "u1_is_region_parity_unitary": True,
             },
-        }
-        _emit(_json_text(payload), config.output_path)
-
-    reproduced = (
-        report.verdicts["mono_ssa"] == "violated"
-        and report.verdicts["triangle"] == "violated"
-        and report.verdicts["ssa"] == "holds"
-    )
-    return 0 if reproduced else 1
+        })
+    _emit(text, config.output_path)
+    expected = all(report.verdicts[kind] == verdict for _, kind, verdict in TABLE1_COUNTEREXAMPLE)
+    return 0 if expected else 1
 
 
 def cmd_table1(config: RunConfig) -> int:
@@ -296,12 +280,8 @@ def cmd_table1(config: RunConfig) -> int:
     suites: dict[str, dict] = {}
     children = np.random.SeedSequence(config.seed).spawn(3)
     for (name, suite, even, kind), child in zip(TABLE1_CAMPAIGNS, children, strict=True):
-        cfg = RunConfig(
-            command="verify", sites=config.sites, trials=config.trials,
-            seed=int(child.generate_state(1)[0] % (2 ** 31)),
-            output_format="json", output_path=None, suite=suite, even=even,
-        )
-        stats = _run_suite(cfg)[1][kind]
+        seed = int(child.generate_state(1)[0] % (2 ** 31))
+        stats = _run_suite(replace(config, seed=seed, suite=suite, even=even))[1][kind]
         suites[name] = {"stats": stats, "conforms": stats["violations"] == 0}
 
     ctx = build_context(config.sites)
@@ -319,20 +299,19 @@ def cmd_table1(config: RunConfig) -> int:
     }
 
     if config.output_format == "json":
-        payload = {
+        text = _json_text({
             "config": _config_payload(config),
             "cells": cells,
             "suites": suites,
             "conforms": all_ok,
-        }
-        _emit(_json_text(payload), config.output_path)
+        })
     elif config.output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["suite", "conforms", "stats"])
         for name, entry in sorted(suites.items()):
             writer.writerow([name, entry["conforms"], json.dumps(entry["stats"], sort_keys=True)])
-        _emit(buf.getvalue(), config.output_path)
+        text = buf.getvalue()
     else:
         lines = ["Property    CAR lattice verdict", "-" * 72]
         for prop, cell in cells.items():
@@ -341,7 +320,8 @@ def cmd_table1(config: RunConfig) -> int:
         for name, entry in suites.items():
             status = "ok" if entry["conforms"] else "FAILED"
             lines.append(f"  [{status}] {name}: {json.dumps(entry['stats'], sort_keys=True)}")
-        _emit("\n".join(lines) + "\n", config.output_path)
+        text = "\n".join(lines) + "\n"
+    _emit(text, config.output_path)
     return 0 if all_ok else 1
 
 
@@ -364,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=formats, default="json", dest="output_format")
         return cmd
 
+    # each command also sets the RunConfig fields it does not read
     verify = command("verify", "random-state campaigns", ("json", "csv"))
+    verify.set_defaults(rhoJ=None)
     verify.add_argument("--suite", choices=SUITES, default="all")
     verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--even", action="store_true", help="restrict to even states")
@@ -372,12 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
         verify.add_argument(f"--{name}", default=None, help="fixed region, e.g. 1,2")
 
     counter = command("counterexample", "joint-extension violation demo", ("json", "csv"))
+    counter.set_defaults(trials=1, suite=None, even=False)
     counter.add_argument("--K", default="2")
     counter.add_argument("--I", default="1")
     counter.add_argument("--J", default="3")
     counter.add_argument("--rhoJ", choices=["tracial", "random"], default="tracial")
 
     table = command("table1", "summary truth table", ("json", "csv", "text"))
+    table.set_defaults(suite=None, even=False, rhoJ=None)
     table.add_argument("--trials", type=int, default=200)
     return parser
 
@@ -385,12 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("verify", "table1") and args.trials < 1:
+    if args.trials < 1:
         parser.error("--trials must be at least 1")
     if args.command == "table1" and args.sites < 3:
         parser.error("table1 runs the mono-ssa suite, which needs at least 3 sites")
 
     try:
+        regions, sites = {}, args.sites
         if args.command == "verify":
             if args.sites < 2:
                 parser.error("verify needs at least 2 sites")
@@ -409,15 +394,7 @@ def main(argv=None) -> int:
                     parser.error(f"--suite {args.suite} needs disjoint --I and --J")
                 if args.suite == "mono-ssa" and "K" not in regions:
                     parser.error("the mono-ssa suite needs a --K")
-            config = RunConfig(
-                command="verify", sites=args.sites, trials=args.trials, seed=args.seed,
-                output_format=args.output_format, output_path=args.output,
-                suite=args.suite, even=args.even,
-                regions={name: region.sites for name, region in regions.items()} or None,
-            )
-            return cmd_verify(config)
-
-        if args.command == "counterexample":
+        elif args.command == "counterexample":
             K = _parse_region(args.K)
             I = _parse_region(args.I)
             for name, region in (("K", K), ("I", I)):
@@ -426,19 +403,15 @@ def main(argv=None) -> int:
             J = _parse_region(args.J)
             if not (K.isdisjoint(I) and K.isdisjoint(J) and I.isdisjoint(J)):
                 parser.error("regions K, I, J must be mutually disjoint")
+            regions = {"K": K, "I": I, "J": J}
             sites = max(args.sites, max(K.sites + I.sites + J.sites))
-            config = RunConfig(
-                command="counterexample", sites=sites, trials=1, seed=args.seed,
-                output_format=args.output_format, output_path=args.output,
-                regions={"K": K.sites, "I": I.sites, "J": J.sites}, rhoJ=args.rhoJ,
-            )
-            return cmd_counterexample(config)
-
         config = RunConfig(
-            command="table1", sites=args.sites, trials=args.trials, seed=args.seed,
+            command=args.command, sites=sites, trials=args.trials, seed=args.seed,
             output_format=args.output_format, output_path=args.output,
+            suite=args.suite, even=args.even, regions=regions or None, rhoJ=args.rhoJ,
         )
-        return cmd_table1(config)
+        run = {"verify": cmd_verify, "counterexample": cmd_counterexample, "table1": cmd_table1}
+        return run[args.command](config)
     except ValueError as exc:  # every CarError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Compare the CLI's stdout bytes and exit codes between two source trees.
+"""Compare the CLI's stdout and stderr bytes and exit codes between two source trees.
 
 Usage (from the repository root)::
 
@@ -9,9 +9,11 @@ with ``PYTHONPATH=<root>/src`` and ``OPENBLAS_NUM_THREADS=1`` (LAPACK splits
 some factorizations by thread count, which moves gaps in their last bits).
 A line ``old argv | new argv`` pairs two spellings of the same run: the old
 one runs in ``OLD_ROOT`` and the new one in ``NEW_ROOT``; once ``OLD_ROOT``
-takes only the new spelling, a pair keeps only its new half.  One line is
-printed per command, and the exit status is 1 when any stdout or exit code
-differs.  The file has no ``test_`` prefix, so pytest does not collect it.
+takes only the new spelling, a pair keeps only its new half.  The list
+holds the reports, each usage check of ``carentropy.cli.main`` and each
+command's ``--help``.  One line is printed per command, and the exit status
+is 1 when any stdout, stderr or exit code differs.  The file has no
+``test_`` prefix, so pytest does not collect it.
 
 When a command's stdout differs, both outputs are read as numbers and the
 text between them (so JSON, CSV and text alike, JSON inside a CSV cell
@@ -54,19 +56,42 @@ table1 --trials 50 --seed 7 --format text
 table1 --trials 50 --seed 7
 table1 --trials 50 --seed 9 --format csv
 table1 --trials 30 --sites 4
+verify --sites 1
+verify --suite mono-ssa --sites 2
+verify --trials 0
+verify --I 1,x --J 2
+verify --I 1
+verify --suite all --sites 3 --I 1 --J 2 --K 1,3
+verify --suite triangle --I 1,2 --J 2
+verify --suite mono-ssa --I 1 --J 2
+verify --suite ssa --sites 3 --trials 1 --I 1,2 --J 2,3 --K 9
+counterexample --I=
+counterexample --K 1 --I 1 --J 3
+table1 --sites 2
+verify --help
+counterexample --help
+table1 --help
 """
 
 RUN_MAIN = "import sys; from carentropy.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run(root: str, argv: list[str]) -> tuple[bytes, int]:
-    """Stdout bytes and exit code of ``carentropy ARGV`` run from ``root``'s source."""
+STREAMS = ("stdout", "stderr", "exit code")
+
+
+def run(root: str, argv: list[str]) -> tuple[bytes, bytes, int]:
+    """Stdout and stderr bytes and exit code of ``carentropy ARGV`` run from ``root``'s source."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("CARENTROPY_")}
     env.update(PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
     done = subprocess.run(
         [sys.executable, "-c", RUN_MAIN, *argv], env=env, capture_output=True, check=False
     )
-    return done.stdout, done.returncode
+    return done.stdout, done.stderr, done.returncode
+
+
+def differing(old: tuple[bytes, bytes, int], new: tuple[bytes, bytes, int]) -> list[str]:
+    """The names of the streams, of ``STREAMS``, in which two runs differ."""
+    return [name for name, a, b in zip(STREAMS, old, new, strict=True) if a != b]
 
 
 def number_difference(old_out: bytes, old_code: int, new_out: bytes, new_code: int) -> float:
@@ -88,15 +113,17 @@ def main(args: list[str]) -> int:
     differ = 0
     for line in lines:
         old_text, _, new_text = line.partition(" | ")
-        old_out, old_code = run(old_root, shlex.split(old_text))
-        new_out, new_code = run(new_root, shlex.split(new_text or old_text))
-        if old_out == new_out and old_code == new_code:
-            print(f"same  exit {new_code}  {len(new_out):7d} B  {line}")
+        old = run(old_root, shlex.split(old_text))
+        new = run(new_root, shlex.split(new_text or old_text))
+        what = differing(old, new)
+        if not what:
+            print(f"same  exit {new[2]}  {len(new[0]):7d} B  {len(new[1]):5d} B err  {line}")
             continue
         differ += 1
-        what = "stdout" if old_out != new_out else f"exit {old_code} -> {new_code}"
-        print(f"DIFF  {what}  {line}")
-        worst = number_difference(old_out, old_code, new_out, new_code)
+        print(f"DIFF  {', '.join(what)}  {line}")
+        if "stdout" not in what:
+            continue
+        worst = number_difference(old[0], old[2], new[0], new[2])
         agree = "yes" if worst <= NUMBER_TOL else "no"
         print(f"      numbers within {NUMBER_TOL:g} and all else identical: {agree} "
               f"(largest number difference {worst:.1e})")

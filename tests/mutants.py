@@ -66,6 +66,7 @@ MUTANTS = (
         (
             "tests/test_car_algebra.py::TestReorderRows",
             "tests/test_spin_reading.py::test_even_states_agree_on_contiguous_regions",
+            "tests/test_free_fermions.py::test_entropy_of_a_restriction_matches_correlation_matrix",
         ),
     ),
     Mutant(
@@ -74,6 +75,7 @@ MUTANTS = (
         (
             "tests/test_car_algebra.py::TestReorderRows",
             "tests/test_exact.py::test_package_matches_certificate",
+            "tests/test_free_fermions.py::test_entropy_of_a_restriction_matches_correlation_matrix",
         ),
     ),
     Mutant(
@@ -101,8 +103,13 @@ MUTANTS = (
     ),
     Mutant(
         "region_sites_truncated_by_int", "car_algebra.py",
-        "operator.index(s) for s in self.sites", "int(s) for s in self.sites",
+        "operator.index(s) for s in sites", "int(s) for s in sites",
         ("tests/test_car_algebra.py::TestRegion::test_non_integer_sites_rejected",),
+    ),
+    Mutant(
+        "region_of_sorts_before_converting", "car_algebra.py",
+        "cls(tuple(sorted(_integer_sites(sites))))", "cls(tuple(sorted(sites)))",
+        ("tests/test_car_algebra.py::TestRegion::test_of_converts_before_sorting",),
     ),
     Mutant(
         "region_upper_bound_dropped", "car_algebra.py",
@@ -356,6 +363,40 @@ MUTANTS = (
         "schmidt_norm_check_nan_unsafe", "purification.py",
         "if not abs(norm - 1.0) <= NORM_TOL:", "if abs(norm - 1.0) > NORM_TOL:",
         ("tests/test_purification.py::TestSchmidt::test_non_finite_vector_rejected",),
+    ),
+    Mutant(
+        "cli_violation_bound_dropped", "cli.py",
+        "-gap > MAX_VIOLATION_MAGNITUDE + HOLD_TOL", "-gap > math.inf",
+        ("tests/test_cli.py::TestViolationBound",),
+    ),
+    Mutant(
+        "cli_fixed_regions_ignored", "cli.py",
+        "regions = config.regions or _trial_regions(", "regions = _trial_regions(",
+        ("tests/test_cli.py::TestVerify::test_fixed_regions",),
+    ),
+    Mutant(
+        "cli_table1_even_flag_dropped", "cli.py",
+        "replace(config, seed=seed, suite=suite, even=even)", "replace(config, seed=seed, suite=suite)",
+        ("tests/test_cli_config.py::test_table1_campaigns_derive_from_its_config",),
+    ),
+    Mutant(
+        "cli_config_payload_keeps_output_path", "cli.py",
+        'if v is not None and k != "output_path"}', "if v is not None}",
+        (
+            "tests/test_cli.py::TestDeterminism",
+            "tests/test_cli_config.py::test_config_payload_renders_region_sites_without_output_path",
+        ),
+    ),
+    Mutant(
+        "cli_counterexample_exit_ignores_verdicts", "cli.py",
+        "    return 0 if expected else 1\n", "    return 0\n",
+        ("tests/test_cli_config.py::test_counterexample_verdicts_decide_both_exit_codes",),
+    ),
+    Mutant(
+        "cli_outdir_appended", "cli.py",
+        'os.path.join(os.environ.get("CARENTROPY_OUTDIR", ""), path)',
+        'os.path.join(path, os.environ.get("CARENTROPY_OUTDIR", ""))',
+        ("tests/test_cli.py::TestEnvironmentOverrides::test_outdir_env",),
     ),
 )
 

@@ -220,6 +220,41 @@ def local_image(x, n, sites):
     return np.tensordot(coeffs, np.array(monomials_on(jw_annihilators(k), range(k))), axes=1)
 
 
+def slater_vector(phi):
+    """The ``2^n`` vector ``a*(phi_1) ... a*(phi_N) |0>`` of orthonormal orbitals,
+    the columns of the ``n x N`` array ``phi``.
+
+    Built with bit operations, no matrices, in the Jordan-Wigner convention of
+    :func:`jw_annihilators`: site ``i`` is bit ``n - i`` of a basis index (site 1
+    leading), a set bit is an occupied mode, and ``a_i*`` sets bit ``i`` with the
+    sign ``(-1)^(occupied sites before i)`` of the ``Z`` string.
+    """
+    n = phi.shape[0]
+    index = np.arange(2 ** n)
+    ones = np.array([bin(x).count("1") for x in index])
+    vec = np.zeros(2 ** n, dtype=complex)
+    vec[0] = 1.0
+    for orbital in phi.T[::-1]:
+        out = np.zeros_like(vec)
+        for i, amplitude in enumerate(orbital, start=1):
+            bit = n - i
+            empty = index[(index >> bit) & 1 == 0]
+            sign = 1 - 2 * (ones[empty >> (bit + 1)] & 1)
+            out[empty | (1 << bit)] += amplitude * sign * vec[empty]
+        vec = out
+    return vec
+
+
+def correlation_entropy(C, sites):
+    """Entropy of a quasi-free state on the 1-based ``sites``, from the block
+    ``C_RR`` of its correlation matrix ``C_ij = <a_i* a_j>``:
+    ``-sum [nu ln nu + (1 - nu) ln(1 - nu)]`` over the eigenvalues ``nu`` of
+    ``C_RR`` (Peschel, J. Phys. A 36, L205, 2003)."""
+    rows = np.asarray(sites) - 1
+    nu = np.clip(np.linalg.eigvalsh(C[np.ix_(rows, rows)]), 0.0, 1.0)
+    return float(-sum(p * np.log(p) for p in np.concatenate([nu, 1.0 - nu]) if p > 0.0))
+
+
 def parity(n, sites):
     """Global parity unitary ``v = prod (a* a - a a*)`` of 1-based ``sites``."""
     out = np.eye(2 ** n, dtype=complex)

@@ -50,6 +50,12 @@ class TestRegion:
         with pytest.raises(ValueError, match="integers"):
             Region(sites)
 
+    @pytest.mark.parametrize("sites", [(1, "2"), ("2", 1)])
+    def test_of_converts_before_sorting(self, sites):
+        # sorting first ended in "TypeError: '<' not supported" on a string
+        with pytest.raises(ValueError, match="sites must be integers"):
+            Region.of(*sites)
+
     @pytest.mark.parametrize("site", [0, MAX_SITES + 1])
     def test_sites_outside_max_sites_rejected(self, site):
         # so every union of regions fits the largest lattice

@@ -1,9 +1,10 @@
-"""The gap-level comparison of ``tests/cli_bytes.py`` on synthetic outputs."""
+"""The comparisons of ``tests/cli_bytes.py`` on synthetic outputs: which streams
+differ, and the gap-level check of a differing stdout."""
 
 import json
 import math
 
-from cli_bytes import NUMBER_TOL, number_difference
+from cli_bytes import NUMBER_TOL, differing, number_difference
 
 REPORT = {"gaps": {"ssa": -0.3170571401390738}, "verdicts": {"ssa": "holds"}, "seed": 7}
 CSV = (
@@ -28,3 +29,10 @@ def test_a_changed_verdict_does_not_agree():
     csv_new = CSV.replace("holds", "indeterminate")
     assert number_difference(CSV.encode(), 0, csv_new.encode(), 0) == math.inf
     assert number_difference(CSV.encode(), 0, CSV.encode(), 1) == math.inf  # the exit code
+
+
+def test_stderr_and_exit_code_differ_like_stdout():
+    usage = (b"", b"usage: carentropy verify\nerror: --trials must be at least 1\n", 2)
+    assert differing(usage, usage) == []
+    assert differing(usage, (b"", b"error: bad region spec\n", 2)) == ["stderr"]
+    assert differing(usage, (b"{}\n", b"", 0)) == ["stdout", "stderr", "exit code"]
