@@ -34,9 +34,9 @@ print("{a1, a2}            :", np.abs(a1 @ a2 + a2 @ a1).max())
 print("{a1*, a1} - 1       :", np.abs(a1.conj().T @ a1 + a1 @ a1.conj().T - np.eye(8)).max())
 
 # The parity unitary of a region flips its generators and fixes the rest.
-v1_local = parity_unitary(ctx, Region((1,)))
+v1_local = parity_unitary(Region((1,)))
 print("v1 image            :", np.diag(v1_local.matrix).real)
-v1 = conditional_expectation(ctx, v1_local, whole).matrix  # v1 as an element of A(1, 2, 3)
+v1 = conditional_expectation(v1_local, whole).matrix  # v1 as an element of A(1, 2, 3)
 print("v1 a1 v1 + a1       :", np.abs(v1 @ a1 @ v1 + a1).max())
 print("v1 a2 v1 - a2       :", np.abs(v1 @ a2 @ v1 - a2).max())
 
@@ -46,14 +46,14 @@ even, odd = grade_split(OperatorElement(whole, a1 + a1.conj().T @ a1))
 print("odd part is a1      :", np.abs(odd.matrix - a1).max())
 
 # Region subalgebras carry an orthogonal monomial basis, half even half odd.
-basis = monomial_basis(ctx, Region((1, 3)))
+basis = monomial_basis(Region((1, 3)))
 d = basis[0].matrix.shape[0]
 print(f"basis of A(1,3)     : {len(basis)} monomials, each a {d}x{d} image")
 
 # Commutant of A(I) inside A(I u J): even part of A(J) plus v_I times its
 # odd part.  The check runs on the images of A(I u J), verifies commutation
 # and dimension, and (here) the from-scratch nullspace dimension.
-check = relative_commutant_check(ctx, Region((1,)), Region((2, 3)))
+check = relative_commutant_check(Region((1,)), Region((2, 3)))
 print("commutant dimension :", check.candidate_dim, "expected", check.expected_dim)
 print("largest commutator  :", check.generator_residual)
 print("nullspace dimension :", check.nullspace_dim)

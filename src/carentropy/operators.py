@@ -13,9 +13,10 @@ identity ``A(I)' n A(I u J) = A(J)_+ + v_I A(J)_-``, which underlies
 The state core (``states``, ``purification``, ``inequalities``,
 ``counterexamples``, ``cli``) imports nothing from here.  All operations are
 pure functions on dense ``complex128`` images; an operator of ``A(R)`` costs
-``4^|R|`` entries whatever ``n`` is.  Only :func:`monomial_basis` and
-:func:`relative_commutant_check` build a basis, on a cached ``|R|``-site
-(respectively ``|I u J|``-site) lattice.
+``4^|R|`` entries whatever ``n`` is.  No function takes a lattice: each
+checks only that a region is a :class:`Region`.  Only :func:`monomial_basis`
+and :func:`relative_commutant_check` build a basis, on a cached ``|R|``-site
+(respectively ``|I u J|``-site) lattice, the only lattice the module knows.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import (
-    MAX_SITES, AlgebraContext, Region, _local_parity_diag, _reorder_rows, _require_region,
-)
+from .car_algebra import AlgebraContext, Region, _local_parity_diag, _reorder_rows, _require_region
 from .inequalities import _contained
 from .states import State, restrict
 from .tolerances import (
@@ -88,12 +87,12 @@ def _local_context(k: int) -> AlgebraContext:
     return AlgebraContext(k)
 
 
-def parity_unitary(ctx: AlgebraContext, region: Region) -> OperatorElement:
+def parity_unitary(region: Region) -> OperatorElement:
     """Self-adjoint unitary ``v_R`` implementing the grading on ``A(R)``.
 
     Its image is diagonal; the empty region gives the ``1 x 1`` identity.
     """
-    ctx.check_region(region)
+    _require_region(region)
     return OperatorElement(region, np.diag(_local_parity_diag(len(region))))
 
 
@@ -115,12 +114,12 @@ def grade_split(x: OperatorElement) -> tuple[OperatorElement, OperatorElement]:
     )
 
 
-def monomial_basis(ctx: AlgebraContext, region: Region) -> list[OperatorElement]:
+def monomial_basis(region: Region) -> list[OperatorElement]:
     """The ``4^|R|`` tracially orthogonal, parity-definite monomials spanning ``A(R)``.
 
     Their images are the monomials of the ``|R|``-site lattice.
     """
-    ctx.check_region(region)
+    _require_region(region)
     if not region.sites:
         return [OperatorElement(region, np.ones((1, 1), dtype=complex))]
     k = len(region)
@@ -128,17 +127,14 @@ def monomial_basis(ctx: AlgebraContext, region: Region) -> list[OperatorElement]
     return [OperatorElement(region, m) for m in b.mats]
 
 
-def conditional_expectation(
-    ctx: AlgebraContext, x: OperatorElement, region: Region
-) -> OperatorElement:
+def conditional_expectation(x: OperatorElement, region: Region) -> OperatorElement:
     """Trace-compatible conditional expectation of ``x`` onto ``A(region)``.
 
     ``x (x) 1`` is one Kronecker product on the modes of ``x.region``
     followed by ``rest = region \\ x.region``; it is traced down to
     ``region`` (one reorder) and divided by ``2^|x.region \\ region|``.
     """
-    ctx.check_region(x.region)
-    ctx.check_region(region)
+    _require_region(region)
     rest = region.difference(x.region)
     lifted = np.kron(x.matrix, np.eye(2 ** len(rest)))
     local = _trace_out(lifted, x.region.sites + rest.sites, region.sites)
@@ -196,7 +192,7 @@ def _stack_commutators(stack: np.ndarray, g: np.ndarray) -> np.ndarray:
     return right - left.transpose(0, 2, 1)
 
 
-def relative_commutant_check(ctx: AlgebraContext, I: Region, J: Region) -> CommutantCheck:
+def relative_commutant_check(I: Region, J: Region) -> CommutantCheck:
     """Verify ``A(I)' n A(I u J) = A(J)_+ + v_I A(J)_-`` and ``A(I)' n A(J) = A(J)_+``.
 
     Everything lives on the ``|I u J|``-site lattice of the images of
@@ -206,8 +202,8 @@ def relative_commutant_check(ctx: AlgebraContext, I: Region, J: Region) -> Commu
     whose dimension count is forced once the candidate commutes and is
     independent.
     """
-    ctx.check_region(I)
-    ctx.check_region(J)
+    _require_region(I)
+    _require_region(J)
     if not I.sites:
         raise ValueError("I must be nonempty")
     if not I.isdisjoint(J):
@@ -290,7 +286,6 @@ def commuting_square_check(
 ) -> CommutingSquareReport:
     """Verify the commuting-square property on operators and on the state."""
     _contained(state, I=I, J=J)
-    ctx = _local_context(MAX_SITES)  # a state has no lattice; every region fits this one
     inter = I.intersection(J)
     union = I.union(J)
 
@@ -299,10 +294,10 @@ def commuting_square_check(
     worst = 0.0
     for _ in range(trials):
         x = OperatorElement(union, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        on_inter = conditional_expectation(ctx, x, inter)
+        on_inter = conditional_expectation(x, inter)
         for first, second in ((J, I), (I, J), (I, inter), (J, inter)):
-            two_step = conditional_expectation(ctx, conditional_expectation(ctx, x, first), second)
-            target = conditional_expectation(ctx, on_inter, second)
+            two_step = conditional_expectation(conditional_expectation(x, first), second)
+            target = conditional_expectation(on_inter, second)
             worst = max(worst, float(np.abs(two_step.matrix - target.matrix).max()))
 
     s_target = restrict(state, inter)

@@ -7,7 +7,9 @@ Usage (from the repository root)::
 Each mutant replaces one exact text of one file under ``src/carentropy``.
 The runner copies ``src/`` to a temporary directory, applies one mutant
 there (the working tree is never edited), and runs the mutant's test ids
-with ``PYTHONPATH`` pointing at the copy and one BLAS thread.  A mutant is
+with ``PYTHONPATH`` pointing at the copy and one BLAS thread.  pytest runs
+in that directory with its cache off, so a mutant that breaks where a test
+writes a file writes nothing into the working tree.  A mutant is
 killed when one of its tests fails.  One line is printed per mutant, and the
 exit status is 1 when a mutant not marked equivalent survives, when one
 marked equivalent is killed, or when its tests cannot run.  With names,
@@ -201,6 +203,48 @@ MUTANTS = (
         "operator_element_region_type_check_dropped", "operators.py",
         "        _require_region(self.region)\n", "",
         ("tests/test_states.py::TestMalformedInput::test_plain_tuple_region_refused",),
+    ),
+    Mutant(
+        "parity_unitary_region_type_check_dropped", "operators.py",
+        "    _require_region(region)\n    return OperatorElement(region, np.diag",
+        "    return OperatorElement(region, np.diag",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_bare_site_refused_by_the_operator_picture",
+        ),
+    ),
+    Mutant(
+        "monomial_basis_region_type_check_dropped", "operators.py",
+        "    _require_region(region)\n    if not region.sites:", "    if not region.sites:",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_plain_tuple_region_refused_past_the_constructors[monomial_basis]",
+        ),
+    ),
+    Mutant(
+        "conditional_expectation_region_type_check_dropped", "operators.py",
+        "    _require_region(region)\n    rest = region.difference",
+        "    rest = region.difference",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_plain_tuple_region_refused_past_the_constructors[conditional_expectation]",
+        ),
+    ),
+    Mutant(
+        "relative_commutant_I_type_check_dropped", "operators.py",
+        "    _require_region(I)\n", "",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_plain_tuple_region_refused_past_the_constructors[relative_commutant-I]",
+        ),
+    ),
+    Mutant(
+        "relative_commutant_J_type_check_dropped", "operators.py",
+        "    _require_region(J)\n", "",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_plain_tuple_region_refused_past_the_constructors[relative_commutant-J]",
+        ),
     ),
     Mutant(
         "odd_eigenvector_state_region_unchecked", "counterexamples.py",
@@ -416,9 +460,11 @@ def run(mutant: Mutant) -> tuple[str, float]:
             return "error", time.perf_counter() - start
         path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), OPENBLAS_NUM_THREADS="1")
+        # run in the copy, so that whatever a mutated program writes lands there
+        tests = [str(ROOT / test_id) for test_id in mutant.tests]
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=ROOT, env=env, capture_output=True, check=False,
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=tmp, env=env, capture_output=True, check=False,
         )
     # pytest exits 1 when a test failed; any other nonzero status means it could not run
     outcome = {0: "survived", 1: "killed"}.get(done.returncode, "error")

@@ -6,15 +6,19 @@ Usage (from the repository root)::
 
 For n = 1..5 it takes a seeded random image ``x`` of ``A(S)`` (a fifth of its
 entries set to ``-0.0``, so signed zeros count) for every pair of regions
-``(S, R)`` and hashes ``conditional_expectation(ctx, x, R)``; then it hashes
-the ``repr`` of ``relative_commutant_check(ctx, I, J)`` for every nonempty
-``I`` and every ``J`` disjoint from it.  It prints the number of outputs and
-their SHA-256.  A refactor of the operator module that keeps the arithmetic
-keeps the hash.  The file has no ``test_`` prefix, so pytest does not
-collect it.
+``(S, R)`` and hashes ``conditional_expectation(x, R)``; then it hashes
+``parity_unitary(R)`` and ``monomial_basis(R)`` for every region ``R``, and
+the ``repr`` of ``relative_commutant_check(I, J)`` for every nonempty ``I``
+and every ``J`` disjoint from it.  It prints the number of outputs and their
+SHA-256.  A refactor of the operator module that keeps the arithmetic keeps
+the hash.  A tree whose operator functions still take a lattice first (an
+``AlgebraContext`` named ``ctx``) is called with the ``n``-site one, so the
+script compares trees on either side of that signature change.  The file
+has no ``test_`` prefix, so pytest does not collect it.
 """
 
 import hashlib
+import inspect
 import itertools
 
 import numpy as np
@@ -24,6 +28,8 @@ from carentropy import (
     Region,
     build_context,
     conditional_expectation,
+    monomial_basis,
+    parity_unitary,
     relative_commutant_check,
 )
 
@@ -34,26 +40,40 @@ def subsets(n):
         yield from itertools.combinations(sites, k)
 
 
+def call(fn, n, *args):
+    """``fn(*args)``, with the ``n``-site lattice first where ``fn`` takes one."""
+    if "ctx" in inspect.signature(fn).parameters:
+        return fn(build_context(n), *args)
+    return fn(*args)
+
+
 def main() -> None:
     digest = hashlib.sha256()
     count = 0
+
+    def add(label, *matrices):
+        nonlocal count
+        digest.update(repr(label).encode())
+        for m in matrices:
+            digest.update(m.tobytes())
+        count += 1
+
     for n in range(1, 6):
-        ctx = build_context(n)
         rng = np.random.default_rng(n)
         for S in subsets(n):
             for R in subsets(n):
                 d = 2 ** len(S)
                 x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                 x[rng.random(size=x.shape) < 0.2] = -0.0
-                out = conditional_expectation(ctx, OperatorElement(Region(S), x), Region(R))
-                digest.update(repr((S, R, out.region.sites)).encode())
-                digest.update(out.matrix.tobytes())
-                count += 1
+                out = call(conditional_expectation, n, OperatorElement(Region(S), x), Region(R))
+                add((S, R, out.region.sites), out.matrix)
+        for R in subsets(n):
+            add(("v", R), call(parity_unitary, n, Region(R)).matrix)
+            add(("basis", R), *(e.matrix for e in call(monomial_basis, n, Region(R))))
         for I in subsets(n):
             for J in subsets(n):
                 if I and not set(I) & set(J):
-                    digest.update(repr(relative_commutant_check(ctx, Region(I), Region(J))).encode())
-                    count += 1
+                    add(call(relative_commutant_check, n, Region(I), Region(J)))
     print(count, digest.hexdigest())
 
 

@@ -73,7 +73,6 @@ def test_criterion_01_car_and_commutant():
                 want = eye if (gi % n == gj % n and (gi < n) != (gj < n)) else 0.0
                 assert np.abs(ac - want).max() <= 1e-12
 
-        ctx5 = build_context(5)
         sites = range(1, 6)
         pairs = 0
         for p in range(1, 6):
@@ -81,9 +80,7 @@ def test_criterion_01_car_and_commutant():
                 rest = [s for s in sites if s not in I_sites]
                 for q in range(0, 6 - p):
                     for J_sites in itertools.combinations(rest, q):
-                        check = relative_commutant_check(
-                            ctx5, Region(I_sites), Region(J_sites)
-                        )
+                        check = relative_commutant_check(Region(I_sites), Region(J_sites))
                         assert check.ok, (I_sites, J_sites, check)
                         pairs += 1
         assert pairs == 211

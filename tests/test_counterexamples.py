@@ -129,7 +129,7 @@ class TestU1:
     def test_expectation_vanishes_on_default_state(self, ctx2):
         K = Region((1,))
         rho1 = odd_eigenvector_state(ctx2, K)
-        u1 = parity_unitary(ctx2, K).matrix
+        u1 = parity_unitary(K).matrix
         assert abs(np.trace(rho1.intrinsic() @ u1)) <= 1e-12
 
 
@@ -293,14 +293,16 @@ def twisted_product(rho1, rho2_tilde):
 
 
 @st.composite
-def twisted_cases(draw):
-    """K, I and J drawn from a shuffle of 6 sites, so K falls before, after or
-    between I's sites; the states are random, of any parity and rank."""
-    sites = draw(st.permutations(range(1, 7)))
-    k, i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    j = draw(st.integers(0, 6 - k - i))
+def twisted_cases(draw, n=6, most=3, ranks=64):
+    """K, I and J drawn from a shuffle of ``n`` sites, so K falls before, after or
+    between I's sites; K and I have at most ``most`` sites each.  The states are
+    random, of any parity; their ranks are drawn below ``ranks``."""
+    sites = draw(st.permutations(range(1, n + 1)))
+    k, i = draw(st.integers(1, most)), draw(st.integers(1, most))
+    j = draw(st.integers(0, n - k - i))
     K, I, J = (tuple(sorted(sites[a:b])) for a, b in ((0, k), (k, k + i), (k + i, k + i + j)))
-    return K, I, J, draw(st.integers(0, 63)), draw(st.integers(0, 63)), draw(st.integers(0, 2 ** 32 - 1))
+    r1, r2 = draw(st.integers(0, ranks - 1)), draw(st.integers(0, ranks - 1))
+    return K, I, J, r1, r2, draw(st.integers(0, 2 ** 32 - 1))
 
 
 class TestTwistedProduct:
@@ -312,12 +314,12 @@ class TestTwistedProduct:
     """
 
     @staticmethod
-    def states(case):
+    def states(case, n=6):
         K, I, J, rank1, rank2, seed = case
-        ctx = build_context(6)
+        ctx = build_context(n)
         rho1 = random_state(ctx, Region(K), rank=1 + rank1 % 2 ** len(K), seed=seed)
         tilde = random_state(ctx, Region(I), rank=1 + rank2 % 2 ** len(I), seed=seed + 1)
-        c = float(np.trace(rho1.intrinsic() @ parity_unitary(ctx, rho1.region).matrix).real)
+        c = float(np.trace(rho1.intrinsic() @ parity_unitary(rho1.region).matrix).real)
         mixture = (1 + c) / 2 * tilde.intrinsic() + (1 - c) / 2 * tilde.theta_image().intrinsic()
         return ctx, rho1, tilde, mixture
 
@@ -337,8 +339,21 @@ class TestTwistedProduct:
     @example(((5, 6), (1, 3), (2,), 1, 2, 1))
     @example(((2, 4), (1, 3, 5), (6,), 3, 7, 2))
     def test_mono_ssa_gap_closed_form(self, case):
-        ctx, rho1, tilde, mixture = self.states(case)
-        rhoJ = random_state(ctx, Region(case[2]), even=True, seed=case[5] + 2)
+        self.check_closed_form(case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(twisted_cases(n=12, most=6, ranks=2))
+    @example(((2, 4, 6, 8, 10, 12), (1, 3, 5, 7, 9, 11), (), 1, 1, 0))  # K between I's sites
+    @example(((3, 4, 9), (1, 2, 5, 10, 11, 12), (6, 7, 8), 0, 1, 1))
+    @example(((7, 8, 9, 10, 11, 12), (1, 2, 3, 4, 5, 6), (), 1, 0, 2))  # K after I
+    def test_mono_ssa_gap_closed_form_on_twelve_sites(self, case):
+        # every term lives on at most 6 sites; the joint state has no 2^12 oracle.
+        # A low-rank rhoJ keeps the 12-site factor narrow.
+        self.check_closed_form(case, n=12, rank_J=min(2, 2 ** len(case[2])))
+
+    def check_closed_form(self, case, n=6, rank_J=None):
+        ctx, rho1, tilde, mixture = self.states(case, n)
+        rhoJ = random_state(ctx, Region(case[2]), even=True, rank=rank_J, seed=case[5] + 2)
         full = product_extension(twisted_product(rho1, tilde), rhoJ)
         gap = mono_ssa_gap(full, tilde.region, rhoJ.region, rho1.region)
         closed = 2 * entropy(rho1) + entropy(tilde) - vn_entropy(mixture)

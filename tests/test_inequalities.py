@@ -191,20 +191,20 @@ class TestCommutingSquare:
         # an odd element of the union is traceless, so the expectation onto
         # the trivial intersection sends it to zero
         x = OperatorElement(Region((1,)), np.array([[0.0, 1.0], [0.0, 0.0]]))
-        e = conditional_expectation(ctx3, x, Region(()))
+        e = conditional_expectation(x, Region(()))
         assert e.matrix.shape == (1, 1)
         assert np.abs(e.matrix).max() <= 1e-12
 
-    def test_elements_of_intersection_fixed(self, ctx3):
+    def test_elements_of_intersection_fixed(self):
         # E onto a larger region leaves an element of the intersection as it
         # is: its image there, lifted by oracles.lift, is the global oracle matrix
         inter = Region((2,))
-        for elem, glob in zip(monomial_basis(ctx3, inter), monomials_on(jw_annihilators(3), [1])):
+        for elem, glob in zip(monomial_basis(inter), monomials_on(jw_annihilators(3), [1])):
             for outer in (Region((1, 2)), Region((2, 3))):
-                out = conditional_expectation(ctx3, elem, outer)
+                out = conditional_expectation(elem, outer)
                 lifted = lift(out.matrix, 3, outer.sites)
                 assert np.abs(lifted - glob).max() <= 1e-12
-                back = conditional_expectation(ctx3, out, inter)
+                back = conditional_expectation(out, inter)
                 assert np.abs(back.matrix - elem.matrix).max() <= 1e-12
 
 

@@ -160,7 +160,7 @@ class TestSymmetricPurification:
         # purification commutes with the union parity unitary.
         rho = random_state(ctx2, Region((1,)), even=True, seed=11)
         ext = symmetric_purification(rho, Region((2,)))
-        v = parity_unitary(ctx2, Region((1, 2))).matrix
+        v = parity_unitary(Region((1, 2))).matrix
         d = ext.intrinsic()
         assert np.abs(v @ d @ v - d).max() <= 1e-10
 
@@ -192,7 +192,7 @@ class TestSymmetricPurification:
         # column has entries of both parities, though the state is even.
         I = Region((1, 3))
         rho = symmetrize(odd_eigenvector_state(ctx4, I))
-        par = parity_unitary(ctx4, I).matrix.diagonal().real
+        par = parity_unitary(I).matrix.diagonal().real
         assert (rho.factor[par > 0].any(axis=0) & rho.factor[par < 0].any(axis=0)).all()
         ext = symmetric_purification(rho, Region((2, 4)))
         assert is_even(ext)

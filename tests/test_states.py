@@ -13,6 +13,7 @@ from carentropy import (
     State,
     build_context,
     commuting_square_check,
+    conditional_expectation,
     density_distance,
     entropy,
     inequality_report,
@@ -21,9 +22,11 @@ from carentropy import (
     mono_ssa_gap,
     monotonicity_curve,
     p_theta,
+    parity_unitary,
     product_extension,
     pure_extension,
     random_state,
+    relative_commutant_check,
     relative_entropy,
     restrict,
     spectral_data,
@@ -314,6 +317,18 @@ class TestMalformedInput:
             pytest.param(
                 lambda s, r, A, B, C: commuting_square_check(s, A, (2,)), id="commuting_square-J"
             ),
+            pytest.param(
+                lambda s, r, A, B, C: conditional_expectation(OperatorElement(A, np.eye(2)), (2,)),
+                id="conditional_expectation",
+            ),
+            pytest.param(
+                lambda s, r, A, B, C: relative_commutant_check((1,), B), id="relative_commutant-I"
+            ),
+            pytest.param(
+                lambda s, r, A, B, C: relative_commutant_check(A, (2,)), id="relative_commutant-J"
+            ),
+            pytest.param(lambda s, r, A, B, C: monomial_basis((1,)), id="monomial_basis"),
+            pytest.param(lambda s, r, A, B, C: parity_unitary((1,)), id="parity_unitary"),
         ],
     )
     def test_plain_tuple_region_refused_past_the_constructors(self, ctx4, call):
@@ -322,6 +337,12 @@ class TestMalformedInput:
         rho1 = random_state(ctx4, Region((1,)), even=True, seed=1)
         with pytest.raises(ValueError, match="must be a Region, got tuple"):
             call(phi, rho1, Region((1,)), Region((2,)), Region((3,)))
+
+    @pytest.mark.parametrize("call", [parity_unitary, monomial_basis])
+    def test_bare_site_refused_by_the_operator_picture(self, call):
+        # without the entry check a site number ended in len()'s or .sites' error
+        with pytest.raises(ValueError, match="must be a Region, got int"):
+            call(1)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(np.inf, 1.0), np.nan])
     def test_non_finite_tau_form_refused_without_warning(self, ctx1, bad):
@@ -415,7 +436,7 @@ class TestRestrict:
         s = random_state(ctx3, Region((1, 2, 3)), seed=10)
         r = restrict(s, Region((2, 3)))
         for elem, glob in zip(
-            monomial_basis(ctx3, Region((2, 3))), monomials_on(jw_annihilators(3), [1, 2])
+            monomial_basis(Region((2, 3))), monomials_on(jw_annihilators(3), [1, 2])
         ):
             assert abs(value(s, glob) - value(r, glob)) <= 1e-10
             # phi(x) = Tr(D x) on the local image
