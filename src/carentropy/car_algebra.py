@@ -19,6 +19,8 @@ read-only, and a basis over ``MAX_BASIS_BYTES`` raises
 
 A :class:`Region` is its sites and their bit mask.  Its set algebra is one
 mask operation, and :func:`_of_mask` checks a derived region once per mask.
+Each rule that refuses a region argument is one ``_require_*`` helper here,
+with one wording and a :class:`CarError`; ``check_region`` is the lattice's.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, CarError
 
 __all__ = [
     "Region",
@@ -64,9 +66,9 @@ class Region:
         sites = _integer_sites(self.sites)
         object.__setattr__(self, "sites", sites)
         if not all(1 <= s <= MAX_SITES for s in sites):
-            raise ValueError(f"sites must be in [1, {MAX_SITES}], got {sites}")
+            raise CarError(f"sites must be in [1, {MAX_SITES}], got {sites}")
         if any(a >= b for a, b in zip(sites, sites[1:])):
-            raise ValueError(f"sites must be strictly increasing, got {sites}")
+            raise CarError(f"sites must be strictly increasing, got {sites}")
         object.__setattr__(self, "mask", sum(1 << (s - 1) for s in sites))
 
     @classmethod
@@ -102,7 +104,7 @@ def _integer_sites(sites) -> tuple[int, ...]:
     try:
         return tuple(operator.index(s) for s in sites)
     except TypeError:
-        raise ValueError(f"sites must be integers, got {sites}") from None
+        raise CarError(f"sites must be integers, got {sites}") from None
 
 
 @functools.lru_cache(maxsize=2 ** MAX_SITES)
@@ -113,7 +115,34 @@ def _of_mask(mask: int) -> Region:
 
 def _require_region(region) -> None:
     if not isinstance(region, Region):
-        raise ValueError(f"a region must be a Region, got {type(region).__name__}")
+        raise CarError(f"a region must be a Region, got {type(region).__name__}")
+
+
+def _require_within(outer: Region, **regions) -> None:
+    for name, region in regions.items():
+        _require_region(region)
+        if not region.issubset(outer):
+            raise CarError(f"region {name}={region.sites} not contained in {outer.sites}")
+
+
+def _require_disjoint(**regions: Region) -> None:
+    masks = [region.mask for region in regions.values()]
+    if sum(masks) != functools.reduce(operator.or_, masks):  # a bit in two masks
+        *names, last = regions
+        listing = ", ".join(f"{name}={region.sites}" for name, region in regions.items())
+        raise CarError(f"{', '.join(names)} and {last} must be disjoint regions, got {listing}")
+
+
+def _require_on(expected: Region, **states) -> None:
+    for name, state in states.items():
+        if state.region != expected:
+            raise CarError(f"{name} lives on {state.region.sites}, expected {expected.sites}")
+
+
+def _require_nonempty(**regions: Region) -> None:
+    for name, region in regions.items():
+        if not region.sites:
+            raise CarError(f"{name} must be nonempty")
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,7 +236,7 @@ class AlgebraContext:
 
     def __init__(self, n: int):
         if not isinstance(n, (int, np.integer)) or not 1 <= int(n) <= MAX_SITES:
-            raise ValueError(f"site count must be an integer in [1, {MAX_SITES}], got {n!r}")
+            raise CarError(f"site count must be an integer in [1, {MAX_SITES}], got {n!r}")
         self.n = int(n)
         self.dim = 2 ** self.n
         self.lattice = Region(tuple(range(1, self.n + 1)))
@@ -221,12 +250,12 @@ class AlgebraContext:
     def check_region(self, region: Region) -> Region:
         _require_region(region)
         if not region.issubset(self.lattice):
-            raise ValueError(f"region {region.sites} exceeds lattice of {self.n} sites")
+            raise CarError(f"region {region.sites} exceeds lattice of {self.n} sites")
         return region
 
     def annihilator(self, i: int) -> np.ndarray:
         if not 1 <= i <= self.n:
-            raise ValueError(f"site {i} outside lattice [1, {self.n}]")
+            raise CarError(f"site {i} outside lattice [1, {self.n}]")
         if i not in self._ann:
             factors = [_PAULI_Z] * (i - 1) + [_LOWERING] + [_EYE2] * (self.n - i)
             m = factors[0]

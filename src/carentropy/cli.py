@@ -41,6 +41,7 @@ import numpy as np
 
 from .car_algebra import Region, build_context
 from .counterexamples import violation_demo
+from .errors import CarError
 from .inequalities import InequalityReport, inequality_report
 from .states import random_state, tracial_state
 from .tolerances import HOLD_TOL
@@ -82,7 +83,7 @@ def _parse_region(text: str) -> Region:
     try:
         sites = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValueError(f"bad region spec {text!r}: {exc}") from None
+        raise CarError(f"bad region spec {text!r}: {exc}") from None
     return Region.of(*sites)
 
 
@@ -371,6 +372,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.trials < 1:
         parser.error("--trials must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be a non-negative integer")
     if args.command == "table1" and args.sites < 3:
         parser.error("table1 runs the mono-ssa suite, which needs at least 3 sites")
 
@@ -412,7 +415,7 @@ def main(argv=None) -> int:
         )
         run = {"verify": cmd_verify, "counterexample": cmd_counterexample, "table1": cmd_table1}
         return run[args.command](config)
-    except ValueError as exc:  # every CarError is a ValueError
+    except ValueError as exc:  # a CarError, or numpy's refusal of an argument passed through
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

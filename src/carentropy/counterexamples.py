@@ -61,7 +61,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import AlgebraContext, Region, _readonly
+from .car_algebra import (
+    AlgebraContext, Region, _readonly, _require_disjoint, _require_nonempty, _require_on,
+)
+from .errors import CarError
 from .inequalities import InequalityReport, _Marginals, _mono_ssa, _report, _ssa, _triangle
 from .states import (
     State,
@@ -111,8 +114,7 @@ def odd_eigenvector_state(ctx: AlgebraContext, K: Region) -> State:
     :func:`~carentropy.states.vector_state` and :class:`ExtensionRecipe`,
     which checks it.
     """
-    if not ctx.check_region(K).sites:
-        raise ValueError("K must be nonempty")
+    _require_nonempty(K=ctx.check_region(K))
     return vector_state(ctx, K, _default_odd_vector(len(K)))
 
 
@@ -131,7 +133,7 @@ class ExtensionRecipe:
 
     ``rho1`` is a maximally odd pure state and ``rho2_tilde`` a state that
     differs from its parity image; their regions ``K`` and ``I`` are
-    disjoint.  ``__post_init__`` raises ``ValueError`` otherwise, so
+    disjoint.  ``__post_init__`` raises ``CarError`` otherwise, so
     ``dataclasses.replace`` re-checks a state it swaps in, and moves its region.
     """
 
@@ -139,17 +141,16 @@ class ExtensionRecipe:
     rho2_tilde: State
 
     def __post_init__(self) -> None:
-        if not self.K.isdisjoint(self.I):
-            raise ValueError("K and I must be disjoint")
+        _require_disjoint(K=self.K, I=self.I)
         if not p_theta(self.rho1) <= P_THETA_TOL:
-            raise ValueError(
+            raise CarError(
                 "rho1 must be maximally odd (p_theta = 0); the functional formula "
                 "is not a state extension otherwise"
             )
         if not entropy(self.rho1) <= PURITY_TOL:
-            raise ValueError("rho1 must be pure")
+            raise CarError("rho1 must be pure")
         if not density_distance(self.rho2_tilde, self.rho2_tilde.theta_image()) > ODDNESS_MIN:
-            raise ValueError("rho2_tilde must differ from its parity image")
+            raise CarError("rho2_tilde must differ from its parity image")
 
     @property
     def K(self) -> Region:
@@ -186,14 +187,10 @@ def build_recipe(
     ``rho2_tilde`` must live on ``I``, and the recipe checks itself on
     construction.
     """
-    ctx.check_region(I)
-    if not I.sites:
-        raise ValueError("I must be nonempty")
+    _require_nonempty(I=ctx.check_region(I))
     rho1 = odd_eigenvector_state(ctx, K)
-    if rho2_tilde is None:
-        rho2_tilde = odd_eigenvector_state(ctx, I)
-    elif rho2_tilde.region != I:
-        raise ValueError(f"rho2_tilde lives on {rho2_tilde.region.sites}, expected {I.sites}")
+    rho2_tilde = odd_eigenvector_state(ctx, I) if rho2_tilde is None else rho2_tilde
+    _require_on(I, rho2_tilde=rho2_tilde)
     return ExtensionRecipe(rho1, rho2_tilde)
 
 
@@ -238,14 +235,11 @@ def violation_demo(
     Expected pattern: the monotonicity-form gap on (I, J; K) and the
     triangle gap on (I, K) are negative (``-ln 2`` with the defaults) while
     the strong subadditivity gap on the overlapping pair (K u I, K u J)
-    stays nonpositive.  Each of the six report regions is restricted once:
-    the entropies and the K, I and J residuals share those marginals.
+    stays nonpositive.
     """
     recipe = build_recipe(ctx, K, I, rho2_tilde=rho2_tilde)
-    if rhoJ is None:
-        rhoJ = tracial_state(ctx, J)
-    elif rhoJ.region != ctx.check_region(J):
-        raise ValueError(f"rhoJ lives on {rhoJ.region.sites}, expected {J.sites}")
+    rhoJ = tracial_state(ctx, J) if rhoJ is None else rhoJ
+    _require_on(ctx.check_region(J), rhoJ=rhoJ)
     full = product_extension(joint_extension(recipe), rhoJ)
 
     S = _Marginals(full)

@@ -1,10 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: every refusal that carentropy
+raises itself is a :class:`CarError`, a ``ValueError``; numpy's errors for an
+argument passed straight through (a bad ``seed``) stay numpy's."""
 
 __all__ = ["CarError", "NotAStateError", "CapacityError", "ExtensionError"]
 
 
 class CarError(ValueError):
-    """Base class for domain errors raised by carentropy."""
+    """Base class of every refusal carentropy raises: bad input or a broken region rule."""
 
 
 class NotAStateError(CarError):

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .car_algebra import Region, _require_region
+from .car_algebra import Region, _require_disjoint, _require_on, _require_within
 from .errors import CarError
 from .states import State, entropy, is_even, restrict
 from .tolerances import HOLD_TOL, VIOLATION_TOL
@@ -75,9 +75,11 @@ def classify_gap(kind: str, gap: float) -> str:
     """Map a gap value to ``holds`` / ``violated`` / ``indeterminate``.
 
     ``ssa`` holds on the nonpositive side; ``triangle`` and ``mono_ssa``
-    hold on the nonnegative side; a gap that is not finite raises
-    :class:`CarError`.
+    hold on the nonnegative side; another kind, or a gap that is not
+    finite, raises :class:`CarError`.
     """
+    if kind not in ("ssa", "triangle", "mono_ssa"):
+        raise CarError(f"gap kind must be 'ssa', 'triangle' or 'mono_ssa', got {kind!r}")
     if not math.isfinite(gap):
         raise CarError(f"{kind} gap is {gap}, not a finite number")
     signed = -gap if kind == "ssa" else gap
@@ -86,13 +88,6 @@ def classify_gap(kind: str, gap: float) -> str:
     if signed < -VIOLATION_TOL:
         return "violated"
     return "indeterminate"
-
-
-def _contained(state: State, **regions: Region) -> None:
-    for name, region in regions.items():
-        _require_region(region)
-        if not region.issubset(state.region):
-            raise ValueError(f"region {name}={region.sites} not contained in {state.region.sites}")
 
 
 class _Marginals:
@@ -135,23 +130,21 @@ def _mono_ssa(S: Callable[[Region], float], I: Region, J: Region, K: Region) -> 
 
 def ssa_gap(state: State, I: Region, J: Region) -> float:
     """Strong subadditivity gap; overlap between ``I`` and ``J`` is allowed."""
-    _contained(state, I=I, J=J)
+    _require_within(state.region, I=I, J=J)
     return _ssa(_Marginals(state), I, J)
 
 
 def triangle_gap(state: State, I: Region, J: Region) -> float:
     """Triangle gap for disjoint regions; negative means violation."""
-    _contained(state, I=I, J=J)
-    if not I.isdisjoint(J):
-        raise ValueError(f"triangle inequality needs disjoint regions, got {I.sites}, {J.sites}")
+    _require_within(state.region, I=I, J=J)
+    _require_disjoint(I=I, J=J)
     return _triangle(_Marginals(state), I, J)
 
 
 def mono_ssa_gap(state: State, I: Region, J: Region, K: Region) -> float:
     """Monotonicity-form gap for mutually disjoint I, J, K; negative = violation."""
-    _contained(state, I=I, J=J, K=K)
-    if not (I.isdisjoint(J) and I.isdisjoint(K) and J.isdisjoint(K)):
-        raise ValueError("regions I, J, K must be mutually disjoint")
+    _require_within(state.region, I=I, J=J, K=K)
+    _require_disjoint(I=I, J=J, K=K)
     return _mono_ssa(_Marginals(state), I, J, K)
 
 
@@ -159,14 +152,14 @@ def monotonicity_curve(
     state: State, I: Region, J: Region, chain: list[Region]
 ) -> list[float]:
     """Values of ``K -> S(K u I) + S(K u J)`` along a nested chain of K's."""
-    _contained(state, I=I, J=J)
+    _require_within(state.region, I=I, J=J)
     previous: Region | None = None
     for K in chain:
-        _contained(state, K=K)
-        if not (K.isdisjoint(I) and K.isdisjoint(J)):
-            raise ValueError(f"chain element {K.sites} overlaps I or J")
+        _require_within(state.region, K=K)
+        _require_disjoint(K=K, I=I)
+        _require_disjoint(K=K, J=J)
         if previous is not None and not previous.issubset(K):
-            raise ValueError(f"chain is not nested at {K.sites}")
+            raise CarError(f"chain is not nested at {K.sites}")
         previous = K
     S = _Marginals(state)
     return [S(K.union(I)) + S(K.union(J)) for K in chain]
@@ -193,10 +186,9 @@ class MixingBoundsReport:
 
 def mixing_bounds_check(phi: State, psi: State, lam: float) -> MixingBoundsReport:
     """Check concavity and the mixing upper bound for the convex combination."""
-    if phi.region != psi.region:
-        raise ValueError("mixing requires a common region")
+    _require_on(phi.region, psi=psi)
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
+        raise CarError(f"lam must be in [0, 1], got {lam}")
     stacked = np.hstack([math.sqrt(lam) * phi.factor, math.sqrt(1.0 - lam) * psi.factor])
     mixture = State(phi.region, stacked)
     s_mix = entropy(mixture)
@@ -238,15 +230,13 @@ def inequality_report(
     mutually disjoint region K.  Every given region, K included, must lie
     in the state's region.
     """
-    _contained(state, I=I, J=J)
-    if K is not None:
-        _contained(state, K=K)
+    regions = {"I": I, "J": J} if K is None else {"I": I, "J": J, "K": K}
+    _require_within(state.region, **regions)
     S = _Marginals(state)  # shared by the three gaps: each region costs one entropy
     disjoint = I.isdisjoint(J)
     gaps = {"ssa": _ssa(S, I, J), "triangle": _triangle(S, I, J) if disjoint else None}
     if K is not None and disjoint and K.isdisjoint(I) and K.isdisjoint(J):
         gaps["mono_ssa"] = _mono_ssa(S, I, J, K)
-    regions = {"I": I, "J": J} if K is None else {"I": I, "J": J, "K": K}
     return _report(InequalityReport, state, regions, gaps)
 
 

@@ -13,8 +13,8 @@ identity ``A(I)' n A(I u J) = A(J)_+ + v_I A(J)_-``, which underlies
 The state core (``states``, ``purification``, ``inequalities``,
 ``counterexamples``, ``cli``) imports nothing from here.  All operations are
 pure functions on dense ``complex128`` images; an operator of ``A(R)`` costs
-``4^|R|`` entries whatever ``n`` is.  No function takes a lattice: each
-checks only that a region is a :class:`Region`.  Only :func:`monomial_basis`
+``4^|R|`` entries whatever ``n`` is.  No function takes a lattice, so none
+checks a region against one.  Only :func:`monomial_basis`
 and :func:`relative_commutant_check` build a basis, on a cached ``|R|``-site
 (respectively ``|I u J|``-site) lattice, the only lattice the module knows.
 """
@@ -26,8 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import AlgebraContext, Region, _local_parity_diag, _reorder_rows, _require_region
-from .inequalities import _contained
+from .car_algebra import (
+    AlgebraContext, Region, _local_parity_diag, _reorder_rows, _require_disjoint,
+    _require_nonempty, _require_region, _require_within,
+)
+from .errors import CarError
 from .states import State, restrict
 from .tolerances import (
     CAR_ATOL, COMMUTING_SQUARE_TOL, NULLSPACE_RESIDUAL_TOL, ODD_WITNESS_MIN, RANK_TOL,
@@ -58,7 +61,7 @@ class OperatorElement:
         _require_region(self.region)
         d = 2 ** len(self.region)
         if np.shape(self.matrix) != (d, d):
-            raise ValueError(
+            raise CarError(
                 f"an element of A{self.region.sites} is a {d}x{d} image, "
                 f"got shape {np.shape(self.matrix)}"
             )
@@ -204,19 +207,15 @@ def relative_commutant_check(I: Region, J: Region) -> CommutantCheck:
     """
     _require_region(I)
     _require_region(J)
-    if not I.sites:
-        raise ValueError("I must be nonempty")
-    if not I.isdisjoint(J):
-        raise ValueError(f"regions overlap: {I.sites} and {J.sites}")
+    _require_nonempty(I=I)
+    _require_disjoint(I=I, J=J)
 
     union = I.union(J)
     local = _local_context(len(union))
     pos_I = tuple(union.sites.index(s) + 1 for s in I.sites)
     bJ = local.basis(tuple(union.sites.index(s) + 1 for s in J.sites))
-    # v_I is the diagonal prod_{p in pos_I} (2 bit_p - 1), mode p on the bit of
-    # weight 2^(|I u J| - p) as in _reorder_plan, so v_I @ m is a row scaling
-    bits = np.arange(local.dim)[:, None] >> (local.n - np.array(pos_I))
-    v_I = np.prod(2.0 * (bits & 1) - 1.0, axis=1)
+    # v_I is diagonal, so v_I @ m is a row scaling
+    v_I = np.diag(conditional_expectation(parity_unitary(I), union).matrix).real
     twisted = v_I[None, :, None] * bJ.mats
     candidate = np.where((bJ.parity > 0)[:, None, None], bJ.mats, twisted)
 
@@ -285,7 +284,7 @@ def commuting_square_check(
     state: State, I: Region, J: Region, *, trials: int = 8, seed=0
 ) -> CommutingSquareReport:
     """Verify the commuting-square property on operators and on the state."""
-    _contained(state, I=I, J=J)
+    _require_within(state.region, I=I, J=J)
     inter = I.intersection(J)
     union = I.union(J)
 

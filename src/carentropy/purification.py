@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .car_algebra import Region, _parity_rows, _reorder_rows, _require_region
-from .errors import CapacityError
+from .car_algebra import Region, _parity_rows, _reorder_rows, _require_disjoint, _require_region
+from .errors import CapacityError, CarError
 from .states import State, _phase_fixed, is_even
 from .tolerances import EIG_FLOOR, NORM_TOL, SCHMIDT_TOL
 
@@ -69,10 +69,10 @@ def schmidt(vector: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     d1, d2 = dims
     vector = np.asarray(vector, dtype=complex).ravel()
     if vector.size != d1 * d2:
-        raise ValueError(f"vector length {vector.size} != {d1} * {d2}")
+        raise CarError(f"vector length {vector.size} != {d1} * {d2}")
     norm = float(np.linalg.norm(vector))
     if not abs(norm - 1.0) <= NORM_TOL:
-        raise ValueError(f"vector norm {norm:.12f} is not 1")
+        raise CarError(f"vector norm {norm:.12f} is not 1")
     u, s, vh = np.linalg.svd(vector.reshape(d1, d2), full_matrices=False)
     keep = s > SCHMIDT_TOL
     return SchmidtDecomposition(s[keep], u[:, keep], vh[keep, :].T)
@@ -121,8 +121,7 @@ def pure_extension(rho1: State, J: Region) -> State:
     ``2^|J|`` at least as large as the rank of ``rho1``.
     """
     _require_region(J)
-    if not rho1.region.isdisjoint(J):
-        raise ValueError(f"regions overlap: {rho1.region.sites} and {J.sites}")
+    _require_disjoint(I=rho1.region, J=J)
     rows, partners = np.arange(2 ** len(rho1.region)), np.arange(2 ** len(J))
     return _purify(rho1, J, rows[None], partners[None])
 
@@ -139,8 +138,7 @@ def symmetric_purification(rho1: State, J: Region) -> State:
     when ``|J| >= |I|``.
     """
     _require_region(J)
-    if not rho1.region.isdisjoint(J):
-        raise ValueError(f"regions overlap: {rho1.region.sites} and {J.sites}")
+    _require_disjoint(I=rho1.region, J=J)
     if not is_even(rho1):
-        raise ValueError("symmetric purification requires an even input state")
+        raise CarError("symmetric purification requires an even input state")
     return _purify(rho1, J, _parity_rows(len(rho1.region)), _parity_rows(len(J)))

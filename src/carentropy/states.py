@@ -56,22 +56,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .car_algebra import (
-    AlgebraContext,
-    Region,
-    _local_parity_diag,
-    _parity_rows,
-    _reorder_rows,
-    _require_region,
+    AlgebraContext, Region, _local_parity_diag, _parity_rows, _reorder_rows, _require_disjoint,
+    _require_on, _require_region, _require_within,
 )
-from .errors import ExtensionError, NotAStateError
+from .errors import CarError, ExtensionError, NotAStateError
 from .tolerances import (
-    EIG_FLOOR,
-    EVEN_TOL,
-    HERMITICITY_TOL,
-    NEGATIVE_EIG_TOL,
-    NORM_TOL,
-    SUPPORT_TOL,
-    TRACE_TOL,
+    EIG_FLOOR, EVEN_TOL, HERMITICITY_TOL, NEGATIVE_EIG_TOL, NORM_TOL, SUPPORT_TOL, TRACE_TOL,
 )
 
 __all__ = [
@@ -130,7 +120,7 @@ class State:
         d = 2 ** len(self.region)
         factor = self.factor
         if not isinstance(factor, np.ndarray) or factor.ndim != 2 or factor.shape[0] != d:
-            raise ValueError(f"factor must have {d} rows for region {self.region.sites}")
+            raise CarError(f"factor must have {d} rows for region {self.region.sites}")
         trace = np.vdot(factor, factor).real
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise NotAStateError(f"Tr(density) = {trace:.12f}, expected 1")
@@ -175,7 +165,7 @@ def state_from_intrinsic(ctx: AlgebraContext, region: Region, density: np.ndarra
     density = np.asarray(density, dtype=complex)
     d = 2 ** len(region)
     if density.shape != (d, d):
-        raise ValueError(f"density must be {d}x{d} for region {region.sites}")
+        raise CarError(f"density must be {d}x{d} for region {region.sites}")
     if not np.isfinite(density).all():
         raise NotAStateError("density has a non-finite entry")
     residual = float(np.abs(density - density.conj().T).max())
@@ -200,10 +190,10 @@ def vector_state(ctx: AlgebraContext, region: Region, vec: np.ndarray) -> State:
     ctx.check_region(region)
     vec = np.asarray(vec, dtype=complex).ravel()
     if vec.size != 2 ** len(region):
-        raise ValueError(f"vector must have length {2 ** len(region)} for region {region.sites}")
+        raise CarError(f"vector must have length {2 ** len(region)} for region {region.sites}")
     norm = np.linalg.norm(vec)
     if not abs(norm - 1.0) <= NORM_TOL:
-        raise ValueError(f"vector norm {norm:.12f} is not 1")
+        raise CarError(f"vector norm {norm:.12f} is not 1")
     return State(region, vec[:, None])
 
 
@@ -230,9 +220,7 @@ def restrict(state: State, region: Region) -> State:
     identity, and the empty region carries the unique (entropy-zero) state
     of the scalars.
     """
-    _require_region(region)
-    if not region.issubset(state.region):
-        raise ValueError(f"region {region.sites} not contained in {state.region.sites}")
+    _require_within(state.region, R=region)
     if region == state.region:
         return state
     if not region.sites:
@@ -302,8 +290,7 @@ def transition_probability(phi: State, psi: State) -> float:
     finite dimensions; it is symmetric and equals 1 exactly when the states
     coincide.
     """
-    if phi.region != psi.region:
-        raise ValueError("transition probability requires a common region")
+    _require_on(phi.region, psi=psi)
     overlap = _narrow(phi.factor).conj().T @ _narrow(psi.factor)
     fid = float(np.linalg.svd(overlap, compute_uv=False).sum() ** 2)
     return min(max(fid, 0.0), 1.0)
@@ -320,8 +307,7 @@ def relative_entropy(omega: State, sigma: State) -> float:
     Returns ``inf`` (flagged value, no exception) when the support of
     ``omega`` is not contained in the support of ``sigma``.
     """
-    if omega.region != sigma.region:
-        raise ValueError("relative entropy requires a common region")
+    _require_on(omega.region, sigma=sigma)
     lam_s, u_s = np.linalg.eigh(sigma.intrinsic())
     support = lam_s > EIG_FLOOR
     # <u_i, D_omega u_i> = |X_omega* u_i|^2
@@ -389,9 +375,9 @@ def random_state(
     try:
         rank = d if rank is None else operator.index(rank)
     except TypeError:
-        raise ValueError(f"rank must be an integer, got {rank!r}") from None
+        raise CarError(f"rank must be an integer, got {rank!r}") from None
     if not 1 <= rank <= d:
-        raise ValueError(f"rank must be in [1, {d}], got {rank}")
+        raise CarError(f"rank must be in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
     weights = rng.exponential(size=rank)
     weights = weights / weights.sum()
@@ -420,8 +406,7 @@ def product_extension(state_a: State, state_b: State) -> State:
     factor is even; with the even factor's modes last, its factor is the
     Kronecker product of the two factors.
     """
-    if not state_a.region.isdisjoint(state_b.region):
-        raise ValueError("product extension requires disjoint regions")
+    _require_disjoint(A=state_a.region, B=state_b.region)
     b_even = is_even(state_b)
     if not (b_even or is_even(state_a)):
         raise ExtensionError(
@@ -454,6 +439,5 @@ def density_distance(a: State, b: State) -> float:
     The first value of the descending SVD: the same bits as
     ``np.linalg.norm(diff, 2)``, which takes the largest of that SVD.
     """
-    if a.region != b.region:
-        raise ValueError("states live on different regions")
+    _require_on(a.region, b=b)
     return float(np.linalg.svd(a.intrinsic() - b.intrinsic(), compute_uv=False)[0])

@@ -100,7 +100,8 @@ MUTANTS = (
     ),
     Mutant(
         "commutant_v_I_bits_reversed", "operators.py",
-        ">> (local.n - np.array(pos_I))", ">> (np.array(pos_I) - 1)",
+        "np.diag(conditional_expectation(parity_unitary(I), union).matrix).real",
+        "np.kron(_local_parity_diag(len(I)), np.ones(2 ** len(J)))",
         ("tests/test_car_algebra.py::TestRelativeCommutant",),
     ),
     Mutant(
@@ -136,8 +137,8 @@ MUTANTS = (
     ),
     Mutant(
         "check_region_type_check_dropped", "car_algebra.py",
-        "        _require_region(region)\n        if not region.issubset",
-        "        if not region.issubset",
+        "        _require_region(region)\n        if not region.issubset(self.lattice)",
+        "        if not region.issubset(self.lattice)",
         ("tests/test_states.py::TestMalformedInput::test_plain_tuple_region_refused",),
     ),
     Mutant(
@@ -157,16 +158,16 @@ MUTANTS = (
     ),
     Mutant(
         "restrict_region_type_check_dropped", "states.py",
-        "    _require_region(region)\n    if not region.issubset(state.region):\n",
-        "    if not region.issubset(state.region):\n",
+        "    _require_within(state.region, R=region)\n", "",
         (
             "tests/test_states.py::TestMalformedInput"
             "::test_plain_tuple_region_refused_past_the_constructors[restrict]",
         ),
     ),
     Mutant(
-        "contained_region_type_check_dropped", "inequalities.py",
-        "        _require_region(region)\n", "",
+        "contained_region_type_check_dropped", "car_algebra.py",
+        "        _require_region(region)\n        if not region.issubset(outer)",
+        "        if not region.issubset(outer)",
         (
             "tests/test_states.py::TestMalformedInput"
             "::test_plain_tuple_region_refused_past_the_constructors",
@@ -174,7 +175,7 @@ MUTANTS = (
     ),
     Mutant(
         "monotonicity_curve_I_J_unchecked", "inequalities.py",
-        "    _contained(state, I=I, J=J)\n    previous", "    previous",
+        "    _require_within(state.region, I=I, J=J)\n    previous", "    previous",
         ("tests/test_inequalities.py::TestMonotonicityCurve::test_J_outside_the_state_named",),
     ),
     Mutant(
@@ -248,8 +249,112 @@ MUTANTS = (
     ),
     Mutant(
         "odd_eigenvector_state_region_unchecked", "counterexamples.py",
-        "if not ctx.check_region(K).sites:", "if not K.sites:",
+        "_require_nonempty(K=ctx.check_region(K))", "_require_nonempty(K=K)",
         ("tests/test_states.py::TestMalformedInput::test_plain_tuple_region_refused",),
+    ),
+    Mutant(
+        "within_rule_containment_dropped", "car_algebra.py",
+        "if not region.issubset(outer):", "if False:",
+        (
+            "tests/test_inequalities.py::TestMonotonicityCurve::test_J_outside_the_state_named",
+            "tests/test_states.py::TestRestrict::test_requires_containment",
+        ),
+    ),
+    Mutant(
+        "disjoint_rule_dropped", "car_algebra.py",
+        "if sum(masks) != functools.reduce(operator.or_, masks):", "if False:",
+        ("tests/test_states.py::TestMalformedInput::test_overlapping_regions_refused",),
+    ),
+    Mutant(
+        "disjoint_rule_pairwise_only_first_two", "car_algebra.py",
+        "masks = [region.mask for region in regions.values()]",
+        "masks = [region.mask for region in regions.values()][:2]",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_overlapping_regions_refused[mono_ssa_gap]",
+        ),
+    ),
+    Mutant(
+        "on_rule_dropped", "car_algebra.py",
+        "if state.region != expected:", "if False:",
+        (
+            "tests/test_states.py::TestMalformedInput::test_state_off_the_expected_region_refused",
+            "tests/test_counterexamples.py::TestRecipeValidation",
+        ),
+    ),
+    Mutant(
+        "nonempty_rule_dropped", "car_algebra.py",
+        "        if not region.sites:\n            raise CarError",
+        "        if False:\n            raise CarError",
+        ("tests/test_states.py::TestMalformedInput::test_empty_region_refused",),
+    ),
+    Mutant(
+        "product_extension_overlap_unchecked", "states.py",
+        "    _require_disjoint(A=state_a.region, B=state_b.region)\n", "",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_overlapping_regions_refused[product_extension]",
+        ),
+    ),
+    Mutant(
+        "recipe_overlap_unchecked", "counterexamples.py",
+        "        _require_disjoint(K=self.K, I=self.I)\n", "",
+        ("tests/test_states.py::TestMalformedInput::test_overlapping_regions_refused[recipe]",),
+    ),
+    Mutant(
+        "triangle_gap_overlap_unchecked", "inequalities.py",
+        "    _require_disjoint(I=I, J=J)\n", "",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_overlapping_regions_refused[triangle_gap]",
+        ),
+    ),
+    Mutant(
+        "mono_ssa_gap_overlap_unchecked", "inequalities.py",
+        "    _require_disjoint(I=I, J=J, K=K)\n", "",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_overlapping_regions_refused[mono_ssa_gap]",
+        ),
+    ),
+    Mutant(
+        "monotonicity_curve_K_I_overlap_unchecked", "inequalities.py",
+        "        _require_disjoint(K=K, I=I)\n", "",
+        ("tests/test_states.py::TestMalformedInput::test_overlapping_regions_refused[curve-I]",),
+    ),
+    Mutant(
+        "monotonicity_curve_K_J_overlap_unchecked", "inequalities.py",
+        "        _require_disjoint(K=K, J=J)\n", "",
+        ("tests/test_states.py::TestMalformedInput::test_overlapping_regions_refused[curve-J]",),
+    ),
+    Mutant(
+        "pure_extension_overlap_unchecked", "purification.py",
+        "    _require_disjoint(I=rho1.region, J=J)\n    rows", "    rows",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_overlapping_regions_refused[pure_extension]",
+        ),
+    ),
+    Mutant(
+        "symmetric_purification_overlap_unchecked", "purification.py",
+        "    _require_disjoint(I=rho1.region, J=J)\n    if not is_even", "    if not is_even",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_overlapping_regions_refused[symmetric_purification]",
+        ),
+    ),
+    Mutant(
+        "relative_commutant_overlap_unchecked", "operators.py",
+        "    _require_disjoint(I=I, J=J)\n", "",
+        (
+            "tests/test_states.py::TestMalformedInput"
+            "::test_overlapping_regions_refused[relative_commutant]",
+        ),
+    ),
+    Mutant(
+        "classify_gap_kind_unchecked", "inequalities.py",
+        "    if kind not in (\"ssa\", \"triangle\", \"mono_ssa\"):\n", "    if False:\n",
+        ("tests/test_inequalities.py::TestVerdicts::test_unknown_kind_refused",),
     ),
     Mutant(
         "tau_form_division_warns", "states.py",
@@ -435,6 +540,11 @@ MUTANTS = (
         "cli_counterexample_exit_ignores_verdicts", "cli.py",
         "    return 0 if expected else 1\n", "    return 0\n",
         ("tests/test_cli_config.py::test_counterexample_verdicts_decide_both_exit_codes",),
+    ),
+    Mutant(
+        "cli_negative_seed_accepted", "cli.py",
+        "    if args.seed < 0:\n", "    if False:\n",
+        ("tests/test_cli.py::TestNegativeSeed",),
     ),
     Mutant(
         "cli_outdir_appended", "cli.py",

@@ -256,6 +256,21 @@ class TestParserReuse:
         assert first.read_bytes() == again.read_bytes()
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["table1"], ["counterexample"], ["counterexample", "--rhoJ", "random"]],
+        ids=["verify", "table1", "counterexample", "counterexample-random-rhoJ"],
+    )
+    def test_usage_error_names_the_option(self, capsys, argv):
+        # numpy's SeedSequence once refused it as "expected non-negative integer",
+        # and the tracial counterexample, which draws nothing, ran
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+
 class TestEnvironmentOverrides:
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CARENTROPY_OUTDIR", str(tmp_path))

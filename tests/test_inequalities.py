@@ -225,6 +225,12 @@ class TestVerdicts:
             assert classify_gap(kind, violation) == "indeterminate"
             assert classify_gap(kind, np.nextafter(violation, sign * np.inf)) == "violated"
 
+    @pytest.mark.parametrize("kind", ["SSA", "mono-ssa", "", "triangle "])
+    def test_unknown_kind_refused(self, kind):
+        # "SSA" was once read on the nonnegative side: -0.5 came out "violated"
+        with pytest.raises(CarError, match="gap kind must be 'ssa', 'triangle' or 'mono_ssa'"):
+            classify_gap(kind, -0.5)
+
     def test_non_finite_gap_raises(self):
         for gap in (math.nan, math.inf, -math.inf):
             with pytest.raises(CarError, match="not a finite number"):

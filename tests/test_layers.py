@@ -1,4 +1,5 @@
-"""The state core does not import the operator picture."""
+"""The state core does not import the operator picture, nor the operator
+picture the inequalities."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,13 @@ def test_state_core_does_not_import_operators():
     for name in STATE_CORE:
         tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
         assert "operators" not in imported_modules(tree), name
+
+
+def test_operators_do_not_import_inequalities():
+    # the containment rule once lived in inequalities, and operators imported it from there
+    path = Path(carentropy.__file__).parent / "operators.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "inequalities" not in imported_modules(tree)
 
 
 def test_import_forms_are_seen():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from carentropy import (
+    CarError,
     NotAStateError,
     ExtensionError,
     OperatorElement,
@@ -16,8 +17,10 @@ from carentropy import (
     conditional_expectation,
     density_distance,
     entropy,
+    build_recipe,
     inequality_report,
     is_even,
+    mixing_bounds_check,
     monomial_basis,
     mono_ssa_gap,
     monotonicity_curve,
@@ -93,7 +96,7 @@ class TestEntropy:
 class TestMalformedInput:
     # a NaN compares False with every threshold, so each check rejects unless it passes
     def test_nan_vector_rejected(self, ctx2):
-        with pytest.raises(ValueError, match="norm"):
+        with pytest.raises(CarError, match="norm"):
             vector_state(ctx2, Region((1, 2)), [np.nan, 0, 0, 0])
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
@@ -112,12 +115,12 @@ class TestMalformedInput:
             state_from_intrinsic(ctx1, Region((1,)), density)
 
     def test_factor_row_count_checked(self, ctx1):
-        with pytest.raises(ValueError, match="2 rows"):
+        with pytest.raises(CarError, match="2 rows"):
             State(Region((1,)), np.ones((3, 1)) / math.sqrt(3))
 
     def test_non_array_factor_rejected(self, ctx1):
         # a nested list once ended in AttributeError: 'list' object has no attribute 'ndim'
-        with pytest.raises(ValueError, match="2 rows"):
+        with pytest.raises(CarError, match="2 rows"):
             State(Region((1,)), [[1.0], [0.0]])
 
     def test_unnormalized_factor_rejected(self, ctx2):
@@ -169,7 +172,7 @@ class TestMalformedInput:
         assert np.abs(s.intrinsic() - (density + density.T) / 2).max() <= 1e-14
 
     # Drawn inputs for every public constructor: a density or factor that is
-    # not a state raises NotAStateError, any other bad input ValueError.
+    # not a state raises NotAStateError, any other bad input CarError.
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(1, 2), bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
@@ -183,7 +186,7 @@ class TestMalformedInput:
         for build in (state_from_intrinsic, state_from_tau_form):
             with pytest.raises(NotAStateError, match="non-finite"):
                 build(ctx2, region, matrix)
-        with pytest.raises(ValueError, match="norm"):
+        with pytest.raises(CarError, match="norm"):
             vector_state(ctx2, region, matrix[:, j])
 
     @settings(max_examples=40, deadline=None)
@@ -192,14 +195,14 @@ class TestMalformedInput:
         region, d = Region(tuple(range(1, k + 1))), 2 ** k
         x = np.ones(shape, dtype=complex)
         if len(shape) != 2 or shape[0] != d:
-            with pytest.raises(ValueError, match="rows"):
+            with pytest.raises(CarError, match="rows"):
                 State(region, x)
         if tuple(shape) != (d, d):
             for build in (state_from_intrinsic, state_from_tau_form):
-                with pytest.raises(ValueError, match=f"{d}x{d}"):
+                with pytest.raises(CarError, match=f"{d}x{d}"):
                     build(ctx2, region, x)
         if x.size != d:
-            with pytest.raises(ValueError, match="length"):
+            with pytest.raises(CarError, match="length"):
                 vector_state(ctx2, region, x)
 
     @settings(max_examples=40, deadline=None)
@@ -218,7 +221,7 @@ class TestMalformedInput:
         with pytest.raises(NotAStateError, match="Tr"):
             state_from_tau_form(ctx2, region, scale * 2 ** k * s.intrinsic())
         pure = random_state(ctx2, region, rank=1, seed=seed)
-        with pytest.raises(ValueError, match="norm"):
+        with pytest.raises(CarError, match="norm"):
             vector_state(ctx2, region, math.sqrt(scale) * pure.factor)
 
     @settings(max_examples=40, deadline=None)
@@ -243,7 +246,7 @@ class TestMalformedInput:
     @example(rank=1.5)
     def test_drawn_bad_rank_refused(self, ctx2, rank):
         # rank=1.5 once ended in numpy's TypeError
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(CarError, match="rank"):
             random_state(ctx2, ctx2.lattice, rank=rank, seed=0)
 
     @settings(max_examples=30, deadline=None)
@@ -261,7 +264,7 @@ class TestMalformedInput:
             lambda c, r: state_from_tau_form(c, r, np.eye(2)),
         )
         for build in builds:
-            with pytest.raises(ValueError, match="exceeds"):
+            with pytest.raises(CarError, match="exceeds"):
                 build(ctx, region)
 
     @pytest.mark.parametrize(
@@ -285,7 +288,7 @@ class TestMalformedInput:
     def test_plain_tuple_region_refused(self, ctx2, build):
         # each once ended in AttributeError: 'tuple' object has no attribute 'sites',
         # or, for State and OperatorElement, was accepted and failed later
-        with pytest.raises(ValueError, match="must be a Region, got tuple"):
+        with pytest.raises(CarError, match="must be a Region, got tuple"):
             build(ctx2, (1, 2))
 
     @pytest.mark.parametrize(
@@ -335,14 +338,93 @@ class TestMalformedInput:
         # each once ended in AttributeError on the tuple's missing .issubset or .sites
         phi = random_state(ctx4, ctx4.lattice, seed=1)
         rho1 = random_state(ctx4, Region((1,)), even=True, seed=1)
-        with pytest.raises(ValueError, match="must be a Region, got tuple"):
+        with pytest.raises(CarError, match="must be a Region, got tuple"):
             call(phi, rho1, Region((1,)), Region((2,)), Region((3,)))
 
     @pytest.mark.parametrize("call", [parity_unitary, monomial_basis])
     def test_bare_site_refused_by_the_operator_picture(self, call):
         # without the entry check a site number ended in len()'s or .sites' error
-        with pytest.raises(ValueError, match="must be a Region, got int"):
+        with pytest.raises(CarError, match="must be a Region, got int"):
             call(1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            transition_probability,
+            relative_entropy,
+            density_distance,
+            lambda a, b: mixing_bounds_check(a, b, 0.5),
+        ],
+        ids=["transition_probability", "relative_entropy", "density_distance", "mixing_bounds"],
+    )
+    def test_state_off_the_expected_region_refused(self, ctx2, call):
+        # same size, other sites: without the rule each returned a number
+        a = random_state(ctx2, Region((1,)), seed=1)
+        b = random_state(ctx2, Region((2,)), seed=2)
+        with pytest.raises(CarError, match=r"lives on \(2,\), expected \(1,\)"):
+            call(a, b)
+
+    @pytest.mark.parametrize(
+        "call, names",
+        [
+            pytest.param(
+                lambda c, s, r: product_extension(r, tracial_state(c, Region((1, 2)))), "A and B",
+                id="product_extension",
+            ),
+            pytest.param(
+                lambda c, s, r: build_recipe(c, Region((1,)), Region((1, 2))), "K and I",
+                id="recipe",
+            ),
+            pytest.param(
+                lambda c, s, r: triangle_gap(s, Region((1,)), Region((1, 2))), "I and J",
+                id="triangle_gap",
+            ),
+            pytest.param(
+                lambda c, s, r: mono_ssa_gap(s, Region((1,)), Region((2,)), Region((1, 3))),
+                "I, J and K", id="mono_ssa_gap",
+            ),
+            pytest.param(
+                lambda c, s, r: monotonicity_curve(s, Region((1,)), Region((2,)), [Region((1,))]),
+                "K and I", id="curve-I",
+            ),
+            pytest.param(
+                lambda c, s, r: monotonicity_curve(s, Region((1,)), Region((2,)), [Region((2,))]),
+                "K and J", id="curve-J",
+            ),
+            pytest.param(
+                lambda c, s, r: pure_extension(r, Region((1, 2))), "I and J", id="pure_extension"
+            ),
+            pytest.param(
+                lambda c, s, r: symmetric_purification(r, Region((1, 2))), "I and J",
+                id="symmetric_purification",
+            ),
+            pytest.param(
+                lambda c, s, r: relative_commutant_check(Region((1, 2)), Region((2,))), "I and J",
+                id="relative_commutant",
+            ),
+        ],
+    )
+    def test_overlapping_regions_refused(self, ctx4, call, names):
+        # without the rule some computed a number and some failed in numpy's or State's words
+        phi = random_state(ctx4, ctx4.lattice, seed=1)
+        rho1 = random_state(ctx4, Region((1,)), even=True, seed=1)
+        with pytest.raises(CarError, match=f"^{names} must be disjoint regions, got "):
+            call(ctx4, phi, rho1)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(lambda c: odd_eigenvector_state(c, Region(())), "K", id="odd_vector"),
+            pytest.param(lambda c: build_recipe(c, Region((2,)), Region(())), "I", id="recipe"),
+            pytest.param(
+                lambda c: relative_commutant_check(Region(()), Region((2,))), "I",
+                id="relative_commutant",
+            ),
+        ],
+    )
+    def test_empty_region_refused(self, ctx2, call, name):
+        with pytest.raises(CarError, match=f"^{name} must be nonempty$"):
+            call(ctx2)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(np.inf, 1.0), np.nan])
     def test_non_finite_tau_form_refused_without_warning(self, ctx1, bad):
@@ -402,14 +484,14 @@ class TestNormalizationConvention:
         with pytest.raises(NotAStateError):
             state_from_tau_form(ctx2, Region((1,)), 2.0 * np.eye(2))
         # W is the 2^|R| image: a 2^n matrix for a one-site region is refused
-        with pytest.raises(ValueError):
+        with pytest.raises(CarError):
             state_from_tau_form(ctx2, Region((1,)), np.diag([2.0, 0.0, 0.0, 2.0]))
 
 
 class TestRestrict:
     def test_requires_containment(self, ctx3):
         s = tracial_state(ctx3, Region((1, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(CarError):
             restrict(s, Region((3,)))
 
     def test_product_extension_marginals(self, ctx3):
@@ -772,7 +854,7 @@ class TestTransitionProbability:
     def test_region_mismatch(self, ctx2):
         a = random_state(ctx2, Region((1,)), seed=1)
         b = random_state(ctx2, Region((2,)), seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(CarError):
             transition_probability(a, b)
 
     def test_against_square_root_formula(self, ctx3):
@@ -871,9 +953,9 @@ class TestRandomState:
         assert worst > 1e-6  # no sampled pure state is anywhere near even
 
     def test_rank_validation(self, ctx2):
-        with pytest.raises(ValueError):
+        with pytest.raises(CarError):
             random_state(ctx2, Region((1,)), rank=3, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(CarError):
             random_state(ctx2, Region((1,)), rank=0, seed=0)
 
     def test_requested_rank_realized(self, ctx2):
@@ -944,7 +1026,7 @@ class TestProductExtension:
     def test_overlap_rejected(self, ctx2):
         a = tracial_state(ctx2, Region((1,)))
         b = tracial_state(ctx2, Region((1, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(CarError):
             product_extension(a, b)
 
 
