@@ -42,7 +42,7 @@ import numpy as np
 from .car_algebra import Region, build_context
 from .counterexamples import violation_demo
 from .errors import CarError
-from .inequalities import InequalityReport, inequality_report
+from .inequalities import GAP_KINDS, InequalityReport, inequality_report
 from .states import random_state, tracial_state
 from .tolerances import HOLD_TOL
 
@@ -114,17 +114,16 @@ def _config_payload(config: RunConfig) -> dict:
 
 CSV_HEADER = [
     "trial", "seed", "sites", "I", "J", "K", "parity",
-    "ssa_gap", "triangle_gap", "mono_ssa_gap",
-    "ssa_verdict", "triangle_verdict", "mono_ssa_verdict",
+    *(f"{kind}_gap" for kind in GAP_KINDS), *(f"{kind}_verdict" for kind in GAP_KINDS),
 ]
 
 
-def _csv_text(rows: list[dict]) -> str:
+def _csv_text(header: list[str], rows: list[dict]) -> str:
+    """``rows`` under ``header``; a missing or ``None`` cell is written empty."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_HEADER, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({key: row.get(key, "") for key in CSV_HEADER})
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -163,7 +162,7 @@ def _report_row(config: RunConfig, index: int, report: InequalityReport) -> dict
     for name in ("I", "J", "K"):
         row[name] = ",".join(map(str, report.regions.get(name, ())))
     row["parity"] = "even" if report.even_state else "noneven"
-    for kind in ("ssa", "triangle", "mono_ssa"):
+    for kind in GAP_KINDS:
         row[f"{kind}_gap"] = getattr(report, f"{kind}_gap")
         row[f"{kind}_verdict"] = report.verdicts.get(kind, "")
     return row
@@ -203,7 +202,7 @@ def _run_suite(config: RunConfig) -> tuple[list[dict], dict]:
         rows.append(_report_row(config, index, report))
 
     summary: dict = {"trials": config.trials}
-    for kind in ("ssa", "triangle", "mono_ssa"):
+    for kind in GAP_KINDS:
         gaps = [r[f"{kind}_gap"] for r in rows if r[f"{kind}_gap"] is not None]
         if not gaps:
             continue
@@ -221,7 +220,7 @@ def cmd_verify(config: RunConfig) -> int:
     rows, summary = _run_suite(config)
     problems = _unexpected_violations(config, rows)
     if config.output_format == "csv":
-        text = _csv_text(rows)
+        text = _csv_text(CSV_HEADER, rows)
     else:
         text = _json_text({
             "config": _config_payload(config),
@@ -249,18 +248,14 @@ def cmd_counterexample(config: RunConfig) -> int:
         rho_j = tracial_state(ctx, J)
     report = violation_demo(ctx, K, I, J, rhoJ=rho_j)
     if config.output_format == "csv":
-        text = _csv_text([_report_row(config, 0, report)])
+        text = _csv_text(CSV_HEADER, [_report_row(config, 0, report)])
     else:
         recipe = report.recipe
         text = _json_text({
             "config": _config_payload(config),
             "regions": {k: list(v) for k, v in report.regions.items()},
             "entropies": report.entropies,
-            "gaps": {
-                "mono_ssa": report.mono_ssa_gap,
-                "triangle": report.triangle_gap,
-                "ssa": report.ssa_gap,
-            },
+            "gaps": {kind: getattr(report, f"{kind}_gap") for kind in GAP_KINDS},
             "verdicts": report.verdicts,
             "residuals": report.residuals,
             "recipe": {
@@ -307,12 +302,10 @@ def cmd_table1(config: RunConfig) -> int:
             "conforms": all_ok,
         })
     elif config.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["suite", "conforms", "stats"])
-        for name, entry in sorted(suites.items()):
-            writer.writerow([name, entry["conforms"], json.dumps(entry["stats"], sort_keys=True)])
-        text = buf.getvalue()
+        text = _csv_text(["suite", "conforms", "stats"], [
+            dict(entry, suite=name, stats=json.dumps(entry["stats"], sort_keys=True))
+            for name, entry in sorted(suites.items())
+        ])
     else:
         lines = ["Property    CAR lattice verdict", "-" * 72]
         for prop, cell in cells.items():
@@ -376,20 +369,19 @@ def main(argv=None) -> int:
         parser.error("--seed must be a non-negative integer")
     if args.command == "table1" and args.sites < 3:
         parser.error("table1 runs the mono-ssa suite, which needs at least 3 sites")
+    if args.command == "verify" and args.sites < 2:
+        parser.error("verify needs at least 2 sites")
+    if args.suite == "mono-ssa" and args.sites < 3:
+        parser.error("the mono-ssa suite needs three disjoint regions (>= 3 sites)")
 
     try:
-        regions, sites = {}, args.sites
+        texts = {name: getattr(args, name, None) for name in ("I", "J", "K")}  # none in table1
+        regions = {name: _parse_region(text) for name, text in texts.items() if text is not None}
+        sites = args.sites
         if args.command == "verify":
-            if args.sites < 2:
-                parser.error("verify needs at least 2 sites")
-            if args.suite == "mono-ssa" and args.sites < 3:
-                parser.error("the mono-ssa suite needs three disjoint regions (>= 3 sites)")
-            texts = {name: getattr(args, name) for name in ("I", "J", "K")}
-            regions = {name: _parse_region(text) for name, text in texts.items() if text is not None}
-            if regions and not {"I", "J"} <= set(regions):
-                parser.error("fixed regions require at least --I and --J")
-            # fixed regions must leave the chosen suite its own gap to evaluate
-            if regions:
+            if regions:  # fixed regions must leave the chosen suite its own gap to evaluate
+                if not {"I", "J"} <= set(regions):
+                    parser.error("fixed regions require at least --I and --J")
                 I, J = regions["I"], regions["J"]
                 if not regions.get("K", Region()).isdisjoint(I.union(J)):
                     parser.error("a fixed --K must be disjoint from --I and --J")
@@ -398,15 +390,12 @@ def main(argv=None) -> int:
                 if args.suite == "mono-ssa" and "K" not in regions:
                     parser.error("the mono-ssa suite needs a --K")
         elif args.command == "counterexample":
-            K = _parse_region(args.K)
-            I = _parse_region(args.I)
+            K, I, J = regions["K"], regions["I"], regions["J"]
             for name, region in (("K", K), ("I", I)):
                 if not region.sites:
                     parser.error(f"--{name} must name at least one site")
-            J = _parse_region(args.J)
             if not (K.isdisjoint(I) and K.isdisjoint(J) and I.isdisjoint(J)):
                 parser.error("regions K, I, J must be mutually disjoint")
-            regions = {"K": K, "I": I, "J": J}
             sites = max(args.sites, max(K.sites + I.sites + J.sites))
         config = RunConfig(
             command=args.command, sites=sites, trials=args.trials, seed=args.seed,

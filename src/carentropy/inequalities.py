@@ -71,6 +71,9 @@ __all__ = [
 ]
 
 
+GAP_KINDS = ("ssa", "triangle", "mono_ssa")  # the table's rows, in report order
+
+
 def classify_gap(kind: str, gap: float) -> str:
     """Map a gap value to ``holds`` / ``violated`` / ``indeterminate``.
 
@@ -78,7 +81,7 @@ def classify_gap(kind: str, gap: float) -> str:
     hold on the nonnegative side; another kind, or a gap that is not
     finite, raises :class:`CarError`.
     """
-    if kind not in ("ssa", "triangle", "mono_ssa"):
+    if kind not in GAP_KINDS:
         raise CarError(f"gap kind must be 'ssa', 'triangle' or 'mono_ssa', got {kind!r}")
     if not math.isfinite(gap):
         raise CarError(f"{kind} gap is {gap}, not a finite number")
@@ -187,6 +190,8 @@ class MixingBoundsReport:
 def mixing_bounds_check(phi: State, psi: State, lam: float) -> MixingBoundsReport:
     """Check concavity and the mixing upper bound for the convex combination."""
     _require_on(phi.region, psi=psi)
+    if not isinstance(lam, (int, float, np.integer, np.floating)):
+        raise CarError(f"lam must be a real number, got {lam!r}")
     if not 0.0 <= lam <= 1.0:
         raise CarError(f"lam must be in [0, 1], got {lam}")
     stacked = np.hstack([math.sqrt(lam) * phi.factor, math.sqrt(1.0 - lam) * psi.factor])

@@ -65,6 +65,9 @@ class OperatorElement:
                 f"an element of A{self.region.sites} is a {d}x{d} image, "
                 f"got shape {np.shape(self.matrix)}"
             )
+        dtype = np.asarray(self.matrix).dtype
+        if dtype.kind not in "biufc":
+            raise CarError(f"an image of A{self.region.sites} holds numbers, got dtype {dtype}")
 
 
 def _reorder(matrix: np.ndarray, src: tuple[int, ...], dst: tuple[int, ...]) -> np.ndarray:

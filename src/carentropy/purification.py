@@ -66,6 +66,9 @@ class SchmidtDecomposition:
 
 def schmidt(vector: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     """Schmidt decomposition of a unit vector across a ``d1 x d2`` split."""
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 2
+            and all(isinstance(d, (int, np.integer)) and d > 0 for d in dims)):
+        raise CarError(f"dims must be two positive integers, got {dims!r}")
     d1, d2 = dims
     vector = np.asarray(vector, dtype=complex).ravel()
     if vector.size != d1 * d2:

@@ -3,7 +3,10 @@
 Usage (from the repository root)::
 
     python tests/cli_bytes.py OLD_ROOT NEW_ROOT
+    python tests/cli_bytes.py OLD_REVISION NEW_ROOT     # e.g. HEAD .
 
+Either root may be a directory or a git revision of this repository; a
+revision is archived into a temporary directory that is removed afterwards.
 Each command in ``COMMANDS`` runs once in each tree, in a fresh interpreter
 with ``PYTHONPATH=<root>/src`` and ``OPENBLAS_NUM_THREADS=1`` (LAPACK splits
 some factorizations by thread count, which moves gaps in their last bits).
@@ -25,12 +28,19 @@ their last bits; the bytes still count as differing.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
 
 NUMBER_TOL = 1e-12
 _NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -89,6 +99,23 @@ def run(root: str, argv: list[str]) -> tuple[bytes, bytes, int]:
     return done.stdout, done.stderr, done.returncode
 
 
+@contextlib.contextmanager
+def source_root(spec: str, repo: Path = REPO):
+    """``spec`` when it is a directory; otherwise the tree of the git revision
+    ``spec`` of ``repo``, archived into a temporary directory that is removed
+    on exit.  A name that is neither raises ``subprocess.CalledProcessError``."""
+    if os.path.isdir(spec):
+        yield spec
+        return
+    archive = subprocess.run(
+        ["git", "-C", str(repo), "archive", "--format=tar", spec], capture_output=True, check=True
+    )
+    with tempfile.TemporaryDirectory(prefix="cli-bytes-") as root:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(root, filter="data")
+        yield root
+
+
 def differing(old: tuple[bytes, bytes, int], new: tuple[bytes, bytes, int]) -> list[str]:
     """The names of the streams, of ``STREAMS``, in which two runs differ."""
     return [name for name, a, b in zip(STREAMS, old, new, strict=True) if a != b]
@@ -104,11 +131,8 @@ def number_difference(old_out: bytes, old_code: int, new_out: bytes, new_code: i
     return max((abs(float(a) - float(b)) for a, b in pairs), default=0.0)
 
 
-def main(args: list[str]) -> int:
-    if len(args) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    old_root, new_root = args
+def compare(old_root: str, new_root: str) -> int:
+    """Run every command in both trees and print one line per command."""
     lines = COMMANDS.strip().splitlines()
     differ = 0
     for line in lines:
@@ -129,6 +153,20 @@ def main(args: list[str]) -> int:
               f"(largest number difference {worst:.1e})")
     print(f"{differ} of {len(lines)} commands differ")
     return 1 if differ else 0
+
+
+def main(args: list[str]) -> int:
+    if len(args) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with contextlib.ExitStack() as stack:
+        try:
+            old_root, new_root = (stack.enter_context(source_root(spec)) for spec in args)
+        except subprocess.CalledProcessError as exc:
+            why = exc.stderr.decode().strip()
+            print(f"neither a directory nor a git revision: {why}", file=sys.stderr)
+            return 2
+        return compare(old_root, new_root)
 
 
 if __name__ == "__main__":

@@ -353,8 +353,25 @@ MUTANTS = (
     ),
     Mutant(
         "classify_gap_kind_unchecked", "inequalities.py",
-        "    if kind not in (\"ssa\", \"triangle\", \"mono_ssa\"):\n", "    if False:\n",
+        "    if kind not in GAP_KINDS:\n", "    if False:\n",
         ("tests/test_inequalities.py::TestVerdicts::test_unknown_kind_refused",),
+    ),
+    Mutant(
+        "schmidt_dims_unchecked", "purification.py",
+        "    if not (isinstance(dims, (tuple, list)) and len(dims) == 2\n",
+        "    if False and (isinstance(dims, (tuple, list)) and len(dims) == 2\n",
+        ("tests/test_purification.py::TestSchmidt::test_malformed_dims_rejected",),
+    ),
+    Mutant(
+        "mixing_weight_type_unchecked", "inequalities.py",
+        "    if not isinstance(lam, (int, float, np.integer, np.floating)):\n",
+        "    if False:\n",
+        ("tests/test_states.py::TestMalformedInput::test_non_real_mixing_weight_refused",),
+    ),
+    Mutant(
+        "operator_image_dtype_unchecked", "operators.py",
+        '        if dtype.kind not in "biufc":\n', "        if False:\n",
+        ("tests/test_states.py::TestMalformedInput::test_non_numeric_operator_image_refused",),
     ),
     Mutant(
         "tau_form_division_warns", "states.py",

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from carentropy import CapacityError, cli
+from carentropy import CapacityError, Region, build_context, cli, inequality_report, random_state
 from carentropy.cli import RunConfig, _unexpected_violations, build_parser, main
 
 LN2 = math.log(2.0)
@@ -92,6 +92,18 @@ class TestVerify:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("trial,seed,sites,I,J,K,parity,ssa_gap")
         assert len(lines) == 6
+
+    def test_csv_header_is_the_report_row(self, tmp_path):
+        # one cell per key of a trial's row, so every CSV row fills each column it has
+        code, path = run(
+            ["verify", "--sites", "3", "--trials", "2", "--format", "csv"], tmp_path, name="v.csv"
+        )
+        assert code == 0
+        header = csv.DictReader(path.read_text().splitlines()).fieldnames
+        config = RunConfig("verify", 3, 1, 7, "csv", None, suite="all")
+        state = random_state(build_context(3), Region((1, 2, 3)), seed=1)
+        row = cli._report_row(config, 0, inequality_report(state, Region((1,)), Region((2,))))
+        assert len(set(header)) == len(header) and set(header) == set(row)
 
     def test_usage_error_exit_two(self):
         for argv in (
@@ -224,6 +236,20 @@ class TestTable1:
             "triangle_noneven_counterexample", "mono_ssa_noneven_counterexample",
             "ssa_on_counterexample_state",
         }
+
+    def test_csv_rows(self, tmp_path):
+        code, path = run(
+            ["table1", "--trials", "20", "--seed", "7", "--format", "csv"], tmp_path, name="t.csv"
+        )
+        assert code == 0
+        reader = csv.DictReader(path.read_text().splitlines())
+        rows = list(reader)
+        assert reader.fieldnames == ["suite", "conforms", "stats"]
+        assert len(rows) == 6
+        assert [row["suite"] for row in rows] == sorted(row["suite"] for row in rows)
+        for row in rows:
+            assert row["conforms"] == "True"
+            assert isinstance(json.loads(row["stats"]), dict)
 
 
 class TestDeterminism:

@@ -1,10 +1,15 @@
 """The comparisons of ``tests/cli_bytes.py`` on synthetic outputs: which streams
-differ, and the gap-level check of a differing stdout."""
+differ, and the gap-level check of a differing stdout; and how a root given as a
+git revision is resolved."""
 
 import json
 import math
+import subprocess
+from pathlib import Path
 
-from cli_bytes import NUMBER_TOL, differing, number_difference
+import pytest
+
+from cli_bytes import NUMBER_TOL, differing, number_difference, source_root
 
 REPORT = {"gaps": {"ssa": -0.3170571401390738}, "verdicts": {"ssa": "holds"}, "seed": 7}
 CSV = (
@@ -36,3 +41,36 @@ def test_stderr_and_exit_code_differ_like_stdout():
     assert differing(usage, usage) == []
     assert differing(usage, (b"", b"error: bad region spec\n", 2)) == ["stderr"]
     assert differing(usage, (b"{}\n", b"", 0)) == ["stdout", "stderr", "exit code"]
+
+
+def test_a_directory_root_is_used_as_it_is(tmp_path):
+    with source_root(str(tmp_path)) as root:
+        assert root == str(tmp_path)
+    assert tmp_path.is_dir()
+
+
+def test_a_revision_root_is_archived_and_removed(tmp_path):
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+             "-C", str(tmp_path), *args],
+            capture_output=True, check=True,
+        )
+
+    git("init", "-q")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "cli.py").write_text("old\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "old")
+    (tmp_path / "src" / "cli.py").write_text("new\n")  # the working tree is not the revision
+    with source_root("HEAD", repo=tmp_path) as root:
+        assert root != str(tmp_path)
+        assert Path(root, "src", "cli.py").read_text() == "old\n"
+    assert not Path(root).exists()
+
+
+def test_neither_directory_nor_revision_refused(tmp_path):
+    subprocess.run(["git", "init", "-q", str(tmp_path)], capture_output=True, check=True)
+    with pytest.raises(subprocess.CalledProcessError):
+        with source_root("no-such-revision", repo=tmp_path):
+            pass

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from carentropy import (
     CapacityError,
+    CarError,
     Region,
     build_context,
     density_distance,
@@ -78,6 +79,12 @@ class TestSchmidt:
         # a NaN norm fails every comparison; the check must reject it before the SVD
         with pytest.raises(ValueError, match="vector norm"):
             schmidt(np.array([bad, 0.0, 0.0, 0.0]), (2, 2))
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 1, 1), (2.0, 2), 4, (0, 2), (-1, -2)])
+    def test_malformed_dims_rejected(self, dims):
+        # (2,) and (2, 1, 1) once failed to unpack, (2.0, 2) in reshape's TypeError
+        with pytest.raises(CarError, match="dims must be two positive integers"):
+            schmidt(np.array([1.0, 0.0]), dims)
 
 
 class TestPureExtension:

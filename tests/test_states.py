@@ -341,6 +341,26 @@ class TestMalformedInput:
         with pytest.raises(CarError, match="must be a Region, got tuple"):
             call(phi, rho1, Region((1,)), Region((2,)), Region((3,)))
 
+    @pytest.mark.parametrize(
+        "image", [[["a", "b"], ["c", "d"]], [[None, 0], [0, 1]]], ids=["strings", "objects"]
+    )
+    def test_non_numeric_operator_image_refused(self, image):
+        # the strings were once accepted, and theta of them failed in numpy's UFuncTypeError
+        with pytest.raises(CarError, match=r"image of A\(1,\) holds numbers, got dtype "):
+            OperatorElement(Region((1,)), image)
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [("x", "a real number"), (None, "a real number"), (0.5j, "a real number"),
+         (math.nan, r"in \[0, 1\], got nan")],
+        ids=["str", "None", "complex", "nan"],
+    )
+    def test_non_real_mixing_weight_refused(self, ctx1, lam, message):
+        # "x" once ended in TypeError: '<=' not supported
+        a = tracial_state(ctx1, Region((1,)))
+        with pytest.raises(CarError, match=f"lam must be {message}"):
+            mixing_bounds_check(a, a, lam)
+
     @pytest.mark.parametrize("call", [parity_unitary, monomial_basis])
     def test_bare_site_refused_by_the_operator_picture(self, call):
         # without the entry check a site number ended in len()'s or .sites' error
